@@ -248,8 +248,8 @@ register_policy(
     kind="hetero",
     description=(
         "ILP placement baseline: assignment + per-resource capacity + "
-        "SLO-infeasibility constraints (OR-Tools when available, else an "
-        "LP relaxation with rounding repair)."
+        "SLO-infeasibility constraints (LP relaxation with rounding "
+        "repair)."
     ),
     config_type=HeteroPolicyOptions,
     aliases=("hetero-ilp",),

@@ -31,19 +31,15 @@ are bit-for-bit identical to rebuilds, so warm-up never changes results.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import multiprocessing
-import os
-import pickle
-import tempfile
 import threading
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+from repro.api.journal import Journal
 from repro.api.runner import (
     ProgressCallback,
     RunEvent,
@@ -193,42 +189,19 @@ class SweepInfo:
 # ------------------------------------------------------------------ journal
 
 
-def spec_digest(spec: ExperimentSpec) -> str:
-    """Content digest of a spec, for journal compatibility checks.
-
-    Canonical JSON of ``to_dict`` when the spec is serializable (always
-    true for spec files); a pickle digest otherwise (programmatic specs
-    carrying rich objects) -- journals are same-machine artifacts, so the
-    weaker canonicality is acceptable there.
-    """
-    try:
-        payload = json.dumps(spec.to_dict(), sort_keys=True).encode()
-    except TypeError:
-        payload = pickle.dumps(spec)
-    return hashlib.sha256(payload).hexdigest()
-
-
-class SweepJournal:
+class SweepJournal(Journal):
     """Crash-safe checkpoint directory for completed shards.
 
-    Layout: ``meta.json`` records the spec digest; each completed shard is
-    one ``shard-<id>.pkl`` holding its pickled :class:`ShardOutcome`.
-    Writes go to a temp file in the same directory and are renamed into
-    place, so a crash mid-write never leaves a truncated checkpoint that a
-    later ``--resume`` would trust.
+    Each completed shard is one ``shard-<id>.pkl`` entry holding its
+    :class:`ShardOutcome`; validation and atomic writes are
+    :class:`~repro.api.journal.Journal`'s.
     """
 
-    _META_VERSION = 1
+    entry_glob = "shard-*.pkl"
 
-    def __init__(self, path: str | Path, spec: ExperimentSpec) -> None:
-        self.path = Path(path)
-        self.digest = spec_digest(spec)
-
-    def _meta_path(self) -> Path:
-        return self.path / "meta.json"
-
-    def _shard_path(self, shard: TrialShard) -> Path:
-        return self.path / f"shard-{shard.shard_id}.pkl"
+    @staticmethod
+    def _entry_name(shard: TrialShard) -> str:
+        return f"shard-{shard.shard_id}.pkl"
 
     def open(
         self,
@@ -236,120 +209,37 @@ class SweepJournal:
         trials_per_shard: int,
         trials_per_shard_explicit: bool = False,
     ) -> int:
-        """Create the journal directory, or validate it against the spec.
+        """Create or validate the journal; return the granularity to plan with.
 
-        Returns the shard granularity to plan with.  The journal records
-        its ``trials_per_shard`` in ``meta.json`` because shard ids embed
-        trial ranges: resuming with a different granularity would match no
-        checkpoint and silently recompute everything.  On resume the
-        recorded value wins (so ``--resume --workers 4`` after a
-        ``--workers 8`` crash still reuses every checkpoint); an
-        *explicitly* requested mismatch is an error.
-
-        A journal written for a different spec (or with ``resume=False``
-        while non-empty) is an error, not something to silently overwrite:
-        mixing checkpoints across specs would merge unrelated results.
+        The journal records its ``trials_per_shard`` in ``meta.json``
+        because shard ids embed trial ranges: resuming with a different
+        granularity would match no checkpoint and silently recompute
+        everything.  On resume the recorded value wins (so ``--resume
+        --workers 4`` after a ``--workers 8`` crash still reuses every
+        checkpoint); an *explicitly* requested mismatch is an error.
         """
-        self.path.mkdir(parents=True, exist_ok=True)
-        meta_path = self._meta_path()
-        if not meta_path.exists() and any(self.path.iterdir()):
-            # A populated directory without our meta file is not a journal
-            # -- adopting it would end with cleanup deleting someone
-            # else's files.
+        meta = super().open(resume, trials_per_shard=trials_per_shard)
+        recorded = meta.get("trials_per_shard", trials_per_shard)
+        if trials_per_shard_explicit and recorded != trials_per_shard:
             raise ValueError(
-                f"journal directory {self.path} is not empty and has no "
-                "meta.json; refusing to adopt it -- choose a fresh directory"
+                f"journal {self.path} was written with "
+                f"trials_per_shard={recorded}, cannot resume with "
+                f"{trials_per_shard}; drop --trials-per-shard or use a "
+                "fresh journal directory"
             )
-        if meta_path.exists():
-            meta = json.loads(meta_path.read_text())
-            if meta.get("spec_digest") != self.digest:
-                raise ValueError(
-                    f"journal {self.path} belongs to a different spec "
-                    f"(digest {meta.get('spec_digest', '?')[:12]}... != "
-                    f"{self.digest[:12]}...); use a fresh journal directory"
-                )
-            if not resume and any(self.path.glob("shard-*.pkl")):
-                raise ValueError(
-                    f"journal {self.path} already holds completed shards; "
-                    "pass resume=True (--resume) to reuse them or choose a "
-                    "fresh directory"
-                )
-            recorded = meta.get("trials_per_shard", trials_per_shard)
-            if trials_per_shard_explicit and recorded != trials_per_shard:
-                raise ValueError(
-                    f"journal {self.path} was written with "
-                    f"trials_per_shard={recorded}, cannot resume with "
-                    f"{trials_per_shard}; drop --trials-per-shard or use a "
-                    "fresh journal directory"
-                )
-            return int(recorded)
-        self._atomic_write(
-            meta_path,
-            json.dumps(
-                {
-                    "version": self._META_VERSION,
-                    "spec_digest": self.digest,
-                    "trials_per_shard": trials_per_shard,
-                },
-                indent=2,
-            ).encode(),
-        )
-        return trials_per_shard
-
-    #: Version of the per-shard checkpoint payload.  v1 embeds the spec
-    #: digest in every entry, so a checkpoint file copied (or symlinked)
-    #: into another spec's journal is refused on its own evidence -- the
-    #: meta.json check alone cannot see that.
-    _ENTRY_VERSION = 1
+        return int(recorded)
 
     def load_completed(self, shards: Sequence[TrialShard]) -> dict[str, ShardOutcome]:
-        """Outcomes of ``shards`` already checkpointed, by shard id.
-
-        Every entry's own ``spec_digest`` is validated against this
-        journal's spec; a mismatch (or a pre-digest legacy payload) is an
-        error with a clear message, never a silent merge of another
-        spec's results.
-        """
+        """Outcomes of ``shards`` already checkpointed, by shard id."""
         completed = {}
         for shard in shards:
-            path = self._shard_path(shard)
-            if not path.exists():
-                continue
-            with open(path, "rb") as fh:
-                payload = pickle.load(fh)
-            if not isinstance(payload, dict) or "spec_digest" not in payload:
-                raise ValueError(
-                    f"journal entry {path} has no spec digest (written by an "
-                    "older version?); re-run without --resume or use a fresh "
-                    "journal directory"
-                )
-            if payload["spec_digest"] != self.digest:
-                raise ValueError(
-                    f"journal entry {path} was written by a different spec "
-                    f"(digest {payload['spec_digest'][:12]}... != "
-                    f"{self.digest[:12]}...); use a fresh journal directory"
-                )
-            completed[shard.shard_id] = payload["outcome"]
+            payload = self.read_entry(self._entry_name(shard))
+            if payload is not None:
+                completed[shard.shard_id] = payload["outcome"]
         return completed
 
     def record(self, outcome: ShardOutcome) -> None:
-        payload = {
-            "version": self._ENTRY_VERSION,
-            "spec_digest": self.digest,
-            "outcome": outcome,
-        }
-        self._atomic_write(self._shard_path(outcome.shard), pickle.dumps(payload))
-
-    def _atomic_write(self, path: Path, payload: bytes) -> None:
-        fd, tmp = tempfile.mkstemp(dir=self.path, prefix=path.name, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        self.write_entry(self._entry_name(outcome.shard), outcome=outcome)
 
 
 # ------------------------------------------------------------------ worker

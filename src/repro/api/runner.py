@@ -41,6 +41,7 @@ __all__ = [
     "build_trial_simulation",
     "execute_trials",
     "run_policy",
+    "start_scenario",
     "run",
 ]
 
@@ -461,6 +462,41 @@ def _validate_spec(spec: ExperimentSpec) -> None:
             seen_specs.add(digest)
 
 
+def start_scenario(
+    spec: ExperimentSpec,
+    index: int,
+    built: Mapping[str, Any],
+    progress: ProgressCallback | None,
+) -> Scenario:
+    """Build ``spec.scenarios[index]`` and emit its ``scenario-start`` event.
+
+    The scenario step of every serial engine (:func:`run` and
+    :func:`repro.serve.serve`): the build resolves replay files against
+    the spec's directory, and a name already in ``built`` (the names of the
+    scenarios this run has built so far) is an error.
+    """
+    from repro.traces.generators import trace_search_path
+
+    with trace_search_path(spec.spec_dir):
+        scenario = spec.scenarios[index].build()
+    if scenario.name in built:
+        raise ValueError(
+            f"duplicate scenario name {scenario.name!r}; set ScenarioSpec.name "
+            "to disambiguate repeated kinds"
+        )
+    _emit(
+        progress,
+        RunEvent(
+            stage="scenario-start",
+            scenario=scenario.name,
+            detail=f"{len(scenario.jobs)} jobs, "
+            f"{scenario.total_replicas} replicas, "
+            f"{scenario.duration_minutes} minutes",
+        ),
+    )
+    return scenario
+
+
 @dataclass(frozen=True)
 class ShardFailure:
     """One failed shard of a sharded sweep, surfaced in the report.
@@ -703,29 +739,12 @@ def run(
         spec = ExperimentSpec.from_file(spec)
     from repro.traces.generators import trace_search_path
 
-    spec_dir = spec.spec_dir
-    with trace_search_path(spec_dir):
+    with trace_search_path(spec.spec_dir):
         _validate_spec(spec)
     report = RunReport(spec=spec)
-    for scenario_index, scenario_spec in enumerate(spec.scenarios):
-        with trace_search_path(spec_dir):
-            scenario = scenario_spec.build()
+    for scenario_index in range(len(spec.scenarios)):
+        scenario = start_scenario(spec, scenario_index, report.scenario_index, progress)
         report.scenario_index[scenario.name] = scenario_index
-        _emit(
-            progress,
-            RunEvent(
-                stage="scenario-start",
-                scenario=scenario.name,
-                detail=f"{len(scenario.jobs)} jobs, "
-                f"{scenario.total_replicas} replicas, "
-                f"{scenario.duration_minutes} minutes",
-            ),
-        )
-        if scenario.name in report.stats:
-            raise ValueError(
-                f"duplicate scenario name {scenario.name!r}; set ScenarioSpec.name "
-                "to disambiguate repeated kinds"
-            )
         per_policy: dict[str, TrialStats] = {}
         for policy_spec in spec.policies:
             label = policy_spec.display_label

@@ -21,6 +21,8 @@ reason the kernel falls back to numpy rather than breaking the planner.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -39,8 +41,13 @@ _REQUESTED = "auto"
 _NUMBA_KERNEL = None
 
 
+@functools.cache
 def numba_available() -> bool:
-    """Whether the optional numba dependency is importable."""
+    """Whether the optional numba dependency is importable.
+
+    Probed once per process: a failed import is not retried, so the
+    per-call backend dispatch in :func:`interp_flat` stays cheap.
+    """
     try:
         import numba  # noqa: F401
     except ImportError:

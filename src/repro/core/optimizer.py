@@ -57,7 +57,6 @@ import hashlib
 import math
 import os
 import pickle
-import tempfile
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -505,28 +504,21 @@ class UtilityTableCache:
                 except Exception:
                     pass  # unreadable existing file: replace with our entries
             merged.absorb(self)
-            directory = os.path.dirname(path_str) or "."
-            fd, tmp = tempfile.mkstemp(
-                dir=directory, prefix=os.path.basename(path_str), suffix=".tmp"
+            from repro.api.journal import atomic_write
+
+            atomic_write(
+                path_str,
+                pickle.dumps(
+                    {
+                        "version": self._PICKLE_VERSION,
+                        "entries": [
+                            (key, np.asarray(table))
+                            for key, table in merged._entries.items()
+                        ],
+                    },
+                    protocol=pickle.HIGHEST_PROTOCOL,
+                ),
             )
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    pickle.dump(
-                        {
-                            "version": self._PICKLE_VERSION,
-                            "entries": [
-                                (key, np.asarray(table))
-                                for key, table in merged._entries.items()
-                            ],
-                        },
-                        fh,
-                        protocol=pickle.HIGHEST_PROTOCOL,
-                    )
-                os.replace(tmp, path_str)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise
             return len(merged._entries)
         finally:
             if lock_handle is not None:

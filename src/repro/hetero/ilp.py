@@ -18,12 +18,10 @@ the linear counterpart of the ``throughput`` objective in
   latency target, unless *every* class is infeasible for the job (then the
   ``x_i >= 1`` seed must still land somewhere).
 
-When OR-Tools is installed its CBC MIP solver answers exactly; this
-container does not ship it, so the default path is a pure scipy
-``linprog`` LP relaxation (HiGHS) followed by floor-rounding and the same
-greedy marginal-utility repair the native solver uses.  The differential
-test pins the rounded result within tolerance of greedy-with-repair on
-small instances.
+The solve is a scipy ``linprog`` LP relaxation (HiGHS) followed by
+floor-rounding and the same greedy marginal-utility repair the native
+solver uses.  The differential test pins the rounded result within
+tolerance of greedy-with-repair on small instances.
 """
 
 from __future__ import annotations
@@ -39,16 +37,7 @@ from repro.hetero.allocation import (
 )
 from repro.hetero.types import ReplicaType
 
-__all__ = ["have_ortools", "solve_ilp_allocation"]
-
-
-def have_ortools() -> bool:
-    """True when the optional OR-Tools MIP solver is importable."""
-    try:
-        from ortools.linear_solver import pywraplp  # noqa: F401
-    except ImportError:
-        return False
-    return True
+__all__ = ["solve_ilp_allocation"]
 
 
 def _allowed_types(problem: HeteroProblem, job: HeteroJob) -> list[ReplicaType]:
@@ -80,79 +69,9 @@ def _type_upper_bound(problem: HeteroProblem, rtype: ReplicaType) -> float:
     return max(bound, 0.0)
 
 
-def _solve_ortools(problem: HeteroProblem) -> dict[str, dict[ReplicaType, int]] | None:
-    """Exact CBC solve; returns None when OR-Tools is unavailable."""
-    try:
-        from ortools.linear_solver import pywraplp
-    except ImportError:
-        return None
-    solver = pywraplp.Solver.CreateSolver("CBC")
-    if solver is None:
-        return None
-    jobs, types = problem.jobs, problem.feasible_types
-    allowed = {job.name: {t.name for t in _allowed_types(problem, job)} for job in jobs}
-    x = {}
-    served = {}
-    for job in jobs:
-        for rtype in types:
-            ub = _type_upper_bound(problem, rtype)
-            if rtype.name not in allowed[job.name]:
-                ub = 0.0
-            x[job.name, rtype.name] = solver.IntVar(0.0, ub, f"x_{job.name}_{rtype.name}")
-        served[job.name] = solver.NumVar(0.0, max(job.arrival_rate, 0.0), f"s_{job.name}")
-    for job in jobs:
-        solver.Add(sum(x[job.name, t.name] for t in types) >= 1)
-        solver.Add(
-            served[job.name]
-            <= sum(
-                x[job.name, t.name] * (problem.job_speedup(job, t) / job.proc_time)
-                for t in types
-            )
-        )
-    if problem.type_counts is not None:
-        for rtype in types:
-            limit = problem.type_counts.get(rtype.name)
-            if limit is not None:
-                solver.Add(sum(x[j.name, rtype.name] for j in jobs) <= limit)
-    for attr, total in (
-        ("cpus", problem.capacity.cpus),
-        ("mem", problem.capacity.mem),
-        ("accels", problem.capacity.accels),
-    ):
-        solver.Add(
-            sum(
-                x[j.name, t.name] * getattr(t, attr) for j in jobs for t in types
-            )
-            <= total
-        )
-    solver.Maximize(
-        sum(
-            (job.priority / job.arrival_rate) * served[job.name]
-            for job in jobs
-            if job.arrival_rate > 0
-        )
-    )
-    status = solver.Solve()
-    if status not in (pywraplp.Solver.OPTIMAL, pywraplp.Solver.FEASIBLE):
-        raise ValueError("ILP placement is infeasible for this instance")
-    counts: dict[str, dict[ReplicaType, int]] = {}
-    for job in jobs:
-        counts[job.name] = {}
-        for rtype in types:
-            value = int(round(x[job.name, rtype.name].solution_value()))
-            if value > 0:
-                counts[job.name][rtype] = value
-    return counts
-
-
 def _solve_lp_relaxation(problem: HeteroProblem) -> dict[str, dict[ReplicaType, int]]:
     """scipy HiGHS LP relaxation, floor-rounded (repair happens later)."""
-    try:
-        from scipy.optimize import linprog
-    except ImportError as exc:  # pragma: no cover - scipy ships with the repo
-        raise RuntimeError(
-            "the ILP placement baseline needs either OR-Tools or scipy"
-        ) from exc
+    from scipy.optimize import linprog
 
     jobs, types = problem.jobs, problem.feasible_types
     n_jobs, n_types = len(jobs), len(types)
@@ -272,16 +191,14 @@ def _repair_empty_jobs(
 def solve_ilp_allocation(
     problem: HeteroProblem, tol: float = 1e-9
 ) -> HeteroAllocation:
-    """ILP (or LP+rounding fallback) solve of the placement problem.
+    """LP-relaxation-and-repair solve of the placement problem.
 
     The returned :class:`HeteroAllocation` reports utilities under
     ``problem.objective`` like the greedy solver does, so the two are
     directly comparable; with ``objective='throughput'`` both optimize the
     same normalized-goodput metric the ILP encodes linearly.
     """
-    counts = _solve_ortools(problem)
-    if counts is None:
-        counts = _solve_lp_relaxation(problem)
+    counts = _solve_lp_relaxation(problem)
     _repair_empty_jobs(problem, counts)
     # Spend capacity the rounding left on the table, greedily by marginal
     # utility per scarcity cost -- the same repair the greedy solver uses.

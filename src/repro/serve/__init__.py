@@ -35,7 +35,7 @@ from repro.serve.loop import (
     serve,
 )
 from repro.serve.sinks import CallbackSink, JsonlSink, TableSink, WindowSink
-from repro.serve.spec import ServeOptions, ServeSpec, serve_digest
+from repro.serve.spec import ServeOptions, ServeSpec
 from repro.serve.windows import (
     WindowAccumulator,
     WindowReport,
@@ -65,7 +65,6 @@ __all__ = [
     "TableSink",
     "ServeOptions",
     "ServeSpec",
-    "serve_digest",
     "WindowStats",
     "WindowReport",
     "WindowAccumulator",

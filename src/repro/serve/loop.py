@@ -1,9 +1,9 @@
 """The continuous serving loop and its engine (`repro.api.serve`).
 
-:class:`ServeLoop` drives one trial the way
-:meth:`repro.sim.harness.SimHarness.run` does -- the tick body is that
-loop's, statement for statement -- but owned from outside the harness so
-it can be cursor-gated, paced, checkpointed, and degraded:
+:class:`ServeLoop` drives one trial through the same tick as
+:meth:`repro.sim.harness.SimHarness.run` -- both call
+:meth:`SimHarness.step` -- but owns the loop around it so each tick can be
+cursor-gated, paced, checkpointed, and degraded:
 
 - **cursor gating** -- a tick only runs once the
   :class:`~repro.serve.cursor.TraceCursor` has a full tick of trace
@@ -17,8 +17,8 @@ it can be cursor-gated, paced, checkpointed, and degraded:
   allocation (no ``apply``), counts the event, and backs off
   exponentially before retrying.  The loop never dies on a solver bug;
 - **crash-safe checkpoints** -- loop state (harness, window accumulator,
-  counters) pickles into a :class:`ServeJournal` (atomic
-  write-temp-then-rename, the ``api/parallel.py`` idiom); ``resume=True``
+  counters) pickles into a :class:`ServeJournal` (a
+  :class:`repro.api.journal.Journal`, like the sweep's); ``resume=True``
   restores mid-trial and re-ticks deterministically to the same digest.
 
 :func:`serve` is the engine: it walks the spec's scenario x policy x
@@ -31,14 +31,11 @@ order-invariant ``RunReport.merge`` -- the identity claim pinned by
 
 from __future__ import annotations
 
-import json
-import os
-import pickle
-import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
+from repro.api.journal import Journal
 from repro.api.runner import (
     ProgressCallback,
     RunEvent,
@@ -49,13 +46,15 @@ from repro.api.runner import (
     build_trial_simulation,
     derive_trial_seed,
     make_policy,
+    start_scenario,
 )
 from repro.api.spec import ExperimentSpec
 from repro.serve.clock import Clock, VirtualClock, WallClock
 from repro.serve.cursor import ReplayCursor, TailingFileCursor, TraceCursor
 from repro.serve.sinks import WindowSink
-from repro.serve.spec import ServeOptions, ServeSpec, serve_digest
+from repro.serve.spec import ServeOptions, ServeSpec
 from repro.serve.windows import WindowAccumulator, WindowReport, WindowStats
+from repro.sim.harness import END_EPS
 
 __all__ = [
     "ServeAborted",
@@ -65,9 +64,6 @@ __all__ = [
     "ServeResult",
     "serve",
 ]
-
-#: Harness end-of-run epsilon (must match SimHarness.run's loop test).
-_EPS = 1e-9
 
 #: Consecutive dry polls before an accelerated (non-realtime) run declares
 #: the cursor stalled -- a virtual clock cannot wait wall time out, so a
@@ -87,12 +83,6 @@ class _TickFlags:
     held: bool = False
 
 
-#: Shared all-False flags for the no-event solve path.  Every healthy tick
-#: would otherwise allocate a fresh dataclass; callers only read flags, and
-#: the degradation paths still build their own mutable instances.
-_CLEAN_FLAGS = _TickFlags()
-
-
 @dataclass
 class TrialOutcome:
     """One completed trial, as journaled and merged by the engine."""
@@ -107,136 +97,50 @@ class TrialOutcome:
     totals: WindowStats
 
 
-class ServeJournal:
+class ServeJournal(Journal):
     """Crash-safe checkpoint directory for a serve run.
 
-    Layout: ``meta.json`` records the serve-spec digest; each completed
-    trial is one ``cell-s<si>-p<pi>-t<t>.pkl``; the in-flight trial's
-    loop state lives in ``checkpoint.pkl``, rewritten at each checkpoint
-    cadence and cleared when its trial completes.  Every payload embeds
-    the spec digest, so a journal written by a different spec is refused
-    with a clear message instead of silently merging unrelated results.
-    All writes are write-temp-then-rename (the ``SweepJournal`` idiom).
+    Each completed trial is one ``cell-s<si>-p<pi>-t<t>.pkl`` entry; the
+    in-flight trial's loop state lives in ``checkpoint.pkl``, rewritten at
+    each checkpoint cadence and cleared when its trial completes.
+    Validation and atomic writes are :class:`~repro.api.journal.Journal`'s.
     """
 
-    _META_VERSION = 1
-
-    def __init__(self, path: str | Path, spec: ServeSpec) -> None:
-        self.path = Path(path)
-        self.digest = serve_digest(spec)
-
-    def _meta_path(self) -> Path:
-        return self.path / "meta.json"
-
-    def _cell_path(self, si: int, pi: int, trial: int) -> Path:
-        return self.path / f"cell-s{si:03d}-p{pi:03d}-t{trial:04d}.pkl"
-
-    def _checkpoint_path(self) -> Path:
-        return self.path / "checkpoint.pkl"
-
-    def open(self, resume: bool) -> None:
-        """Create the journal directory, or validate it against the spec."""
-        self.path.mkdir(parents=True, exist_ok=True)
-        meta_path = self._meta_path()
-        if not meta_path.exists() and any(self.path.iterdir()):
-            raise ValueError(
-                f"journal directory {self.path} is not empty and has no "
-                "meta.json; refusing to adopt it -- choose a fresh directory"
-            )
-        if meta_path.exists():
-            meta = json.loads(meta_path.read_text())
-            if meta.get("serve_digest") != self.digest:
-                raise ValueError(
-                    f"serve journal {self.path} belongs to a different spec "
-                    f"(digest {meta.get('serve_digest', '?')[:12]}... != "
-                    f"{self.digest[:12]}...); use a fresh journal directory"
-                )
-            if not resume and any(self.path.glob("cell-*.pkl")):
-                raise ValueError(
-                    f"serve journal {self.path} already holds completed "
-                    "trials; pass resume=True (--resume) to reuse them or "
-                    "choose a fresh directory"
-                )
-            return
-        self._atomic_write(
-            meta_path,
-            json.dumps(
-                {"version": self._META_VERSION, "serve_digest": self.digest},
-                indent=2,
-            ).encode(),
-        )
+    entry_glob = "cell-*.pkl"
+    _CHECKPOINT = "checkpoint.pkl"
 
     def record_trial(self, outcome: TrialOutcome) -> None:
-        payload = {"serve_digest": self.digest, "outcome": outcome}
-        self._atomic_write(
-            self._cell_path(
-                outcome.scenario_index, outcome.policy_index, outcome.trial
-            ),
-            pickle.dumps(payload),
+        self.write_entry(
+            f"cell-s{outcome.scenario_index:03d}-p{outcome.policy_index:03d}"
+            f"-t{outcome.trial:04d}.pkl",
+            outcome=outcome,
         )
 
     def load_trials(self) -> dict[tuple[int, int, int], TrialOutcome]:
-        completed: dict[tuple[int, int, int], TrialOutcome] = {}
-        for path in sorted(self.path.glob("cell-*.pkl")):
-            with open(path, "rb") as fh:
-                payload = pickle.load(fh)
-            self._check_payload(payload, path)
-            outcome = payload["outcome"]
-            key = (outcome.scenario_index, outcome.policy_index, outcome.trial)
-            completed[key] = outcome
-        return completed
+        outcomes = [payload["outcome"] for payload in self.read_entries()]
+        return {(o.scenario_index, o.policy_index, o.trial): o for o in outcomes}
 
     def save_checkpoint(self, cell: tuple[int, int, int], state: dict) -> None:
-        payload = {"serve_digest": self.digest, "cell": cell, "state": state}
-        self._atomic_write(self._checkpoint_path(), pickle.dumps(payload))
+        self.write_entry(self._CHECKPOINT, cell=cell, state=state)
 
     def load_checkpoint(self) -> tuple[tuple[int, int, int], dict] | None:
-        path = self._checkpoint_path()
-        if not path.exists():
+        payload = self.read_entry(self._CHECKPOINT)
+        if payload is None:
             return None
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-        self._check_payload(payload, path)
         return tuple(payload["cell"]), payload["state"]
 
     def clear_checkpoint(self) -> None:
-        path = self._checkpoint_path()
-        if path.exists():
-            os.unlink(path)
-
-    def _check_payload(self, payload: Any, path: Path) -> None:
-        if not isinstance(payload, dict) or "serve_digest" not in payload:
-            raise ValueError(
-                f"journal entry {path} has no spec digest (written by an "
-                "incompatible version?); use a fresh journal directory"
-            )
-        if payload["serve_digest"] != self.digest:
-            raise ValueError(
-                f"journal entry {path} was written by a different spec "
-                f"(digest {payload['serve_digest'][:12]}... != "
-                f"{self.digest[:12]}...); use a fresh journal directory"
-            )
-
-    def _atomic_write(self, path: Path, payload: bytes) -> None:
-        fd, tmp = tempfile.mkstemp(dir=self.path, prefix=path.name, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        (self.path / self._CHECKPOINT).unlink(missing_ok=True)
 
 
 class ServeLoop:
     """The continuous control loop for one trial.
 
-    The tick body replicates :meth:`SimHarness.run` exactly --
-    ``advance -> observations -> policy.tick -> apply -> end_of_chunk``
-    with the same chunk arithmetic and epsilon -- which is what makes a
-    gated, windowed, checkpointed serve run byte-identical to the batch
-    loop on a finite replay.
+    Each tick is :meth:`SimHarness.step` -- the batch loop's own tick, with
+    the same chunk arithmetic and end-of-run epsilon -- which is what makes
+    a gated, windowed, checkpointed serve run byte-identical to the batch
+    loop on a finite replay.  ``cell`` is the trial's ``(scenario, policy,
+    trial)`` position, the key its checkpoints are saved under.
     """
 
     def __init__(
@@ -247,6 +151,7 @@ class ServeLoop:
         clock: Clock,
         acc: WindowAccumulator,
         *,
+        cell: tuple[int, int, int] | None = None,
         on_window: Callable[[WindowReport], None] | None = None,
         on_tick: Callable[["ServeLoop", list[WindowReport]], None] | None = None,
     ) -> None:
@@ -255,12 +160,16 @@ class ServeLoop:
         self.options = options
         self.clock = clock
         self.acc = acc
+        self.cell = cell
         self.on_window = on_window
         self.on_tick = on_tick
         self.now = 0.0
         self.tick_count = 0
         self._backoff_remaining = 0
         self._backoff_next = options.backoff_ticks
+        self._dry_polls = 0
+        #: Degradation flags of the latest tick, set by :meth:`_solve`.
+        self._flags = _TickFlags()
         self._resumed = False
         #: Whether the cursor could gate this run at construction time --
         #: replay cursors with every minute on hand never gate, and their
@@ -291,6 +200,7 @@ class ServeLoop:
         options: ServeOptions,
         clock: Clock,
         *,
+        cell=None,
         on_window=None,
         on_tick=None,
     ) -> "ServeLoop":
@@ -300,6 +210,7 @@ class ServeLoop:
             options,
             clock,
             state["acc"],
+            cell=cell,
             on_window=on_window,
             on_tick=on_tick,
         )
@@ -335,7 +246,7 @@ class ServeLoop:
             self._dry_polls = 0
             return
         self.acc.current.cursor_wait_polls += 1
-        self._dry_polls = getattr(self, "_dry_polls", 0) + 1
+        self._dry_polls += 1
         if not self.clock.realtime and self._dry_polls > _MAX_DRY_POLLS:
             raise RuntimeError(
                 f"trace cursor stalled: {self._dry_polls} polls produced no "
@@ -346,24 +257,33 @@ class ServeLoop:
 
     # ---------------------------------------------------------- degradation
 
-    def _solve(self, now: float, observations) -> tuple[Any, _TickFlags]:
+    def _solve(self, now: float, observations) -> Any:
+        """The tick's ``decide``: the policy's decision, or ``None`` to hold.
+
+        Records the tick's degradation flags in ``self._flags``.  The clock
+        is only read when a deadline is armed.
+        """
         if self._backoff_remaining > 0:
             self._backoff_remaining -= 1
-            return None, _TickFlags(backoff=True, held=True)
+            self._flags = _TickFlags(backoff=True, held=True)
+            return None
         deadline = self.options.tick_deadline_s
         solve_start = self.clock.perf() if deadline is not None else 0.0
         try:
             decision = self.harness.policy.tick(now, observations)
         except Exception:
             self._enter_backoff()
-            return None, _TickFlags(error=True, held=True)
+            self._flags = _TickFlags(error=True, held=True)
+            return None
         if deadline is not None and self.clock.perf() - solve_start > deadline:
             # The solve finished but blew its budget: applying it would act
             # on stale observations, so hold the previous allocation.
             self._enter_backoff()
-            return None, _TickFlags(overrun=True, held=True)
+            self._flags = _TickFlags(overrun=True, held=True)
+            return None
         self._backoff_next = self.options.backoff_ticks
-        return decision, _CLEAN_FLAGS
+        self._flags = _TickFlags()
+        return decision
 
     def _enter_backoff(self) -> None:
         self._backoff_remaining = self._backoff_next
@@ -386,69 +306,36 @@ class ServeLoop:
         if not self._resumed:
             harness.policy.reset()
             harness._reset()
-        tick = float(harness.policy.tick_interval)
-        if tick <= 0:
-            raise ValueError(f"policy tick_interval must be positive, got {tick}")
-        # Hot loop: everything invariant across ticks lives in a local --
-        # per-tick overhead versus the batch harness is a gated perf
-        # contract (benchmarks/bench_serve_loop.py).
+        tick = harness.tick_seconds()
         clock = self.clock
-        acc = self.acc
-        streaming = self._streaming
-        on_window = self.on_window
-        on_tick = self.on_tick
-        measures = clock.measures
-        realtime = clock.realtime
-        deadline = self.options.tick_deadline_s
-        static_end_time = None if streaming else harness.duration_minutes * 60.0
         while True:
-            if streaming:
-                end_time = harness.duration_minutes * 60.0
-                complete = self._stream_complete()
-            else:
-                end_time = static_end_time
-                complete = True
-            if self.now >= end_time - _EPS:
+            end_time = harness.duration_minutes * 60.0
+            complete = self._stream_complete()
+            if self.now >= end_time - END_EPS:
                 if complete:
                     break
                 self._await_growth()
                 continue
-            if not complete and self.now + tick > end_time + _EPS:
+            if not complete and self.now + tick > end_time + END_EPS:
                 # Only part of the next tick's trace minutes have arrived;
                 # ticking now would cut the chunk short of the batch loop's
                 # boundary.  Wait for the rest.
                 self._await_growth()
                 continue
-            if realtime:
+            if clock.realtime:
                 clock.pace(min(self.now + tick, end_time))
-            tick_start = clock.perf() if measures else 0.0
-            # --- the SimHarness.run tick body, verbatim ------------------
-            now = harness.advance(self.now, tick, end_time)
-            observations = harness.observations(now)
-            if self._backoff_remaining == 0 and deadline is None:
-                # Degradation-free fast path: _solve inlined (same
-                # semantics, no dispatch) for the overwhelmingly common
-                # healthy tick without a deadline armed.
-                try:
-                    decision = harness.policy.tick(now, observations)
-                    flags = _CLEAN_FLAGS
-                    self._backoff_next = self.options.backoff_ticks
-                except Exception:
-                    self._enter_backoff()
-                    decision, flags = None, _TickFlags(error=True, held=True)
-            else:
-                decision, flags = self._solve(now, observations)
-            if decision is not None:
-                harness.apply(decision, now)
-            harness.end_of_chunk(now)
-            # -------------------------------------------------------------
-            elapsed = clock.perf() - tick_start if measures else 0.0
+            tick_start = clock.perf() if clock.measures else 0.0
+            now, observations = harness.step(
+                self.now, tick, end_time, decide=self._solve
+            )
+            elapsed = clock.perf() - tick_start if clock.measures else 0.0
             self.now = now
             self.tick_count += 1
             lag = 0.0
-            if streaming:
+            if self._streaming:
                 lag = max(0.0, self.cursor.available_minutes() * 60.0 - now)
-            sealed = acc.on_tick(
+            flags = self._flags
+            sealed = self.acc.on_tick(
                 now,
                 elapsed,
                 sum([obs.queue_length for obs in observations.values()]),
@@ -458,11 +345,11 @@ class ServeLoop:
                 flags.held,
                 lag,
             )
-            if on_window is not None:
+            if self.on_window is not None:
                 for window in sealed:
-                    on_window(window)
-            if on_tick is not None:
-                on_tick(self, sealed)
+                    self.on_window(window)
+            if self.on_tick is not None:
+                self.on_tick(self, sealed)
         result = harness.collect()
         tail = self.acc.finish(self.now)
         return result, list(self.acc.sealed), tail
@@ -619,7 +506,7 @@ def serve(
                 and loop.tick_count % options.checkpoint_ticks == 0
             )
         ):
-            serve_journal.save_checkpoint(loop._cell, loop.state())
+            serve_journal.save_checkpoint(loop.cell, loop.state())
         if (
             abort_after_ticks is not None
             and ticks_this_run[0] >= abort_after_ticks
@@ -635,32 +522,13 @@ def serve(
 
     merged = RunReport(spec=exp)
     result = ServeResult(report=merged)
-    scenarios: dict[int, Any] = {}
-
-    def get_scenario(index: int):
-        if index not in scenarios:
-            with trace_search_path(exp.spec_dir):
-                scenario = exp.scenarios[index].build()
-            for other_index, other in scenarios.items():
-                if other.name == scenario.name:
-                    raise ValueError(
-                        f"duplicate scenario name {scenario.name!r}; set "
-                        "ScenarioSpec.name to disambiguate repeated kinds"
-                    )
-            scenarios[index] = scenario
-            _emit(
-                progress,
-                RunEvent(
-                    stage="scenario-start",
-                    scenario=scenario.name,
-                    detail=f"{len(scenario.jobs)} jobs, "
-                    f"{scenario.total_replicas} replicas",
-                ),
-            )
-        return scenarios[index]
+    built_names: dict[str, int] = {}
 
     try:
         for si in range(len(exp.scenarios)):
+            # Built on first use: a scenario whose trials all resume from
+            # the journal is never built.
+            scenario = None
             for pi, policy_spec in enumerate(exp.policies):
                 label = policy_spec.display_label
                 for trial in range(exp.trials):
@@ -670,7 +538,9 @@ def serve(
                         result.trials_resumed += 1
                         _absorb_outcome(result, outcome, exp)
                         continue
-                    scenario = get_scenario(si)
+                    if scenario is None:
+                        scenario = start_scenario(exp, si, built_names, progress)
+                        built_names[scenario.name] = si
                     loop = _build_or_restore_loop(
                         key,
                         scenario,
@@ -777,16 +647,15 @@ def _build_or_restore_loop(
     si, pi, trial = key
     cursor = _make_cursor(scenario, options, exp.spec_dir, cursor_factory, clock)
     if checkpoint is not None and tuple(checkpoint[0]) == key:
-        loop = ServeLoop.from_state(
+        return ServeLoop.from_state(
             checkpoint[1],
             cursor,
             options,
             clock,
+            cell=key,
             on_window=emit_window,
             on_tick=on_tick,
         )
-        loop._cell = key
-        return loop
     missing = [job.name for job in scenario.jobs if job.name not in cursor.jobs]
     if missing:
         raise ValueError(
@@ -838,17 +707,16 @@ def _build_or_restore_loop(
         trial=trial,
         window_minutes=options.window_minutes,
     )
-    loop = ServeLoop(
+    return ServeLoop(
         harness,
         cursor,
         options,
         clock,
         acc,
+        cell=key,
         on_window=emit_window,
         on_tick=on_tick,
     )
-    loop._cell = key
-    return loop
 
 
 def _warm_cache(cache_path: str | Path) -> None:

@@ -21,7 +21,6 @@ the serve run's merged report is the experiment spec's digest.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -29,7 +28,7 @@ from typing import Any, Mapping
 
 from repro.api.spec import ExperimentSpec, _check_keys
 
-__all__ = ["ServeOptions", "ServeSpec", "serve_digest"]
+__all__ = ["ServeOptions", "ServeSpec"]
 
 
 @dataclass(frozen=True)
@@ -178,19 +177,3 @@ class ServeSpec:
         path = Path(path)
         path.write_text(json.dumps(self.to_dict(), indent=2) + "\n")
         return path
-
-
-def serve_digest(spec: ServeSpec) -> str:
-    """Content digest of a serve spec, for journal compatibility checks.
-
-    Mirrors :func:`repro.api.parallel.spec_digest`: canonical JSON when
-    serializable, pickle bytes otherwise (journals are same-machine
-    artifacts).
-    """
-    import pickle
-
-    try:
-        payload = json.dumps(spec.to_dict(), sort_keys=True).encode()
-    except TypeError:
-        payload = pickle.dumps(spec)
-    return hashlib.sha256(payload).hexdigest()

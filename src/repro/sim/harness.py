@@ -8,8 +8,12 @@ policy, and admit its decision through the shared resource quota.  Before
 this module existed that loop was duplicated (and had drifted) between
 ``Simulation`` and ``FlowSimulation``; now :class:`SimHarness` owns the
 loop plus the common plumbing (trace trimming, duration computation,
-history prefixes, config validation, metadata assembly) and a backend
-supplies only its dynamics through four hooks:
+history prefixes, config validation, metadata assembly).  One control
+tick is :meth:`SimHarness.step`; the batch :meth:`SimHarness.run` loops
+over it, and so does the online :class:`repro.serve.loop.ServeLoop`, which
+passes its own deadline-and-backoff ``decide`` -- the two modes share the
+tick, not a copy of it.  A backend supplies only its dynamics through four
+hooks:
 
 - :meth:`SimHarness.advance` -- play one chunk of dynamics, return the new
   simulation time (the backend keeps its own exact floating-point
@@ -27,7 +31,7 @@ same named-registry + typed-options treatment policies get from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 import numpy as np
 
@@ -37,7 +41,10 @@ from repro.policy import AutoscalePolicy, JobObservation, ScalingDecision
 from repro.sim.faults import FaultConfig
 from repro.sim.recorder import SimulationResult
 
-__all__ = ["SimulationConfig", "SimHarness", "admit_decision"]
+__all__ = ["END_EPS", "SimulationConfig", "SimHarness", "admit_decision"]
+
+#: A run ends once simulation time is within this many seconds of its end.
+END_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -280,22 +287,46 @@ class SimHarness:
 
     # -------------------------------------------------------------- run
 
+    def tick_seconds(self) -> float:
+        """The policy's control period in seconds, validated positive."""
+        tick = float(self.policy.tick_interval)
+        if tick <= 0:
+            raise ValueError(f"policy tick_interval must be positive, got {tick}")
+        return tick
+
+    def step(
+        self,
+        now: float,
+        tick: float,
+        end_time: float,
+        decide: Callable[[float, dict[str, JobObservation]], Any] | None = None,
+    ) -> tuple[float, dict[str, JobObservation]]:
+        """Run one control tick from ``now``; return ``(new time, observations)``.
+
+        The tick is advance -> observations -> decide -> apply (skipped when
+        the decision is ``None``) -> end_of_chunk.  ``decide`` defaults to
+        the policy's ``tick``; the serve loop passes its deadline-and-backoff
+        wrapper instead.  Hooks are looked up on the instance at every call.
+        """
+        now = self.advance(now, tick, end_time)
+        observations = self.observations(now)
+        if decide is None:
+            decide = self.policy.tick
+        decision = decide(now, observations)
+        if decision is not None:
+            self.apply(decision, now)
+        self.end_of_chunk(now)
+        return now, observations
+
     def run(self) -> SimulationResult:
         """Drive the whole experiment and return its result."""
         self.policy.reset()
         self._reset()
-        tick = float(self.policy.tick_interval)
-        if tick <= 0:
-            raise ValueError(f"policy tick_interval must be positive, got {tick}")
+        tick = self.tick_seconds()
         end_time = self.duration_minutes * 60.0
         now = 0.0
-        while now < end_time - 1e-9:
-            now = self.advance(now, tick, end_time)
-            observations = self.observations(now)
-            decision = self.policy.tick(now, observations)
-            if decision is not None:
-                self.apply(decision, now)
-            self.end_of_chunk(now)
+        while now < end_time - END_EPS:
+            now, _ = self.step(now, tick, end_time)
         return self.collect()
 
     # ---------------------------------------------------------- helpers

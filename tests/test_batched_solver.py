@@ -313,6 +313,30 @@ class TestInterpBackends:
             with pytest.raises(RuntimeError, match="numba is not importable"):
                 interp.set_backend("numba")
 
+    def test_numba_probe_runs_once(self, monkeypatch):
+        """A failed (or successful) numba import is probed once per process,
+        not on every interp_flat call."""
+        import builtins
+
+        real_import = builtins.__import__
+        attempts = []
+
+        def counting_import(name, *args, **kwargs):
+            if name == "numba":
+                attempts.append(name)
+            return real_import(name, *args, **kwargs)
+
+        interp.numba_available.cache_clear()
+        monkeypatch.setattr(builtins, "__import__", counting_import)
+        try:
+            first = interp.numba_available()
+            assert interp.numba_available() == first
+            interp.get_backend()
+        finally:
+            monkeypatch.undo()
+            interp.numba_available.cache_clear()
+        assert attempts == ["numba"]
+
     def test_numpy_backend_is_solver_default_fallback(self):
         # With numba absent, auto == numpy; with numba present the next test
         # asserts bit-identity, so either way results match the reference.

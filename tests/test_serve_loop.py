@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro import api
+from repro.api.journal import content_digest
 from repro.api.runner import build_trial_simulation, derive_trial_seed, make_policy
 from repro.experiments.policies import PredictorProfile
 from repro.serve import (
@@ -33,7 +34,6 @@ from repro.serve import (
     VirtualClock,
     WindowAccumulator,
     serve,
-    serve_digest,
 )
 
 PROFILE = PredictorProfile(epochs=1, max_windows=64)
@@ -147,6 +147,23 @@ class TestReplayIdentity:
         # Gating really engaged: ticks ran behind the drip-fed horizon.
         assert result.totals.cursor_lag_s_max > 0.0
 
+    @pytest.mark.parametrize(
+        "backend_options",
+        [
+            {"auto_request_jobs": 1},
+            {"promote_headroom": 0.2, "demote_headroom": 0.7, "min_dwell_ticks": 2},
+        ],
+        ids=["static-split", "promotion"],
+    )
+    def test_hybrid_backend_identity(self, backend_options):
+        """The hybrid backend's mixed-fidelity state (static split or
+        mid-run promotion) serves byte-identically to batch too."""
+        sspec = _serve_spec(
+            trials=1, simulator="hybrid", backend_options=backend_options
+        )
+        result = serve(sspec)
+        assert _canon(result.report) == _canon(api.run(sspec.experiment))
+
 
 # --------------------------------------------------------------- kill+resume
 
@@ -180,7 +197,7 @@ class TestKillResume:
         sspec = _serve_spec(trials=1)
         serve(sspec, journal=journal)
         other = _serve_spec(trials=1, seed=1)
-        assert serve_digest(other) != serve_digest(sspec)
+        assert content_digest(other) != content_digest(sspec)
         with pytest.raises(ValueError, match="different spec"):
             serve(other, journal=journal, resume=True)
 
@@ -202,7 +219,7 @@ class TestKillResume:
         exp = _tiny_spec()
         a = ServeSpec(experiment=exp, serve=ServeOptions(window_minutes=2))
         b = ServeSpec(experiment=exp, serve=ServeOptions(window_minutes=5))
-        assert serve_digest(a) != serve_digest(b)
+        assert content_digest(a) != content_digest(b)
 
 
 # -------------------------------------------------------------- degradation
@@ -319,6 +336,15 @@ class TestDegradation:
         assert totals.backoff_skips > 0
         assert totals.held_ticks == totals.ticks
         assert totals.solver_overruns + totals.backoff_skips == totals.ticks
+
+    def test_measuring_clock_read_twice_per_healthy_tick(self):
+        """Without a deadline a measuring clock is read exactly at the start
+        and end of each tick -- consecutive readings pair into latencies."""
+        clock = _SteppingClock(step=1.0)
+        loop = _build_loop(ServeOptions(window_minutes=2), clock)
+        loop.run()
+        assert loop.tick_count > 0
+        assert clock._t == 2 * loop.tick_count  # one step per perf() read
 
     def test_no_deadline_means_no_overruns(self):
         loop = _build_loop(

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Perf gates: optimizer hot path, sweeps, sim backends, scenario builds.
 
-Four benches run in-process and compare against checked-in baselines:
+Five benches run in-process and compare against checked-in baselines:
 
 - the allocation hot-path micro-benchmark
   (``benchmarks/bench_optimizer_hotpath.py`` vs
@@ -38,14 +38,7 @@ Four benches run in-process and compare against checked-in baselines:
   wall-clock ceiling (they run inside policy ticks).  Unlike the other
   gates this one self-reports SKIPPED and keeps going when its baseline
   file is absent: the hetero layer is newer than the other baselines and
-  a missing file should not block the pre-existing gates;
-- the serve-loop bench (``benchmarks/bench_serve_loop.py`` vs
-  ``results/BENCH_serve.json``): the serve loop's merged report must stay
-  byte-identical to batch ``api.run`` (unconditional), and its accelerated
-  replay must stay within the gated wall-clock ratio of the batch harness
-  on the same spec -- window accounting and checkpoint bookkeeping are
-  per-tick overhead, and the ratio bounds it.  Like the hetero gate it
-  self-reports SKIPPED when its baseline file is absent.
+  a missing file should not block the pre-existing gates.
 
 Run next to the tier-1 verify command:
 
@@ -538,85 +531,6 @@ def compare_hetero(baseline: dict, measured: dict) -> tuple[list[tuple], bool]:
     return rows, ok
 
 
-def load_serve_baseline(path: Path) -> dict:
-    data = json.loads(path.read_text())
-    if not isinstance(data, dict):
-        raise ValueError(f"{path} is not a benchmark result object")
-    missing = {
-        "overhead_ratio",
-        "gated_max_overhead",
-        "identical",
-        "serve_wall_s",
-    } - set(data)
-    if missing:
-        raise ValueError(f"{path} is missing {sorted(missing)}")
-    return data
-
-
-def serve_skipped_rows(path: Path) -> list[tuple]:
-    """SKIPPED rows shown when the serve baseline file is absent."""
-    hint = f"SKIPPED ({path.name} absent; run the bench or --write)"
-    return [
-        ("serve/identity", "report bytes", "-", "-", hint),
-        ("serve/overhead", "serve/batch", "-", "-", hint),
-    ]
-
-
-def compare_serve(
-    baseline: dict, measured: dict, tolerance: float
-) -> tuple[list[tuple], bool]:
-    """Gate rows for the serve-loop bench; same row shape as :func:`compare`.
-
-    Identity is unconditional (windowing is presentation, never content)
-    and the overhead ratio is gated absolutely against the constant the
-    bench embeds: both sides of the ratio are measured in the same
-    process, so it is machine-independent in a way raw wall-clock is not.
-    Baseline-relative drift on ``serve_wall_s`` still uses ``tolerance``.
-    """
-    rows = []
-    ok = True
-
-    identical = bool(measured.get("identical"))
-    ok = ok and identical
-    rows.append(
-        (
-            "serve/identity",
-            "report bytes",
-            "== batch",
-            "== batch" if identical else "DIVERGED",
-            "ok" if identical else "REGRESSED (serve report != api.run)",
-        )
-    )
-
-    ceiling = baseline.get("gated_max_overhead", 1.25)
-    ratio = measured.get("overhead_ratio", float("inf"))
-    passed = ratio <= ceiling
-    ok = ok and passed
-    rows.append(
-        (
-            "serve/overhead",
-            "serve/batch",
-            f"<= {ceiling:.2f}x",
-            f"{ratio:.3f}x",
-            "ok" if passed else "REGRESSED (per-tick bookkeeping grew)",
-        )
-    )
-
-    budget = baseline["serve_wall_s"] * (1.0 + tolerance)
-    passed = measured["serve_wall_s"] <= budget
-    ok = ok and passed
-    rows.append(
-        (
-            "serve/wall",
-            "wall_s",
-            f"{baseline['serve_wall_s']:.2f}s",
-            f"{measured['serve_wall_s']:.2f}s",
-            "ok" if passed else f"REGRESSED (> {budget:.2f}s)",
-        )
-    )
-    return rows, ok
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -676,17 +590,6 @@ def main(argv: list[str] | None = None) -> int:
         help="skip the heterogeneous-allocation gate",
     )
     parser.add_argument(
-        "--serve-baseline",
-        type=Path,
-        default=REPO_ROOT / "results" / "BENCH_serve.json",
-        help="serve-loop baseline JSON (default: results/BENCH_serve.json)",
-    )
-    parser.add_argument(
-        "--skip-serve",
-        action="store_true",
-        help="skip the serve-loop gate",
-    )
-    parser.add_argument(
         "--write",
         action="store_true",
         help="refresh the baseline file(s) with the new measurements",
@@ -742,13 +645,10 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
 
-    # The hetero and serve gates deliberately tolerate a missing baseline
-    # file (they self-report SKIPPED below) -- a malformed one is still an
-    # error.
+    # The hetero gate deliberately tolerates a missing baseline file (it
+    # self-reports SKIPPED below) -- a malformed one is still an error.
     run_hetero_gate = not args.skip_hetero
     hetero_baseline = None
-    run_serve_gate = not args.skip_serve
-    serve_baseline = None
 
     try:
         baseline = load_baseline(args.baseline)
@@ -765,8 +665,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         if run_hetero_gate and args.hetero_baseline.exists():
             hetero_baseline = load_hetero_baseline(args.hetero_baseline)
-        if run_serve_gate and args.serve_baseline.exists():
-            serve_baseline = load_serve_baseline(args.serve_baseline)
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: cannot read baseline: {exc}", file=sys.stderr)
         return 2
@@ -895,43 +793,6 @@ def main(argv: list[str] | None = None) -> int:
                 )
             )
 
-    serve_measured = None
-    if run_serve_gate:
-        if serve_baseline is None and not args.write:
-            print(f"\nserve baseline {args.serve_baseline} absent; gate skipped")
-            print()
-            print(
-                format_table(
-                    ["point", "metric", "baseline", "measured", "verdict"],
-                    serve_skipped_rows(args.serve_baseline),
-                    title="== Serve loop perf gate ==",
-                )
-            )
-        else:
-            from benchmarks.bench_serve_loop import run_serve_bench
-
-            print(
-                f"\nrunning serve-loop bench (baseline: {args.serve_baseline}) ..."
-            )
-            serve_measured = run_serve_bench()
-            # With --write and no prior baseline, the measurement gates
-            # itself: identity and the overhead ceiling come from the
-            # bench constants.
-            serve_rows, serve_ok = compare_serve(
-                serve_baseline if serve_baseline is not None else serve_measured,
-                serve_measured,
-                args.tolerance,
-            )
-            ok = ok and serve_ok
-            print()
-            print(
-                format_table(
-                    ["point", "metric", "baseline", "measured", "verdict"],
-                    serve_rows,
-                    title="== Serve loop perf gate ==",
-                )
-            )
-
     if args.write:
         args.baseline.write_text(json.dumps({"points": measured}, indent=2) + "\n")
         print(f"\nwrote new baseline to {args.baseline}")
@@ -953,11 +814,6 @@ def main(argv: list[str] | None = None) -> int:
                 json.dumps(hetero_measured, indent=2) + "\n"
             )
             print(f"wrote new baseline to {args.hetero_baseline}")
-        if serve_measured is not None:
-            args.serve_baseline.write_text(
-                json.dumps(serve_measured, indent=2) + "\n"
-            )
-            print(f"wrote new baseline to {args.serve_baseline}")
 
     if not ok:
         print(
