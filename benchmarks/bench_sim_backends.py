@@ -3,10 +3,10 @@
 The backend refactor's performance contract, pinned for the perf gate
 (``tools/check_perf.py`` vs ``results/BENCH_sim.json``):
 
-- the **request** path's numpy batch offers must actually pay: on a
-  steady multi-replica workload (the closed-form recurrence's home turf)
-  the vectorized run must beat the per-request loop by a real factor, and
-  on an adaptive-autoscaler workload it must at minimum never be slower;
+- the **request** path's compiled chunk dispatch must actually pay: on a
+  steady multi-replica workload the vectorized run must beat the
+  per-request loop by a real factor, and on an adaptive-autoscaler
+  workload it must at minimum never be slower;
 - batch offers are **bit-identical** to per-request offers (asserted on
   full per-minute series, not summaries);
 - the **flow** and **hybrid** paths must hold their wall-clock, and the
@@ -41,13 +41,11 @@ BENCH_JOBS = 6
 #: Speedup the perf gate demands from batch offers on the steady workload.
 GATED_VECTOR_SPEEDUP = 1.5
 
-#: Speedup the perf gate demands from the fused run-splitting kernel on
-#: the paper's jittered-service regime (and from the drop-thinned
-#: recurrence on explicit-drop workloads).
+#: Speedup the perf gate demands from the compiled kernel on the paper's
+#: jittered-service regime and on explicit-drop workloads.
 GATED_JITTER_SPEEDUP = 2.0
 
-#: A deterministic-service ResNet34 profile: the regime where the batch
-#: fast path can prove exactness and run whole chunks in closed form.
+#: A deterministic-service ResNet34 profile: no per-request jitter draw.
 DETERMINISTIC_MODEL = ModelProfile(
     name="resnet34-det", proc_time=0.180, proc_jitter=0.0
 )
@@ -105,8 +103,8 @@ def _paper_steady_workload(model, minutes=BENCH_MINUTES):
     """Four jittered-service jobs (10 req/s) on pinned 3-replica pools.
 
     The paper's default randomness regime on the small pools real on-prem
-    jobs run at -- the home turf of the fused run-splitting kernel, which
-    must beat the per-request loop by ``GATED_JITTER_SPEEDUP``.
+    jobs run at, where the compiled kernel must beat the per-request loop
+    by ``GATED_JITTER_SPEEDUP``.
     """
     jobs = [
         InferenceJobSpec.with_default_slo(f"jit{i}", model) for i in range(4)
@@ -119,8 +117,8 @@ def _paper_steady_workload(model, minutes=BENCH_MINUTES):
 def _drops_workload(model, minutes=BENCH_MINUTES):
     """The steady hot pools under a pinned 10% explicit-drop directive.
 
-    Deterministic service keeps the only randomness in the drop lottery,
-    so the drop-thinned closed-form recurrence carries whole chunks.
+    Deterministic service keeps the only randomness in the drop lottery:
+    one uniform draw per request.
     """
     jobs = [
         InferenceJobSpec.with_default_slo(f"drop{i}", model) for i in range(4)

@@ -1,10 +1,11 @@
 """Setup shim.
 
-The offline environment has setuptools 65 without the ``wheel`` package, so
-PEP 660 editable installs (which need ``bdist_wheel``) fail.  Keeping a
-``setup.py`` and omitting the ``[build-system]`` table from pyproject.toml
-lets ``pip install -e .`` use the legacy ``setup.py develop`` path, which
-works offline.  All metadata lives in pyproject.toml.
+All metadata lives in pyproject.toml, which has no ``[build-system]``
+table: offline, ``pip install -e . --no-deps --no-build-isolation`` then
+builds with the setuptools already installed instead of fetching one.
+pip's editable install also needs the ``wheel`` package (PEP 660); where
+it is missing, ``python setup.py develop`` installs the same editable
+package and its ``repro-faro`` command through this shim.
 """
 
 from setuptools import setup

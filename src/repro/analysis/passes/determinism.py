@@ -102,6 +102,7 @@ class DeterminismOptions:
     #: digests and reports, so clock reads are as fatal as global RNG.
     modules: tuple[str, ...] = (
         "repro.sim",
+        "repro.cluster",
         "repro.queueing",
         "repro.hetero",
         "repro.api.parallel",

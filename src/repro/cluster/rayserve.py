@@ -130,36 +130,17 @@ class RayServeCluster:
         self.metrics[job_name].record(arrival, latency)
         return latency
 
-    def offer_many(self, job_name: str, arrivals: "np.ndarray") -> "np.ndarray":
-        """Route one chunk of requests and record all outcomes.
+    def offer_chunk(self, job_name: str, chunk: "np.ndarray") -> None:
+        """Route one chunk of arrivals and record every outcome.
 
         Bit-identical to calling :meth:`offer` per arrival in order (see
         :meth:`JobRouter.offer_many` and
         :meth:`~repro.cluster.metrics.MetricsCollector.record_many`), but
         routes and records in two batch passes instead of 2N calls.
         """
-        latencies = self.routers[job_name].offer_many(arrivals)
-        self.metrics[job_name].record_many(arrivals, latencies)
-        return latencies
-
-    def offer_chunk(self, job_name: str, chunk: list) -> None:
-        """Route one chunk, list or float array (the simulators' hot call).
-
-        Chooses per chunk: when the router's batch fast path can engage
-        (checked without touching numpy), the chunk is routed and recorded
-        in two vectorized passes; otherwise it runs the exact per-request
-        loop with no list/array round-trips -- so a chunk that cannot be
-        batched costs what it always did.  Either way the outcome is
-        bit-identical to sequential :meth:`offer` calls.
-        """
-        router = self.routers[job_name]
-        if len(chunk) >= router._MIN_FAST_PREFIX:
-            self.offer_many(job_name, np.asarray(chunk, dtype=float))
-            return
-        offer = router.offer
-        record = self.metrics[job_name].record
-        for arrival in chunk:
-            record(arrival, offer(arrival))
+        chunk = np.asarray(chunk, dtype=float)
+        latencies = self.routers[job_name].offer_many(chunk)
+        self.metrics[job_name].record_many(chunk, latencies)
 
     def total_replicas(self) -> int:
         return sum(router.replica_count for router in self.routers.values())

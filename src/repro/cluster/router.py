@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.cluster import dispatch
 from repro.cluster.models import ModelProfile
 
 __all__ = ["Replica", "RouterTotals", "JobRouter"]
@@ -85,8 +86,8 @@ class JobRouter:
         #: ``None`` (the homogeneous default) serves at the model's time.
         self.proc_time_override: float | None = None
         self.totals = RouterTotals()
-        #: Dispatch-regime counters: requests resolved by the closed-form
-        #: batch path vs the per-request scalar loop (observability only;
+        #: Dispatch-regime counters: requests routed by the compiled chunk
+        #: kernel vs the per-request scalar loop (observability only;
         #: never serialized into report digests).
         self.vector_requests = 0
         self.scalar_requests = 0
@@ -242,464 +243,55 @@ class JobRouter:
     def offer_many(self, arrivals: np.ndarray) -> np.ndarray:
         """Offer a chunk of arrivals (nondecreasing times); returns latencies.
 
-        Semantically identical to calling :meth:`offer` once per arrival in
-        order -- bit-for-bit, including RNG consumption and post-chunk
-        replica state (pinned by ``tests/test_sim_backends.py``).  Chunks
-        whose randomness is *separable* -- proc-time jitter alone, or a
-        drop directive alone -- pre-draw the chunk's random variates in
-        one batch (consumed in exactly the scalar path's per-request draw
-        order, with the generator rewound and replayed on a partial
-        commit) and resolve dispatch with the closed-form recurrence;
-        chunks that interleave outcome-dependent draws (jitter *and*
-        drops together) fall back to the exact scalar loop.
+        Identical to calling :meth:`offer` once per arrival in order -- bit
+        for bit, including RNG consumption and post-chunk replica state
+        (fuzzed by ``tests/test_dispatch_differential.py``).  The chunk runs
+        through the compiled kernel of :mod:`repro.cluster.dispatch`, which
+        performs :meth:`offer`'s steps per request and draws from this
+        router's own generator, so every regime -- backlog, cold starts,
+        jitter, drops -- takes the same path.  When the kernel cannot load,
+        the scalar :meth:`offer` loop serves the chunk.
         """
-        arrivals = np.asarray(arrivals, dtype=float)
+        arrivals = np.ascontiguousarray(arrivals, dtype=float)
+        run = dispatch.kernel()
+        if run is None:
+            offer = self.offer
+            return np.array([offer(arrival) for arrival in arrivals.tolist()], dtype=float)
+        return self._offer_compiled(run, arrivals)
+
+    def _offer_compiled(self, run, arrivals: np.ndarray) -> np.ndarray:
+        """Route ``arrivals`` with the compiled kernel ``run``.
+
+        Hands the kernel this router's live state as plain lists and writes
+        the result back.  The free-time heap is rebuilt from live replicas:
+        its stale entries never win a pop, so pop order is unchanged.
+        """
         n = arrivals.shape[0]
-        if n == 0:
-            return np.empty(0)
-        latencies = np.empty(n)
-        offer = self.offer
-        arrivals_list = None
-        position = 0
-        jitter = self.model.proc_jitter
-        while position < n:
-            if (
-                n - position >= self._MIN_FAST_PREFIX
-                and self.chunk_fast_preconditions(float(arrivals[position]))
-            ):
-                if arrivals_list is None:
-                    arrivals_list = arrivals.tolist()
-                if jitter != 0.0 and self.drop_rate == 0.0:
-                    # Pre-draw the remaining chunk's jitter batch
-                    # speculatively, resolve the whole suffix with the
-                    # run-splitting kernel (which consumes one draw per
-                    # *served* request -- the scalar draw order), then
-                    # rewind and replay exactly the consumed draws so the
-                    # generator lands bit-for-bit where the per-request
-                    # loop would have left it.
-                    remaining = n - position
-                    rng_state = self._rng.bit_generator.state
-                    draws = self._rng.normal(1.0, jitter, remaining)
-                    procs = self.proc_time * np.minimum(
-                        np.maximum(draws, 0.5), 1.5
-                    )
-                    chunk_latencies, drawn = self._offer_chunk_jitter(
-                        remaining, arrivals_list, position, procs.tolist()
-                    )
-                    latencies[position:] = chunk_latencies
-                    position = n
-                    if drawn < remaining:
-                        self._rng.bit_generator.state = rng_state
-                        if drawn:
-                            self._rng.normal(1.0, jitter, drawn)
-                    continue
-                fast = self._offer_chunk_fast(
-                    arrivals[position:], arrivals_list, position
-                )
-                if fast is not None:
-                    prefix_latencies, consumed = fast
-                    latencies[position : position + consumed] = prefix_latencies
-                    position += consumed
-                    continue
-            # A burst (or inseparable randomness) blocks batching here:
-            # resolve a bounded block with the exact per-request loop, then
-            # retry -- the pool usually drains again a few requests past
-            # the burst.
-            stop = min(position + self._SCALAR_BLOCK, n)
-            if arrivals_list is None:
-                arrivals_list = arrivals.tolist()
-            while position < stop:
-                latencies[position] = offer(arrivals_list[position])
-                position += 1
-        return latencies
-
-    def chunk_fast_preconditions(self, first_arrival: float) -> bool:
-        """Cheap (numpy-free) screen for the batch fast path.
-
-        True only when the chunk starting at ``first_arrival`` has
-        *separable* randomness -- at most one of {proc-time jitter, drop
-        directive} is active, so one batch draw per chunk replays the
-        scalar per-request draw order exactly -- and the router queue is
-        empty before the first arrival, the regime where FIFO
-        earliest-free dispatch has a closed per-replica-class form.
-        Jitter *and* drops together interleave outcome-dependent draws
-        (a uniform per arrival, then a normal only if served) that no
-        fixed pair of batch draws can reproduce, so those chunks stay on
-        the scalar loop.  Expires the consumed prefix of the
-        pending-start deque exactly like the scalar path's first
-        ``queue_length`` call would.
-        """
-        if not self._replicas:
-            return False
-        if self.drop_rate > 0.0 and self.model.proc_jitter != 0.0:
-            return False
-        pending = self._pending_starts
-        while pending and pending[0] <= first_arrival:
-            pending.popleft()
-        return not pending
-
-    #: Smallest no-wait prefix worth committing in one numpy pass; below
-    #: this the batch bookkeeping costs more than it saves.
-    _MIN_FAST_PREFIX = 12
-
-
-    #: cuts the run: the chunk's draws are already batched, so even short
-    #: runs amortize; below this the commit bookkeeping loses to the
-    #: scalar loop and the chunk falls back for a block.
-    _MIN_JITTER_COMMIT = 4
-
-    #: Requests resolved per-request after a declined batch attempt before
-    #: the fast path is retried (bounds retry overhead during bursts).
-    _SCALAR_BLOCK = 32
-
-    #: Pool size from which the closed-form recurrence runs as c-wide
-    #: numpy rows; below it, per-row dispatch overhead loses to a plain
-    #: Python scan (both compute identical IEEE doubles).
-    _NUMPY_RECURRENCE_MIN_POOL = 12
-
-    def _offer_chunk_fast(
-        self,
-        arrivals: np.ndarray,
-        arrival_list: list[float] | None = None,
-        offset: int = 0,
-    ) -> tuple[np.ndarray, int] | None:
-        """Closed-form routing of a chunk under deterministic service.
-
-        Requires :meth:`chunk_fast_preconditions` (empty router queue at
-        the first arrival; jitter-only chunks route to
-        :meth:`_offer_chunk_jitter` instead).  With deterministic service
-        the pop-min dispatch has exact structure: completions are
-        nondecreasing, so the heap's pops are the sorted initial free
-        times followed by completions in request order -- request ``k``
-        is served by the ``k``-th smallest ``(free_at, id)`` replica for
-        ``k < c`` and by the replica of request ``k - c`` afterwards, and
-
-            ``start[k] = max(arrival[k], F[k])            (k < c)``
-            ``start[k] = max(arrival[k], start[k-c] + p)  (k >= c)``
-
-        which vectorizes across the ``c`` replica classes (one numpy row
-        per ``c`` requests, using exactly the scalar path's floating-point
-        operations, so engagement is bit-identical).  A drop directive is
-        pre-drawn as one uniform batch in the scalar path's draw order --
-        the scalar drop check precedes every accept check, so each
-        arrival consumes exactly one uniform -- and the recurrence runs
-        on the drop-thinned subsequence.  The chunk is committed up to
-        the first tail-drop (computed from the vectorized queue lengths)
-        or pop-order tie; on a partial commit the generator is rewound to
-        the chunk entry state and replayed for exactly the committed
-        draws, so the scalar continuation sees the identical stream.
-        """
         replicas = list(self._replicas.values())
-        count = len(replicas)
-        proc = self.proc_time
-        n = arrivals.shape[0]
-        rng_state = None
-        drop_mask = None
-        kept = None
-        if self.drop_rate > 0.0:
-            rng_state = self._rng.bit_generator.state
-            drop_mask = self._rng.random(n) < self.drop_rate
-            kept = np.flatnonzero(~drop_mask)
-            if kept.shape[0] == 0:
-                # Whole chunk explicitly dropped: n uniforms consumed,
-                # exactly as n scalar offers would have.
-                self.totals.arrivals += n
-                self.totals.explicit_dropped += n
-                self.vector_requests += n
-                return np.full(n, math.inf), n
-            offered = arrivals[kept]
-        else:
-            offered = arrivals
-        order = sorted(replicas, key=lambda r: (r.free_at, r.replica_id))
-        frees = [replica.free_at for replica in order]
-        # The recurrence costs one numpy row per c requests, so wide pools
-        # amortize numpy dispatch and narrow pools are cheaper in plain
-        # Python (identical IEEE ops either way -- max and + on float64).
-        if count >= self._NUMPY_RECURRENCE_MIN_POOL:
-            resolved = self._fast_starts_numpy(offered, frees, count, proc)
-        elif kept is None:
-            if arrival_list is None:
-                arrival_list = arrivals.tolist()
-                offset = 0
-            resolved = self._fast_starts_python(
-                offered, frees, count, proc, arrival_list, offset
-            )
-        else:
-            # Drop-thinned chunks index a fancy-copied subsequence, so a
-            # pre-built whole-chunk list does not line up with it.
-            resolved = self._fast_starts_python(
-                offered, frees, count, proc, offered.tolist(), 0
-            )
-        if resolved is None:
-            if rng_state is not None:
-                self._rng.bit_generator.state = rng_state
-            return None
-        starts, completions, served_prefix = resolved
-        # ``served_prefix`` counts committed *offered* (non-drop-masked)
-        # requests; map the cut back to raw-arrival coordinates.
-        if kept is None:
-            prefix = served_prefix
-        else:
-            prefix = int(kept[served_prefix]) if served_prefix < kept.shape[0] else n
-        if prefix < self._MIN_FAST_PREFIX:
-            if rng_state is not None:
-                self._rng.bit_generator.state = rng_state
-            return None
-        if prefix < n and rng_state is not None:
-            # Rewind and replay exactly the committed draws so the
-            # generator lands where the scalar loop would leave it.
-            self._rng.bit_generator.state = rng_state
-            self._rng.random(prefix)
-        self.totals.arrivals += prefix
-        self.totals.served += served_prefix
-        self.vector_requests += prefix
-        if drop_mask is not None:
-            self.totals.explicit_dropped += prefix - served_prefix
-        for position, replica in enumerate(order):
-            served = (served_prefix - position + count - 1) // count
-            if served > 0:
-                replica.served += served
-                replica.free_at = float(
-                    completions[position + (served - 1) * count]
-                )
-        # Rebuild the heap from live state: equivalent to the scalar heap
-        # minus its lazily-deleted stale entries (pop order is the total
-        # order on (free_at, id) either way).
-        self._free_heap = [(replica.free_at, replica.replica_id) for replica in replicas]
-        heapq.heapify(self._free_heap)
-        if served_prefix:
-            # Waiting starts still pending at the last dispatched arrival
-            # feed the next queue_length calls, exactly as the scalar loop
-            # would have left them (only accepted requests expire entries,
-            # each at its own arrival time).
-            last_arrival = offered[served_prefix - 1]
-            dispatched = offered[:served_prefix]
-            waiting = starts[(starts > dispatched) & (starts > last_arrival)]
-            if waiting.shape[0]:
-                self._pending_starts.extend(waiting.tolist())
-        if kept is None:
-            return completions - offered[:prefix], prefix
-        latencies = np.full(prefix, math.inf)
-        if served_prefix:
-            latencies[kept[:served_prefix]] = completions - offered[:served_prefix]
-        return latencies, prefix
-
-    def _offer_chunk_jitter(
-        self,
-        n: int,
-        arrival_list: list[float],
-        offset: int,
-        procs: list[float],
-    ) -> tuple[np.ndarray, int]:
-        """Exact run-splitting dispatch for jitter-only chunks.
-
-        Resolves ``arrival_list[offset : offset + n]`` against the live
-        pool in one pass.  Jittered service reorders completions, which
-        breaks the single-sort closed form, so the scan works in *runs*:
-        within a run, request ``i`` is served by the ``i``-th smallest
-        ``(free_at, id)`` replica (``i < c``) or chains onto the run's
-        completion ``i - c``; the run is provably the heap's pop order
-        while its completions stay strictly increasing and each next
-        initial free pops before the run's first completion.  When either
-        condition fails, the run is committed to the replica objects, the
-        pool re-sorted (exactly the scalar heap's live content), and the
-        scan continues on a fresh run -- reproducing the heap's decisions
-        and floats bit-for-bit without per-request heap traffic.
-        Tail-drops are resolved inline from the global nondecreasing
-        start sequence and consume no draw.  ``procs`` are the pre-drawn,
-        pre-clipped jittered service times, consumed one per *served*
-        request (the scalar draw order); returns ``(latencies,
-        draws_consumed)`` so the caller can rewind/replay the generator
-        to the exact scalar stream position.
-        """
-        threshold = self.queue_threshold
-        sort_key = lambda r: (r.free_at, r.replica_id)  # noqa: E731
-        pool = sorted(self._replicas.values(), key=sort_key)
-        count = len(pool)
-        frees = [replica.free_at for replica in pool]
-        latencies = [0.0] * n
-        starts: list[float] = []
-        completions: list[float] = []
-        append_start = starts.append
-        append_completion = completions.append
-        served_pointer = 0  # starts[:served_pointer] have begun by now
-        run_start = 0       # completions[run_start:] belong to the run
-        previous_completion = -math.inf
-        accepted = 0
-        draw_ptr = 0
-        tail_dropped = 0
-        index = 0
-        while index < n:
-            arrival = arrival_list[offset + index]
-            while served_pointer < accepted and starts[served_pointer] <= arrival:
-                served_pointer += 1
-            if accepted - served_pointer >= threshold:
-                latencies[index] = math.inf
-                tail_dropped += 1
-                index += 1
-                continue
-            position = accepted - run_start
-            if position < count:
-                if position and frees[position] >= completions[run_start]:
-                    # This class replica would not pop before the run's
-                    # completions: commit the run, re-sort, retry fresh.
-                    self._commit_jitter_run(pool, frees, completions, run_start, position, count, sort_key)
-                    run_start = accepted
-                    previous_completion = -math.inf
-                    continue
-                base = frees[position]
-            else:
-                base = completions[accepted - count]
-            start = arrival if arrival >= base else base
-            completion = start + procs[draw_ptr]
-            append_start(start)
-            append_completion(completion)
-            accepted += 1
-            draw_ptr += 1
-            latencies[index] = completion - arrival
-            index += 1
-            if completion <= previous_completion:
-                # Out-of-order completion: this request's pop was still
-                # exact (conditions checked above), but later pops are
-                # not provable -- close the run behind it.
-                self._commit_jitter_run(pool, frees, completions, run_start, accepted - run_start, count, sort_key)
-                run_start = accepted
-                previous_completion = -math.inf
-            else:
-                previous_completion = completion
-        self._commit_jitter_run(pool, frees, completions, run_start, accepted - run_start, count, sort_key)
-        self.totals.arrivals += n
-        self.totals.served += accepted
-        self.totals.tail_dropped += tail_dropped
-        self.vector_requests += n
+        latencies = np.empty(n)
+        frees, served, pending, counts = run(
+            self._rng, arrivals, latencies,
+            [replica.free_at for replica in replicas],
+            [replica.ready_at for replica in replicas],
+            [replica.replica_id for replica in replicas],
+            [replica.served for replica in replicas],
+            list(self._pending_starts),
+            self.drop_rate, self.proc_time, self.model.proc_jitter,
+            self.queue_threshold,
+        )
+        for replica, free, count in zip(replicas, frees, served):
+            replica.free_at = free
+            replica.served = count
         self._free_heap = [
-            (replica.free_at, replica.replica_id)
-            for replica in self._replicas.values()
+            (free, replica.replica_id) for replica, free in zip(replicas, frees)
         ]
         heapq.heapify(self._free_heap)
-        last_arrival = arrival_list[offset + n - 1]
-        while served_pointer < accepted and starts[served_pointer] <= last_arrival:
-            served_pointer += 1
-        if served_pointer < accepted:
-            self._pending_starts.extend(starts[served_pointer:])
-        return np.asarray(latencies), draw_ptr
-
-    @staticmethod
-    def _commit_jitter_run(pool, frees, completions, run_start, length, count, sort_key):
-        """Write one run's class assignments back and re-sort the pool.
-
-        Replica at run position ``p`` served every run request with index
-        ``p (mod c)``; its free time is its class's last completion
-        (class chains are sequential per replica, so cross-class
-        completion order does not matter here).  Mutates ``pool`` and
-        ``frees`` in place.
-        """
-        if not length:
-            return
-        for position in range(min(length, count)):
-            replica = pool[position]
-            served = (length - position + count - 1) // count
-            replica.served += served
-            replica.free_at = completions[
-                run_start + position + (served - 1) * count
-            ]
-        pool.sort(key=sort_key)
-        frees[:] = [replica.free_at for replica in pool]
-
-    def _fast_starts_numpy(self, arrivals, frees, count, proc):
-        """Start/completion times via c-wide numpy rows (large pools).
-
-        Returns ``(starts, completions, prefix)`` with the prefix cut at
-        the first tail-drop or pop-order tie (the class structure is
-        provably the heap's order only while completions are strictly
-        increasing), or ``None`` when not even the first request has
-        closed form.
-        """
-        n = arrivals.shape[0]
-        rows = -(-n // count)
-        padded = np.empty(rows * count)
-        padded[:n] = arrivals
-        padded[n:] = arrivals[-1]
-        chunk = padded.reshape(rows, count)
-        starts = np.empty_like(chunk)
-        starts[0] = np.maximum(chunk[0], frees)
-        for row in range(1, rows):
-            starts[row] = np.maximum(chunk[row], starts[row - 1] + proc)
-        starts = starts.reshape(-1)[:n]
-        completions = starts + proc
-        # Pop-order guards: every initial free must pop strictly before
-        # the first completion, and completions must be strictly
-        # increasing -- otherwise assignment falls to the heap's id
-        # tie-break and the class structure above is not provably the
-        # heap's order.  A tie cuts the commit before the offending
-        # request.
-        if frees[-1] >= completions[0]:
-            return None
-        if n > 1:
-            increasing = completions[1:] > completions[:-1]
-            if not increasing.all():
-                n = int(np.argmin(increasing)) + 1
-                starts = starts[:n]
-                completions = completions[:n]
-                arrivals = arrivals[:n]
-        # Vectorized router-queue lengths: q[k] = waiting starts > a[k]
-        # among requests 0..k-1 (starts are nondecreasing, so the count is
-        # a prefix difference).  The first arrival over the threshold
-        # tail-drops, which invalidates the recurrence past it: commit the
-        # accepted prefix only.
-        positions = np.arange(n)
-        queued = positions - np.minimum(
-            np.searchsorted(starts, arrivals, side="right"), positions
-        )
-        over = queued >= self.queue_threshold
-        prefix = int(np.argmax(over)) if over.any() else n
-        return starts[:prefix], completions[:prefix], prefix
-
-    def _fast_starts_python(
-        self, arrivals, frees, count, proc, arrival_list=None, offset=0
-    ):
-        """Start/completion times via a plain-Python scan (small pools).
-
-        Same recurrence, same guards, same IEEE-double operations as
-        :meth:`_fast_starts_numpy` -- ``max``/``+`` on Python floats and
-        on float64 arrays round identically -- but without per-row numpy
-        dispatch, which dominates when the pool is only a few replicas.
-        ``arrival_list``/``offset`` index a pre-built whole-chunk list so
-        retried attempts never re-convert the remaining suffix.
-        """
-        if arrival_list is None:
-            arrival_list = arrivals.tolist()
-            offset = 0
-        n = arrivals.shape[0]
-        threshold = self.queue_threshold
-        last_free = frees[-1]
-        starts: list[float] = []
-        completions: list[float] = []
-        append_start = starts.append
-        append_completion = completions.append
-        previous_completion = -math.inf
-        served_pointer = 0  # starts[:served_pointer] have begun by now
-        prefix = n
-        for index in range(n):
-            arrival = arrival_list[offset + index]
-            base = frees[index] if index < count else completions[index - count]
-            start = arrival if arrival >= base else base
-            completion = start + proc
-            if completion <= previous_completion:
-                prefix = index  # pop-order tie: the heap's id tie-break rules
-                break
-            if index == 0 and last_free >= completion:
-                return None
-            while served_pointer < index and starts[served_pointer] <= arrival:
-                served_pointer += 1
-            if index - served_pointer >= threshold:
-                prefix = index  # this arrival tail-drops; commit before it
-                break
-            append_start(start)
-            append_completion(completion)
-            previous_completion = completion
-        return (
-            np.asarray(starts),
-            np.asarray(completions),
-            prefix,
-        )
+        self._pending_starts = deque(pending)
+        accepted, tail_dropped, explicit_dropped = counts
+        totals = self.totals
+        totals.arrivals += n
+        totals.served += accepted
+        totals.tail_dropped += tail_dropped
+        totals.explicit_dropped += explicit_dropped
+        self.vector_requests += n
+        return latencies

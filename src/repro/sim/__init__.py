@@ -7,8 +7,8 @@ plane:
 
 - ``request`` (:mod:`repro.sim.simulation`) -- the high-fidelity
   request-level simulator ("cluster deployment" stand-in): Poisson
-  arrivals from traces, per-request routing/queueing/drops (numpy
-  batch-offered), replica cold starts.
+  arrivals from traces, per-request routing/queueing/drops (one compiled
+  dispatch-kernel call per job and chunk), replica cold starts.
 - ``flow`` (:mod:`repro.sim.analytic`) -- a fast fluid/flow simulator
   ("matched simulation" stand-in) that advances per-job queue lengths
   analytically; used for large sweeps (Fig. 15, Table 8 at 100 jobs) and

@@ -335,8 +335,9 @@ class SimHarness:
         """Per-run dispatch-regime counters, or ``None`` if the backend has
         none.
 
-        Backends report how their hot path actually ran -- vectorized vs
-        scalar request dispatch, chunk cuts forced by event-time faults,
+        Backends report how their hot path actually ran -- compiled-kernel
+        vs scalar request dispatch and which kernel loaded (``"c"`` or
+        ``"python"``), chunk cuts forced by event-time faults,
         hybrid fidelity promotions/demotions -- so a regression into a slow
         regime shows up in ``metadata["dispatch"]`` without profiling.
         Counters are observability only and are never serialized into

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.cluster.dispatch import kernel_name
 from repro.cluster.rayserve import RayServeCluster
 from repro.policy import JobObservation, ScalingDecision
 from repro.sim.analytic import (
@@ -488,6 +489,7 @@ class HybridSimulation(SimHarness):
                 1 for e in self._fidelity_events if e["to"] == "request"
             ),
             "demotions": sum(1 for e in self._fidelity_events if e["to"] == "flow"),
+            "kernel": kernel_name(),
         }
 
     def collect(self) -> SimulationResult:

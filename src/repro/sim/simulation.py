@@ -6,8 +6,9 @@ workloads (:mod:`repro.sim.workload`) and an autoscaling policy
 :class:`~repro.sim.harness.SimHarness`; this backend contributes only the
 request-level dynamics per chunk:
 
-1. offer every request arriving in the chunk to its job's router (in
-   numpy batches -- see :meth:`repro.cluster.router.JobRouter.offer_many`),
+1. offer every request arriving in the chunk to its job's router (one
+   compiled-kernel call per job and chunk -- see
+   :meth:`repro.cluster.router.JobRouter.offer_many`),
 2. inject replica faults and reconcile,
 3. build per-job observations from collected metrics,
 4. apply the policy's decision through the resource quota.
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.cluster.dispatch import kernel_name
 from repro.cluster.rayserve import RayServeCluster
 from repro.policy import JobObservation, ScalingDecision
 from repro.sim.faults import make_fault_injector
@@ -93,11 +95,11 @@ def collect_request_series(
 class RequestBackendOptions:
     """Typed options of the ``request`` backend.
 
-    ``vectorize`` enables the numpy batch-offer path
-    (:meth:`repro.cluster.router.JobRouter.offer_many`); it is bit-identical
-    to per-request offers (the fast path only engages when it can prove
-    exactness), so this knob exists for benchmarking and debugging, not for
-    changing results.
+    ``vectorize`` routes whole chunks through the compiled dispatch kernel
+    (:meth:`repro.cluster.router.JobRouter.offer_many`); off, every request
+    takes the scalar :meth:`~repro.cluster.router.JobRouter.offer` loop.
+    Both are bit-identical, so this knob exists for benchmarking and
+    debugging, not for changing results.
     """
 
     vectorize: bool = True
@@ -262,6 +264,7 @@ class Simulation(SimHarness):
             "vector_requests": sum(r.vector_requests for r in routers),
             "scalar_requests": sum(r.scalar_requests for r in routers),
             "fault_chunk_cuts": self._fault_chunk_cuts,
+            "kernel": kernel_name() if self.options.vectorize else "python",
         }
 
     def collect(self) -> SimulationResult:

@@ -111,6 +111,19 @@ class TestDeterminism:
         assert len(findings) == 1
         assert "wall-clock" in findings[0].message
 
+    def test_wall_clock_flagged_in_router_package(self):
+        # Routers and metrics collectors feed every report digest.
+        findings = lint(
+            """
+            import time
+            seed = int(time.time_ns())
+            """,
+            "determinism",
+            module="repro.cluster.fixture",
+        )
+        assert len(findings) == 1
+        assert "repro.cluster.fixture" in findings[0].message
+
     def test_perf_counter_allowed_on_sim_path(self):
         # Telemetry timers time solves, they never steer them.
         assert not lint(

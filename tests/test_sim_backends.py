@@ -193,24 +193,59 @@ def _chunked_arrivals(rpm, minutes, seed, tick=10.0):
     return chunks
 
 
+#: Hand-built chunk sequences for edge cases a Poisson stream rarely hits,
+#: each with the queue threshold it needs.
+_EDGE_CHUNKS = {
+    # Spaced arrivals: nothing ever waits.
+    "spaced": ([np.arange(1.0, 17.0)], 50),
+    # A burst after spaced arrivals queues behind the pool but never drops.
+    "burst-waits": ([np.concatenate([np.arange(1.0, 17.0), [17.0, 17.01]])], 50),
+    # A dense burst overflows the threshold mid-chunk: tail drops follow.
+    "burst-overflows": (
+        [np.concatenate([np.arange(1.0, 17.0), 17.0 + np.arange(8) * 0.001])],
+        4,
+    ),
+    # The second chunk starts with requests still waiting in the queue.
+    "backlogged-start": ([np.array([1.0, 1.01]), np.array([1.05, 1.06, 1.3])], 50),
+    # A chunk of three whose third arrival meets a full one-slot queue.
+    "short-full-queue": ([np.array([1.0, 1.001, 1.002])], 1),
+    # Requests arrive at the exact instant a waiting request starts: it
+    # leaves the queue first, so they find the one slot free.
+    "arrival-meets-start": ([np.array([1.0, 1.0, 1.0 + 0.18, 1.0 + 0.18])], 1),
+}
+
+
 class TestOfferManyBitIdentity:
     """offer_many == sequential offer, state and all, on every regime."""
 
     @pytest.mark.parametrize(
-        "rpm,replicas,jitter,drop_rate",
+        "load,replicas,jitter,drop_rate",
         [
-            (120, 4, 0.0, 0.0),    # underloaded, fast path engages
-            (900, 3, 0.0, 0.0),    # saturating: waiting -> scalar recurrence
+            (120, 4, 0.0, 0.0),    # underloaded: nothing waits
+            (900, 3, 0.0, 0.0),    # saturating: requests wait
             (2400, 1, 0.0, 0.0),   # overload: tail drops at the threshold
             (300, 4, 0.05, 0.0),   # jittered service: RNG per request
             (300, 4, 0.0, 0.25),   # explicit drop directive: RNG per request
             (600, 2, 0.05, 0.1),   # everything at once
+            ("spaced", 4, 0.0, 0.0),
+            ("burst-waits", 1, 0.0, 0.0),
+            ("burst-overflows", 1, 0.0, 0.0),
+            ("backlogged-start", 1, 0.0, 0.0),
+            ("backlogged-start", 1, 0.05, 0.5),
+            ("short-full-queue", 1, 0.0, 0.0),
+            ("arrival-meets-start", 1, 0.0, 0.0),
         ],
     )
-    def test_differential(self, rpm, replicas, jitter, drop_rate):
-        scalar = _mk_router(jitter, replicas, seed=7, drop_rate=drop_rate)
-        batch = _mk_router(jitter, replicas, seed=7, drop_rate=drop_rate)
-        chunks = _chunked_arrivals(rpm, minutes=4, seed=11)
+    def test_differential(self, load, replicas, jitter, drop_rate):
+        """``load`` is a Poisson rate (requests/minute) or an edge case."""
+        if isinstance(load, str):
+            chunks, threshold = _EDGE_CHUNKS[load]
+        else:
+            chunks, threshold = _chunked_arrivals(load, minutes=4, seed=11), 50
+        scalar = _mk_router(jitter, replicas, seed=7, drop_rate=drop_rate,
+                            threshold=threshold)
+        batch = _mk_router(jitter, replicas, seed=7, drop_rate=drop_rate,
+                           threshold=threshold)
         now = 0.0
         for chunk in chunks:
             now += 10.0
@@ -218,51 +253,6 @@ class TestOfferManyBitIdentity:
             got = batch.offer_many(chunk)
             np.testing.assert_array_equal(expected, got)
             assert _router_state(scalar, now) == _router_state(batch, now)
-
-    def test_fast_path_engages_when_underloaded(self):
-        router = _mk_router(jitter=0.0, replicas=4)
-        chunk = np.arange(1.0, 17.0)  # 16 spaced arrivals, no waiting
-        assert router.chunk_fast_preconditions(1.0)
-        latencies, consumed = router._offer_chunk_fast(chunk)
-        assert consumed == 16
-        # Exactly the scalar path's arithmetic: (arrival + proc) - arrival.
-        np.testing.assert_array_equal(latencies, (chunk + 0.18) - chunk)
-
-    def test_fast_path_handles_waiting_in_batch(self):
-        router = _mk_router(jitter=0.0, replicas=1)
-        # 16 spaced arrivals, then a burst that must queue (but not drop):
-        # the whole chunk still resolves in one closed-form pass.
-        chunk = np.concatenate([np.arange(1.0, 17.0), np.array([17.0, 17.01])])
-        latencies, consumed = router._offer_chunk_fast(chunk)
-        assert consumed == 18
-        assert latencies[-1] > 0.18  # the burst's second request waited
-
-    def test_fast_path_commits_only_up_to_first_tail_drop(self):
-        router = _mk_router(jitter=0.0, replicas=1, threshold=4)
-        # A dense burst overflows the queue threshold mid-chunk.
-        chunk = np.concatenate([np.arange(1.0, 17.0), 17.0 + np.arange(8) * 0.001])
-        fast = router._offer_chunk_fast(chunk)
-        assert fast is not None
-        _, consumed = fast
-        assert consumed < chunk.shape[0]  # stopped at the first drop
-        # The scalar continuation drops that request, exactly as the
-        # differential test asserts wholesale.
-
-    def test_fast_path_declines_randomness_and_queue(self):
-        # Separable randomness (jitter alone, drops alone) batch-draws and
-        # stays on the fast path; jitter AND drops interleave
-        # outcome-dependent draws and must stay scalar...
-        assert _mk_router(jitter=0.05).chunk_fast_preconditions(1.0)
-        assert _mk_router(jitter=0.0, drop_rate=0.5).chunk_fast_preconditions(1.0)
-        assert not _mk_router(jitter=0.05, drop_rate=0.5).chunk_fast_preconditions(1.0)
-        # ...as does a non-empty router queue at the first arrival.
-        router = _mk_router(jitter=0.0, replicas=1)
-        router.offer(1.0)
-        router.offer(1.01)  # queued behind the first request
-        assert not router.chunk_fast_preconditions(1.05)
-        # A short drop-bound chunk is not worth a batch commit.
-        saturated = _mk_router(jitter=0.0, replicas=1, threshold=2)
-        assert saturated._offer_chunk_fast(np.array([1.0, 1.001, 1.002])) is None
 
     def test_empty_chunk(self):
         router = _mk_router(jitter=0.0)
