@@ -4,14 +4,18 @@ The backend refactor's performance contract, pinned for the perf gate
 (``tools/check_perf.py`` vs ``results/BENCH_sim.json``):
 
 - the **request** path's compiled chunk dispatch must actually pay: on a
-  steady multi-replica workload the vectorized run must beat the
-  per-request loop by a real factor, and on an adaptive-autoscaler
-  workload it must at minimum never be slower;
-- batch offers are **bit-identical** to per-request offers (asserted on
-  full per-minute series, not summaries);
-- the **flow** and **hybrid** paths must hold their wall-clock, and the
-  hybrid backend must land between its two parents (that is its reason to
-  exist: request-level fidelity for flagged jobs at near-flow cost).
+  steady multi-replica workload the kernel must beat its scalar fallback
+  (the per-request ``JobRouter.offer`` loop that runs when the kernel
+  cannot load) by a real factor, and on an adaptive-autoscaler workload it
+  must at minimum never be slower.  The ``*-scalar`` points force that
+  fallback by replacing :func:`repro.cluster.dispatch.kernel` with a
+  function returning ``None``;
+- kernel chunks are **bit-identical** to the fallback's per-request offers
+  (asserted on full per-minute series, not summaries);
+- the **flow** and **hybrid** paths must hold their wall-clock, and one
+  flagged job must land between no job flagged (``flow``) and every job
+  flagged (``request``): request-level fidelity for flagged jobs at
+  near-flow cost is the hybrid split's reason to exist.
 
 Absolute numbers are machine-dependent; the gate compares against the
 checked-in baseline with a generous tolerance.
@@ -24,6 +28,7 @@ import numpy as np
 
 from benchmarks.conftest import RESULTS_DIR, write_result
 from repro.baselines.aiad import AIADPolicy
+from repro.cluster import dispatch
 from repro.cluster.job import InferenceJobSpec
 from repro.cluster.kubernetes import ResourceQuota
 from repro.cluster.models import RESNET34, ModelProfile
@@ -158,6 +163,17 @@ def _series_identical(a, b) -> bool:
     return True
 
 
+def _time_scalar(build, repeats: int = 1) -> tuple[float, object]:
+    """:func:`_time_run` with the compiled kernel unavailable, so every
+    chunk takes the scalar fallback."""
+    loaded = dispatch.kernel
+    dispatch.kernel = lambda: None
+    try:
+        return _time_run(build, repeats)
+    finally:
+        dispatch.kernel = loaded
+
+
 def _time_run(build, repeats: int = 1) -> tuple[float, object]:
     """Best-of-``repeats`` wall time of a freshly built simulation.
 
@@ -193,12 +209,10 @@ def run_sim_bench(minutes: int = BENCH_MINUTES) -> dict:
 
     # Steady workload: the batch fast path must win outright.
     hot_vector_s, hot_vector = _time_run(
-        lambda: build("request", _steady_workload, DETERMINISTIC_MODEL,
-                       options={"vectorize": True})
+        lambda: build("request", _steady_workload, DETERMINISTIC_MODEL)
     )
-    hot_scalar_s, hot_scalar = _time_run(
-        lambda: build("request", _steady_workload, DETERMINISTIC_MODEL,
-                       options={"vectorize": False})
+    hot_scalar_s, hot_scalar = _time_scalar(
+        lambda: build("request", _steady_workload, DETERMINISTIC_MODEL)
     )
     identical = _series_identical(hot_vector, hot_scalar)
     points.append({"name": "request-steady-vector", "wall_s": hot_vector_s})
@@ -207,13 +221,11 @@ def run_sim_bench(minutes: int = BENCH_MINUTES) -> dict:
     # Adaptive workload: small pools, scale-downs, bursts -- batching must
     # at minimum never pessimize (and the series must still be identical).
     adaptive_vector_s, adaptive_vector = _time_run(
-        lambda: build("request", _adaptive_workload, DETERMINISTIC_MODEL,
-                       options={"vectorize": True}),
+        lambda: build("request", _adaptive_workload, DETERMINISTIC_MODEL),
         repeats=3,
     )
-    adaptive_scalar_s, adaptive_scalar = _time_run(
-        lambda: build("request", _adaptive_workload, DETERMINISTIC_MODEL,
-                       options={"vectorize": False}),
+    adaptive_scalar_s, adaptive_scalar = _time_scalar(
+        lambda: build("request", _adaptive_workload, DETERMINISTIC_MODEL),
         repeats=3,
     )
     identical = identical and _series_identical(adaptive_vector, adaptive_scalar)
@@ -231,13 +243,11 @@ def run_sim_bench(minutes: int = BENCH_MINUTES) -> dict:
     # makes "identical" a three-way claim here: latencies, series, and the
     # RNG stream itself must match the scalar loop draw for draw.
     jitter_vector_s, jitter_vector = _time_run(
-        lambda: build("request", _paper_steady_workload, RESNET34,
-                       options={"vectorize": True}),
+        lambda: build("request", _paper_steady_workload, RESNET34),
         repeats=3,
     )
-    jitter_scalar_s, jitter_scalar = _time_run(
-        lambda: build("request", _paper_steady_workload, RESNET34,
-                       options={"vectorize": False}),
+    jitter_scalar_s, jitter_scalar = _time_scalar(
+        lambda: build("request", _paper_steady_workload, RESNET34),
         repeats=3,
     )
     identical = identical and _series_identical(jitter_vector, jitter_scalar)
@@ -246,12 +256,10 @@ def run_sim_bench(minutes: int = BENCH_MINUTES) -> dict:
 
     # Explicit-drop directives on hot pools: the drop-thinned recurrence.
     drops_vector_s, drops_vector = _time_run(
-        lambda: build("request", _drops_workload, DETERMINISTIC_MODEL,
-                       options={"vectorize": True})
+        lambda: build("request", _drops_workload, DETERMINISTIC_MODEL)
     )
-    drops_scalar_s, drops_scalar = _time_run(
-        lambda: build("request", _drops_workload, DETERMINISTIC_MODEL,
-                       options={"vectorize": False})
+    drops_scalar_s, drops_scalar = _time_scalar(
+        lambda: build("request", _drops_workload, DETERMINISTIC_MODEL)
     )
     identical = identical and _series_identical(drops_vector, drops_scalar)
     points.append({"name": "request-drops-vector", "wall_s": drops_vector_s})
@@ -329,7 +337,7 @@ def test_sim_backend_bench(benchmark):
     assert data["drops_vector_speedup"] >= GATED_JITTER_SPEEDUP
     # ...and may never pessimize the adaptive path (noise margin).
     assert by_name["request-adaptive"] <= by_name["request-adaptive-scalar"] * 1.15
-    # The hybrid backend must sit strictly between its parents.
+    # One flagged job must sit strictly between none (flow) and all (request).
     assert by_name["flow"] < by_name["hybrid"] < by_name["request-adaptive"]
 
 

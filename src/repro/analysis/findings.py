@@ -147,7 +147,7 @@ def parse_suppressions(
 def module_name_for(path: Path) -> str:
     """Dotted module name of ``path``, walking up through ``__init__.py`` dirs.
 
-    ``.../src/repro/sim/hybrid.py`` -> ``"repro.sim.hybrid"``; a loose file
+    ``.../src/repro/sim/flow.py`` -> ``"repro.sim.flow"``; a loose file
     outside any package is just its stem, which keeps module-scoped passes
     from firing on unrelated scripts.
     """

@@ -59,14 +59,6 @@ def _backend_registry():
     return get_backend_registry()
 
 
-def __getattr__(name: str):
-    # Backwards compatibility: the simulator catalog used to be a frozen
-    # module constant; it is now derived from the backend registry.
-    if name == "_SIMULATORS":
-        return _backend_registry().names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _plain(value: Any) -> Any:
     """Deep-copy ``value`` into plain JSON types (tuples become lists)."""
     if isinstance(value, Mapping):

@@ -248,18 +248,17 @@ def register_backend(
 
 def _register_builtins() -> None:
     from repro.sim.analytic import FlowSimulation
-    from repro.sim.hybrid import HybridBackendOptions, HybridSimulation
-    from repro.sim.simulation import RequestBackendOptions, Simulation
+    from repro.sim.simulation import HybridBackendOptions, HybridSimulation, Simulation
 
     _DEFAULT_BACKENDS.add(
         SimBackendInfo(
             name="request",
             description=(
-                "Request-level reference: Poisson arrivals, virtual-time "
-                "routers, per-request queueing/drops, replica cold starts."
+                "Request-level reference (every job flagged): Poisson arrivals, "
+                "virtual-time routers, per-request queueing/drops, cold starts."
             ),
             cls=Simulation,
-            config_type=RequestBackendOptions,
+            config_type=None,
             fidelity="request-level",
             aliases=("request-level",),
         )
@@ -268,8 +267,8 @@ def _register_builtins() -> None:
         SimBackendInfo(
             name="flow",
             description=(
-                "Analytic fluid/flow model: per-tick queue dynamics plus "
-                "M/D/c waiting tails; 100-1000x faster than request level."
+                "Analytic fluid/flow model (no job flagged): per-tick queue "
+                "dynamics plus M/D/c waiting tails; 100-1000x faster."
             ),
             cls=FlowSimulation,
             config_type=None,

@@ -1,31 +1,30 @@
 """The shared simulation harness: one control loop for every backend.
 
-Every simulation fidelity in this repo -- the request-level simulator, the
-analytic flow simulator, and the hybrid backend -- advances the same way:
-chunk time at the policy's tick interval, let the backend's dynamics play
-out over the chunk, build per-job observations, invoke the autoscaling
-policy, and admit its decision through the shared resource quota.  Before
-this module existed that loop was duplicated (and had drifted) between
-``Simulation`` and ``FlowSimulation``; now :class:`SimHarness` owns the
-loop plus the common plumbing (trace trimming, duration computation,
-history prefixes, config validation, metadata assembly).  One control
-tick is :meth:`SimHarness.step`; the batch :meth:`SimHarness.run` loops
-over it, and so does the online :class:`repro.serve.loop.ServeLoop`, which
-passes its own deadline-and-backoff ``decide`` -- the two modes share the
-tick, not a copy of it.  A backend supplies only its dynamics through four
-hooks:
+Every simulation fidelity advances the same way: chunk time at the
+policy's tick interval, let the dynamics play out over the chunk, build
+per-job observations, invoke the autoscaling policy, and admit its decision
+through the shared resource quota.  :class:`SimHarness` owns that loop plus
+the common plumbing (trace trimming, duration computation, history
+prefixes, config validation, streaming extension, metadata assembly).  One
+control tick is :meth:`SimHarness.step`; the batch :meth:`SimHarness.run`
+loops over it, and so does the online :class:`repro.serve.loop.ServeLoop`,
+which passes its own deadline-and-backoff ``decide`` -- the two modes share
+the tick, not a copy of it.  Dynamics plug in through four hooks:
 
 - :meth:`SimHarness.advance` -- play one chunk of dynamics, return the new
-  simulation time (the backend keeps its own exact floating-point
-  arithmetic for the chunk boundary, which is what keeps the refactor
-  bit-identical to the pre-harness simulators);
+  simulation time (the dynamics own the chunk-boundary arithmetic, so the
+  loop cannot perturb floating-point behaviour);
 - :meth:`SimHarness.observations` -- per-job :class:`JobObservation`\\ s;
 - :meth:`SimHarness.apply` -- apply an admitted :class:`ScalingDecision`;
 - :meth:`SimHarness.collect` -- assemble the :class:`SimulationResult`.
 
-Backends register with :mod:`repro.sim.backends`, which gives them the
-same named-registry + typed-options treatment policies get from
-:class:`repro.api.PolicyRegistry`.
+The built-in backends share one implementation of those hooks,
+:class:`repro.sim.simulation.HybridSimulation`, which runs each job either
+request-level or analytically; ``request`` and ``flow`` are its presets
+with every job, or no job, flagged.  Backends register with
+:mod:`repro.sim.backends`, which gives them the same named-registry +
+typed-options treatment policies get from :class:`repro.api.PolicyRegistry`;
+a plugin may implement the hooks on :class:`SimHarness` directly.
 """
 
 from __future__ import annotations

@@ -5,9 +5,10 @@ Three layers of protection around the backend refactor:
 - **Byte-identity pins**: ``repro.api.run`` report digests for
   request/flow specs were captured on the pre-refactor engine and are
   asserted here, so the harness extraction, the event-driven lifecycle,
-  and the vectorized request path provably changed nothing -- down to the
-  last bit of every serialized statistic.  Tiny specs run in tier-1;
-  the shipped ``specs/`` files run under the ``slow`` marker.
+  the compiled request dispatch and the merge of the request and flow
+  backends into presets of the hybrid harness provably changed nothing --
+  down to the last bit of every serialized statistic.  Tiny specs run in
+  tier-1; the shipped ``specs/`` files run under the ``slow`` marker.
 - **Ranking agreement** (Table 7's methodology): the request-level and
   flow simulators must agree on how policies *rank*, which is the claim
   the paper's matched-simulation comparisons rest on.
@@ -36,6 +37,26 @@ PRE_REFACTOR_DIGESTS = {
     "specs/paper_headline.json": "6c2ffdf3b6333099f0c5cc49538ed7aab8f4adc39297fde0e0e69d0afee32965",
 }
 
+#: Report digests of tiny request/flow specs with fault injection (per-tick
+#: and event-time) and on a heterogeneous device fleet, captured on the
+#: engine whose ``request`` and ``flow`` backends still had their own
+#: dynamics (commit 72d7b9d), before they became presets of the hybrid
+#: harness.  Do not regenerate them: a mismatch means results changed.
+PRE_MERGE_DIGESTS = {
+    "tiny-request-tick-faults": "e6918166f70bc68366f53d104dc84ff181c8d472fe2645b67cbb229ccc8f93bc",
+    "tiny-flow-tick-faults": "1d4bacbd12922ff78a1418de706bc4a93884548d86d76535dbd20bd1744fd283",
+    "tiny-request-event-faults": "2f28d0b9f450341318c122c4d6c668b881b4127fa43b803c539b360a27e0105a",
+    "tiny-flow-event-faults": "e15ab9ef72c677e10f88f072da7f214ab78ed4bc4e29401df9c9bc0f920166dd",
+    "tiny-hetero-request": "37aaa1678898ffc685c3e4c905205d0de455c11890dcfff81f540984472254c6",
+}
+
+#: Fault settings of the pinned fault specs: short enough an MTTF that
+#: every trial sees failures.
+PINNED_FAULTS = {
+    "tick": {"mttf_seconds": 300.0, "seed": 1},
+    "event": {"mttf_seconds": 300.0, "seed": 1, "process": "event"},
+}
+
 #: Behaviour pin for the new hybrid backend (captured at introduction, this
 #: PR): seed/ordering changes in the hybrid split show up here.
 HYBRID_DIGEST = "9e983e6687899d876aa91b6a1bfa44f5e1aa31b21bd748df3d09671c7009b9d2"
@@ -51,7 +72,10 @@ HYBRID_PROMOTION_DIGEST = (
 
 
 def report_digest(spec) -> str:
-    report = api.run(spec)
+    return digest(api.run(spec))
+
+
+def digest(report) -> str:
     text = json.dumps(report.to_dict(), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -115,31 +139,44 @@ class TestPreRefactorByteIdentity:
         )
         assert report_digest(spec) == PRE_REFACTOR_DIGESTS["tiny-overrides"]
 
-    def test_vectorize_off_is_bit_identical(self):
-        """The batch-offer path cannot change results, only speed."""
-        spec = tiny_spec("novec", "request", trials=1)
-        plain = report_digest(spec)
-        disabled = api.ExperimentSpec(
-            name="novec",
-            scenarios=spec.scenarios,
-            policies=spec.policies,
+
+class TestPreMergeByteIdentity:
+    """Faults and device fleets through the request and flow presets."""
+
+    @pytest.mark.parametrize("process", ["tick", "event"])
+    @pytest.mark.parametrize("simulator", ["request", "flow"])
+    def test_tiny_fault_spec_pinned(self, simulator, process):
+        name = f"tiny-{simulator}-{process}-faults"
+        spec = tiny_spec(
+            name, simulator, trials=1,
+            sim_overrides={"faults": PINNED_FAULTS[process]},
+        )
+        report = api.run(spec)
+        failures = [
+            result.metadata["total_failures"]
+            for per_policy in report.stats.values()
+            for stats in per_policy.values()
+            for result in stats.results
+        ]
+        assert min(failures) > 0  # every trial exercises the fault path
+        assert digest(report) == PRE_MERGE_DIGESTS[name]
+
+    def test_tiny_hetero_request_spec_pinned(self):
+        from tests.test_hetero_policies import _hetero_custom_params
+
+        spec = api.ExperimentSpec.compare(
+            "tiny-hetero-request",
+            api.ScenarioSpec(kind="custom", params=_hetero_custom_params()),
+            ["fairshare", "hetero-max-throughput"],
+            simulator="request",
             trials=1,
             seed=0,
-            simulator="request",
             predictor_profile={"epochs": 1, "max_windows": 64},
-            backend_options={"vectorize": False},
         )
-        report = api.run(disabled)
-        text = json.dumps(report.to_dict(), sort_keys=True)
-        # backend_options appears in the serialized spec, so compare stats
-        # only: the simulated numbers must match exactly.
-        assert (
-            json.loads(text)["stats"]
-            == json.loads(
-                json.dumps(api.run(spec).to_dict(), sort_keys=True)
-            )["stats"]
-        )
-        assert plain == report_digest(spec)  # and the pin itself holds
+        report = api.run(spec)
+        result = report.get("tiny-hetero", "fairshare").results[0]
+        assert result.metadata["device_classes"] == {"cpu": 4, "gpu": 2}
+        assert digest(report) == PRE_MERGE_DIGESTS["tiny-hetero-request"]
 
 
 @pytest.mark.slow

@@ -8,11 +8,11 @@ properties fuzz that claim across the whole randomness cross-product
 (jitter x drop-rate x pool size x queue pressure) and the regimes of a
 loaded cluster (backlogged queues, cold starts, scale-downs, empty pools)
 instead of trusting a handful of handpicked cases, and the event-time
-fault path is checked the same way: compiled and scalar offer loops must
-split chunks at the exact same failure instants.  The kernel's loader is
-tested too: it must load wherever it can be built, a build that fails
-must fall back to the scalar loop visibly and harmlessly, and routers
-must stay picklable.
+fault path is checked the same way: the compiled kernel and its scalar
+fallback must split chunks at the exact same failure instants.  The
+kernel's loader is tested too: it must load wherever it can be built, a
+build that fails must fall back to the scalar loop visibly and harmlessly,
+and routers must stay picklable.
 """
 
 import hashlib
@@ -257,14 +257,15 @@ class TestEventFaultCuts:
         with pytest.raises(ValueError):
             process.failure_times("j", 1, 0.0, -1.0)
 
-    @pytest.mark.parametrize("vectorize", [True, False])
-    def test_event_cuts_identical_across_offer_paths(self, vectorize):
-        """The chunk split at failure instants is the same simulation no
-        matter which offer path runs it -- pinned by comparing both paths'
-        full per-minute series."""
-        results = {}
-        for vec in (True, False):
-            results[vec] = self._run_event_sim(vec)
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_event_cuts_identical_across_offer_paths(self, compiled, monkeypatch):
+        """The chunk split at failure instants is the same simulation whether
+        the compiled kernel or its scalar fallback routes the chunks --
+        pinned by comparing both paths' full per-minute series."""
+        results = {True: self._run_event_sim()}
+        with monkeypatch.context() as patch:
+            patch.setattr(dispatch, "kernel", lambda: None)
+            results[False] = self._run_event_sim()
         for field in (
             "arrivals", "drops", "violations", "latency_p",
             "utility", "effective_utility", "replicas",
@@ -273,20 +274,17 @@ class TestEventFaultCuts:
                 getattr(results[True].jobs["a"], field),
                 getattr(results[False].jobs["a"], field),
             )
-        meta = results[vectorize].metadata
+        meta = results[compiled].metadata
         assert meta["total_failures"] > 0
         assert meta["dispatch"]["fault_chunk_cuts"] > 0
+        assert results[False].metadata["dispatch"]["kernel"] == "python"
 
     @staticmethod
-    def _run_event_sim(vectorize, faults="event"):
+    def _run_event_sim(faults="event"):
         from repro.cluster.job import InferenceJobSpec
         from repro.cluster.kubernetes import ResourceQuota
         from repro.cluster.models import RESNET34
-        from repro.sim import (
-            RequestBackendOptions,
-            Simulation,
-            SimulationConfig,
-        )
+        from repro.sim import Simulation, SimulationConfig
         from tests.test_simulation import StaticPolicy
 
         jobs = [InferenceJobSpec.with_default_slo("a", RESNET34)]
@@ -299,7 +297,6 @@ class TestEventFaultCuts:
         sim = Simulation(
             jobs, traces, StaticPolicy({"a": 4}), ResourceQuota.of_replicas(4),
             config=config, initial_replicas={"a": 4},
-            options=RequestBackendOptions(vectorize=vectorize),
         )
         return sim.run()
 
@@ -309,20 +306,20 @@ class TestDispatchCounters:
     counters never enter report digests)."""
 
     def test_vectorized_run_counts_vector_requests(self):
-        result = TestEventFaultCuts._run_event_sim(True, faults=None)
+        result = TestEventFaultCuts._run_event_sim(faults=None)
         dispatch = result.metadata["dispatch"]
         assert dispatch["vector_requests"] > 0
         assert dispatch["fault_chunk_cuts"] == 0
         total = dispatch["vector_requests"] + dispatch["scalar_requests"]
         assert total == int(result.jobs["a"].arrivals.sum())
 
-    def test_scalar_run_counts_everything_scalar(self):
-        result = TestEventFaultCuts._run_event_sim(False, faults=None)
-        dispatch = result.metadata["dispatch"]
-        assert dispatch["vector_requests"] == 0
-        assert dispatch["scalar_requests"] == int(
-            result.jobs["a"].arrivals.sum()
-        )
+    def test_scalar_run_counts_everything_scalar(self, monkeypatch):
+        monkeypatch.setattr(dispatch, "kernel", lambda: None)
+        result = TestEventFaultCuts._run_event_sim(faults=None)
+        counts = result.metadata["dispatch"]
+        assert counts["vector_requests"] == 0
+        assert counts["kernel"] == "python"
+        assert counts["scalar_requests"] == int(result.jobs["a"].arrivals.sum())
 
 
 class TestKernelLoading:

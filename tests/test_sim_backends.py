@@ -2,10 +2,12 @@
 
 Covers the pluggable-simulation seam: the :class:`SimBackendRegistry`
 behaves like the policy registry (case-insensitive names, aliases, loud
-unknown-option failures), the vectorized request path is bit-identical to
-per-request offers, the event-driven replica lifecycle reproduces the
-list-based bookkeeping it replaced, and the flow simulator now honours
-``SimulationConfig.faults`` (which it previously ignored silently).
+unknown-option failures), the request and flow backends are presets of the
+hybrid harness with no dynamics of their own, batch offers are
+bit-identical to per-request offers, the event-driven replica lifecycle
+reproduces the list-based bookkeeping it replaced, and the flow simulator
+now honours ``SimulationConfig.faults`` (which it previously ignored
+silently).
 """
 
 import math
@@ -27,7 +29,6 @@ from repro.sim import (
     HybridSimulation,
     PoissonArrivals,
     ReplicaLifecycle,
-    RequestBackendOptions,
     SimBackendInfo,
     SimBackendRegistry,
     Simulation,
@@ -50,6 +51,18 @@ class TestBackendRegistry:
         assert registry.get("request").cls is Simulation
         assert registry.get("flow").cls is FlowSimulation
         assert registry.get("hybrid").cls is HybridSimulation
+
+    def test_presets_define_no_dynamics(self):
+        """``request`` and ``flow`` are the hybrid harness with every job, or
+        no job, flagged: they may not carry dynamics of their own."""
+        hooks = {"_setup", "advance", "observations", "apply", "collect"}
+        for preset in (Simulation, FlowSimulation):
+            assert issubclass(preset, HybridSimulation)
+            assert not hooks & set(vars(preset)), preset
+            assert preset.options_type is None
+        assert Simulation.supports_streaming
+        assert not FlowSimulation.supports_streaming
+        assert not HybridSimulation.supports_streaming
 
     def test_aliases_and_case_insensitivity(self):
         registry = get_backend_registry()
@@ -75,7 +88,9 @@ class TestBackendRegistry:
         assert options.request_jobs == ("a", "b")
         # An already-typed instance passes through unchanged.
         assert registry.parse_options("hybrid", options) is options
-        assert registry.parse_options("request", None) == RequestBackendOptions()
+        assert registry.parse_options("request", None) is None
+        with pytest.raises(ValueError, match="accepts no options"):
+            registry.parse_options("request", {"vectorize": False})
 
     def test_register_unregister_roundtrip(self):
         registry = SimBackendRegistry()
@@ -683,33 +698,35 @@ class TestSpecBackendFields:
             api.run(spec, progress=events.append)
         assert events == []
 
-    def test_simulators_attr_derived_from_registry(self):
-        from repro.api import spec as spec_module
-
-        assert spec_module._SIMULATORS == ("request", "flow", "hybrid")
-
 
 # ---------------------------------------------------------- hybrid backend
 
 
-def _hybrid_sim(options, minutes=6, seed=0):
+def _hybrid_sim(options, minutes=6, seed=0, faults=None, cls=HybridSimulation):
     jobs = [InferenceJobSpec.with_default_slo(f"j{i}", RESNET34) for i in range(3)]
     traces = {
         "j0": np.full(minutes, 100.0),
         "j1": np.full(minutes, 400.0),
         "j2": np.full(minutes, 250.0),
     }
-    return HybridSimulation(
+    return cls(
         jobs,
         traces,
         StaticPolicy({f"j{i}": 2 for i in range(3)}),
         ResourceQuota.of_replicas(6),
         config=SimulationConfig(
-            duration_minutes=minutes, seed=seed, cold_start_range=(0.0, 0.0)
+            duration_minutes=minutes, seed=seed, cold_start_range=(0.0, 0.0),
+            faults=faults,
         ),
         initial_replicas={f"j{i}": 2 for i in range(3)},
         options=options,
     )
+
+
+SERIES_FIELDS = (
+    "arrivals", "drops", "violations", "latency_p",
+    "utility", "effective_utility", "replicas",
+)
 
 
 class TestHybridBackend:
@@ -727,13 +744,58 @@ class TestHybridBackend:
         with pytest.raises(ValueError, match="unknown job"):
             _hybrid_sim(HybridBackendOptions(request_jobs=("ghost",)))
 
-    def test_all_flow_and_all_request_degenerate_cases(self):
-        all_flow = _hybrid_sim(HybridBackendOptions()).run()
-        assert all_flow.metadata["request_jobs"] == []
-        all_request = _hybrid_sim(
-            HybridBackendOptions(request_jobs=("j0", "j1", "j2"))
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            None,
+            FaultConfig(mttf_seconds=60.0, seed=1),
+            FaultConfig(mttf_seconds=60.0, seed=1, process="event"),
+        ],
+        ids=["no-faults", "tick-faults", "event-faults"],
+    )
+    def test_all_flow_and_all_request_degenerate_cases(self, faults):
+        """Every job flagged is the request backend and no job flagged the
+        flow backend, on full per-minute series."""
+        for request_jobs, preset in (
+            (("j0", "j1", "j2"), Simulation),
+            ((), FlowSimulation),
+        ):
+            hybrid = _hybrid_sim(
+                HybridBackendOptions(request_jobs=request_jobs), faults=faults
+            ).run()
+            pure = _hybrid_sim(None, faults=faults, cls=preset).run()
+            assert hybrid.metadata["request_jobs"] == list(request_jobs)
+            for name in pure.jobs:
+                for field in SERIES_FIELDS:
+                    np.testing.assert_array_equal(
+                        getattr(hybrid.jobs[name], field),
+                        getattr(pure.jobs[name], field),
+                        err_msg=f"{preset.__name__} {name}.{field}",
+                    )
+            if faults is not None:
+                assert pure.metadata["total_failures"] > 0
+                assert (
+                    hybrid.metadata["failures_injected"]
+                    == pure.metadata["failures_injected"]
+                )
+
+    def test_one_dispatch_schema_for_every_preset(self):
+        faults = FaultConfig(mttf_seconds=60.0, seed=1, process="event")
+        keys = {
+            "kernel", "vector_requests", "scalar_requests",
+            "fault_chunk_cuts", "promotions", "demotions",
+        }
+        request = _hybrid_sim(None, faults=faults, cls=Simulation).run()
+        flow = _hybrid_sim(None, faults=faults, cls=FlowSimulation).run()
+        hybrid = _hybrid_sim(
+            HybridBackendOptions(request_jobs=("j1",)), faults=faults
         ).run()
-        assert all_request.metadata["flow_jobs"] == []
+        for result in (request, flow, hybrid):
+            assert set(result.metadata["dispatch"]) == keys
+        assert request.metadata["dispatch"]["fault_chunk_cuts"] > 0
+        assert hybrid.metadata["dispatch"]["fault_chunk_cuts"] > 0  # hybrid cuts too
+        assert flow.metadata["dispatch"]["kernel"] is None  # never loaded
+        assert flow.metadata["dispatch"]["vector_requests"] == 0
 
     def test_deterministic_given_seed(self):
         options = HybridBackendOptions(request_jobs=("j1",))

@@ -307,8 +307,9 @@ def load_sim_baseline(path: Path) -> dict:
 
 
 #: Simulation-bench points whose wall-clock the gate bounds.  The scalar
-#: reference points are recorded but not gated: they measure the
-#: deliberately-unvectorized path kept for debugging.
+#: points are recorded but not gated on their own: they time the kernel's
+#: scalar fallback (the ``JobRouter.offer`` loop that runs when the
+#: compiled kernel cannot load) and serve as the speedup gates' reference.
 SIM_GATED_POINTS = (
     "request-steady-vector",
     "request-adaptive",
