@@ -2,8 +2,10 @@
 
 Supports broadcasting binary ops, matrix multiplication, element-wise
 nonlinearities, reductions, reshaping/slicing and concatenation -- enough to
-express MLPs, N-HiTS blocks and LSTM cells.  Gradients accumulate in
-``Tensor.grad`` after calling :meth:`Tensor.backward` on a scalar output.
+express MLPs, N-HiTS blocks and LSTM cells.  Gradients accumulate in the
+``Tensor.grad`` of the graph's leaves (parameters and other tensors built
+with ``requires_grad=True``) after calling :meth:`Tensor.backward` on a
+scalar output.
 """
 
 from __future__ import annotations
@@ -316,7 +318,12 @@ class Tensor:
     # ------------------------------------------------------------ backward
 
     def backward(self, grad: np.ndarray | None = None) -> None:
-        """Backpropagate from this tensor (must be scalar unless ``grad`` given)."""
+        """Backpropagate from this tensor (must be scalar unless ``grad`` given).
+
+        Each intermediate node's gradient is dropped once it has been passed
+        on to the node's parents, so a large graph never holds every node's
+        gradient at once; after the call only leaves hold gradients.
+        """
         if grad is None:
             if self.data.size != 1:
                 raise ValueError("backward() without grad requires a scalar output")
@@ -340,6 +347,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:

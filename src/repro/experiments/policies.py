@@ -63,6 +63,19 @@ class PredictorProfile:
     def paper(cls) -> "PredictorProfile":
         return cls(epochs=20, max_windows=4096, hidden=64)
 
+    def config(self, seed: int) -> NHiTSConfig:
+        """The probabilistic N-HiTS config of one job under this budget."""
+        return NHiTSConfig(
+            input_size=self.input_size,
+            horizon=self.horizon,
+            hidden=self.hidden,
+            epochs=self.epochs,
+            max_windows=self.max_windows,
+            probabilistic=True,
+            loss="nll",
+            seed=seed,
+        )
+
 
 _PREDICTOR_CACHE: dict[tuple, dict[str, NHiTSForecaster]] = {}
 
@@ -91,7 +104,8 @@ def train_predictors(
 ) -> dict[str, NHiTSForecaster]:
     """Train (or fetch cached) probabilistic N-HiTS forecasters per job.
 
-    Models are trained on each job's training days in requests/minute units;
+    Models are trained on each job's training days in requests/minute units,
+    all jobs in one stacked :meth:`NHiTSForecaster.fit_many` call;
     the returned forecasters are shared -- wrap them in
     :class:`ForecastWorkloadPredictor` per policy.  The cache key is a
     content digest of the training traces, so a hit is guaranteed to match
@@ -101,21 +115,14 @@ def train_predictors(
     key = (_training_digest(scenario), profile, seed)
     if key in _PREDICTOR_CACHE:
         return _PREDICTOR_CACHE[key]
-    forecasters: dict[str, NHiTSForecaster] = {}
-    for index, name in enumerate(scenario.job_names):
-        config = NHiTSConfig(
-            input_size=profile.input_size,
-            horizon=profile.horizon,
-            hidden=profile.hidden,
-            epochs=profile.epochs,
-            max_windows=profile.max_windows,
-            probabilistic=True,
-            loss="nll",
-            seed=seed + index,
-        )
-        forecaster = NHiTSForecaster(config)
-        forecaster.fit(scenario.train_traces[name])
-        forecasters[name] = forecaster
+    forecasters = {
+        name: NHiTSForecaster(profile.config(seed + index))
+        for index, name in enumerate(scenario.job_names)
+    }
+    NHiTSForecaster.fit_many(
+        list(forecasters.values()),
+        [scenario.train_traces[name] for name in forecasters],
+    )
     _PREDICTOR_CACHE[key] = forecasters
     return forecasters
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = ["Forecaster", "StandardScaler", "sliding_windows"]
 
@@ -44,7 +45,8 @@ def sliding_windows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """All (input, target) windows of a 1-D series.
 
-    Returns ``X`` of shape (n, input_size) and ``Y`` of shape (n, horizon).
+    Returns ``X`` of shape (n, input_size) and ``Y`` of shape (n, horizon),
+    each one C-contiguous copy of a strided view of ``series``.
     """
     series = np.asarray(series, dtype=float)
     if series.ndim != 1:
@@ -55,10 +57,8 @@ def sliding_windows(
             f"series of length {series.shape[0]} too short for "
             f"input {input_size} + horizon {horizon}"
         )
-    inputs = np.stack([series[i : i + input_size] for i in range(n)])
-    targets = np.stack(
-        [series[i + input_size : i + input_size + horizon] for i in range(n)]
-    )
+    inputs = sliding_window_view(series[: n + input_size - 1], input_size).copy()
+    targets = sliding_window_view(series[input_size:], horizon).copy()
     return inputs, targets
 
 

@@ -409,6 +409,41 @@ class TestUnpairedBaselines:
         )
 
 
+class TestForecastGate:
+    BASELINE = {"speedup": 2.0, "identical": True, "gated_speedup": 1.5}
+
+    load_check_perf = TestUnpairedBaselines.load_check_perf
+
+    def verdicts(self, measured):
+        rows, ok = self.load_check_perf().compare_forecast(self.BASELINE, measured)
+        return [row[-1] for row in rows], ok
+
+    def test_identical_and_fast_passes(self):
+        assert self.verdicts({"speedup": 1.6, "identical": True}) == (["ok", "ok"], True)
+
+    def test_diverged_weights_fail_even_when_fast(self):
+        verdicts, ok = self.verdicts({"speedup": 3.0, "identical": False})
+        assert not ok and verdicts[0].startswith("REGRESSED")
+
+    def test_lost_speedup_fails(self):
+        verdicts, ok = self.verdicts({"speedup": 1.2, "identical": True})
+        assert not ok and verdicts[1].startswith("REGRESSED")
+
+    def test_checked_in_baseline_loads(self):
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parent.parent
+        mod = self.load_check_perf()
+        baseline = mod.load_forecast_baseline(root / "results" / "BENCH_forecast.json")
+        assert baseline["identical"] and baseline["gated_speedup"] == 1.5
+
+    def test_baseline_missing_keys_rejected(self, tmp_path):
+        path = tmp_path / "BENCH_forecast.json"
+        path.write_text('{"speedup": 2.0}')
+        with pytest.raises(ValueError, match="missing"):
+            self.load_check_perf().load_forecast_baseline(path)
+
+
 # -------------------------------------------------- run_checks umbrella
 
 

@@ -180,6 +180,21 @@ class TestBackwardSemantics:
         out.backward()
         assert t.grad is None
 
+    def test_backward_keeps_leaf_grads_and_releases_intermediate_ones(self):
+        t = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        hidden = t * 3.0
+        out = (hidden * hidden).sum()  # d/dt = 18 t
+        out.backward()
+        assert np.allclose(t.grad, [18.0, 36.0])
+        assert hidden.grad is None and out.grad is None
+
+    def test_second_backward_through_shared_node_counts_each_root_once(self):
+        t = Tensor(np.array([1.0]), requires_grad=True)
+        shared = t * 2.0
+        (shared * 3.0).sum().backward()
+        (shared * 5.0).sum().backward()
+        assert t.grad[0] == pytest.approx(16.0)
+
     def test_diamond_graph(self):
         # f = (x*2) + (x*3): gradient must accumulate to 5.
         t = Tensor(np.array([1.0]), requires_grad=True)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Perf gates: optimizer hot path, sweeps, sim backends, scenario builds.
+"""Perf gates: optimizer hot path, sweeps, sim backends, scenario builds, training.
 
-Five benches run in-process and compare against checked-in baselines:
+Six benches run in-process and compare against checked-in baselines:
 
 - the allocation hot-path micro-benchmark
   (``benchmarks/bench_optimizer_hotpath.py`` vs
@@ -38,7 +38,12 @@ Five benches run in-process and compare against checked-in baselines:
   wall-clock ceiling (they run inside policy ticks).  Unlike the other
   gates this one self-reports SKIPPED and keeps going when its baseline
   file is absent: the hetero layer is newer than the other baselines and
-  a missing file should not block the pre-existing gates.
+  a missing file should not block the pre-existing gates;
+- the predictor-training bench (``benchmarks/bench_forecast_train.py`` vs
+  ``results/BENCH_forecast.json``): stacked N-HiTS training
+  (``NHiTSForecaster.fit_many``) must leave every job bit-identical to
+  one ``fit`` per job (unconditional) and keep the gated speedup over it.
+  Both sides are timed in one process, so only their ratio is gated.
 
 Run next to the tier-1 verify command:
 
@@ -532,6 +537,48 @@ def compare_hetero(baseline: dict, measured: dict) -> tuple[list[tuple], bool]:
     return rows, ok
 
 
+def load_forecast_baseline(path: Path) -> dict:
+    data = json.loads(path.read_text())
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} is not a benchmark result")
+    missing = {"speedup", "identical", "gated_speedup"} - set(data)
+    if missing:
+        raise ValueError(f"{path} is missing {sorted(missing)}")
+    return data
+
+
+def compare_forecast(baseline: dict, measured: dict) -> tuple[list[tuple], bool]:
+    """Gate rows for the predictor-training bench; same row shape as :func:`compare`.
+
+    Both checks are baseline-free apart from the speedup floor: the
+    identity is absolute, and the speedup is a ratio of two timings taken
+    in one process, which host drift moves together.
+    """
+    identical = bool(measured.get("identical"))
+    rows = [
+        (
+            "forecast/identity",
+            "weights",
+            "== per job",
+            "== per job" if identical else "DIVERGED",
+            "ok" if identical else "REGRESSED (stacked training changed a job)",
+        )
+    ]
+    required = baseline["gated_speedup"]
+    speedup = measured.get("speedup", 0.0)
+    fast = speedup >= required
+    rows.append(
+        (
+            "forecast/stacked",
+            "speedup",
+            f">= {required:.1f}x",
+            f"{speedup:.2f}x",
+            "ok" if fast else "REGRESSED (lost the stacked-training speedup)",
+        )
+    )
+    return rows, identical and fast
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -646,6 +693,15 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
 
+    forecast_baseline_path = REPO_ROOT / "results" / "BENCH_forecast.json"
+    if not forecast_baseline_path.exists():
+        print(
+            f"error: baseline {forecast_baseline_path} not found; run the bench "
+            "once (pytest benchmarks/bench_forecast_train.py)",
+            file=sys.stderr,
+        )
+        return 2
+
     # The hetero gate deliberately tolerates a missing baseline file (it
     # self-reports SKIPPED below) -- a malformed one is still an error.
     run_hetero_gate = not args.skip_hetero
@@ -666,6 +722,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         if run_hetero_gate and args.hetero_baseline.exists():
             hetero_baseline = load_hetero_baseline(args.hetero_baseline)
+        forecast_baseline = load_forecast_baseline(forecast_baseline_path)
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: cannot read baseline: {exc}", file=sys.stderr)
         return 2
@@ -794,6 +851,21 @@ def main(argv: list[str] | None = None) -> int:
                 )
             )
 
+    from benchmarks.bench_forecast_train import run_forecast_bench
+
+    print(f"\nrunning predictor-training bench (baseline: {forecast_baseline_path}) ...")
+    forecast_measured = run_forecast_bench()
+    forecast_rows, forecast_ok = compare_forecast(forecast_baseline, forecast_measured)
+    ok = ok and forecast_ok
+    print()
+    print(
+        format_table(
+            ["point", "metric", "baseline", "measured", "verdict"],
+            forecast_rows,
+            title="== Predictor training perf gate ==",
+        )
+    )
+
     if args.write:
         args.baseline.write_text(json.dumps({"points": measured}, indent=2) + "\n")
         print(f"\nwrote new baseline to {args.baseline}")
@@ -815,6 +887,10 @@ def main(argv: list[str] | None = None) -> int:
                 json.dumps(hetero_measured, indent=2) + "\n"
             )
             print(f"wrote new baseline to {args.hetero_baseline}")
+        forecast_baseline_path.write_text(
+            json.dumps(forecast_measured, indent=2) + "\n"
+        )
+        print(f"wrote new baseline to {forecast_baseline_path}")
 
     if not ok:
         print(
