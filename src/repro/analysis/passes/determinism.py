@@ -106,6 +106,7 @@ class DeterminismOptions:
         "repro.queueing",
         "repro.hetero",
         "repro.api.parallel",
+        "repro.native",
     )
     #: The online-serving package: the strict rule (telemetry timers and
     #: sleeps flagged too) applies here, except in ``clock_modules``.

@@ -11,8 +11,9 @@ package reproduces that stack's *behaviour* for simulation:
 - :mod:`repro.cluster.router` -- the per-job Router: FIFO dispatch to
   replicas, tail-drop at a queue threshold (HTTP 503 semantics), explicit
   drop directives, replica cold starts, scaling.
-- :mod:`repro.cluster.dispatch` -- loads the compiled kernel
-  (``dispatch.c``) that routes whole request chunks bit-identically.
+- :mod:`repro.cluster.dispatch` -- the compiled kernel (``dispatch.c``,
+  built and loaded by :mod:`repro.native`) that routes whole request
+  chunks bit-identically, and its binding and self-check.
 - :mod:`repro.cluster.kubernetes` -- resource-quota admission control.
 - :mod:`repro.cluster.metrics` -- the metrics collector feeding autoscalers
   (arrival rates, processing times, latency percentiles, violations).

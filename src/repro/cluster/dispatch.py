@@ -1,4 +1,4 @@
-"""Loader of the compiled dispatch kernel (``dispatch.c``).
+"""The compiled dispatch kernel (``dispatch.c``) and its binding.
 
 :meth:`JobRouter.offer_many <repro.cluster.router.JobRouter.offer_many>`
 routes every chunk through one C function that repeats
@@ -8,43 +8,28 @@ exported ``random_standard_uniform`` and ``random_normal``, so latencies,
 replica state and the generator's final position are the scalar loop's,
 bit for bit, in every randomness regime.
 
-The first dispatch of a process calls :func:`kernel`, which
-
-1. compiles ``dispatch.c`` with the system ``cc`` into ``__pycache__``
-   under a hash of source and flags -- once per checkout; the build is
-   renamed into place atomically, so spawn workers may race;
-2. opens the library with cffi's ABI mode next to numpy's
-   ``numpy.random._generator`` module, which exports the draw functions;
-3. checks it once against the scalar loop on two fixed chunks.
-
-When any step fails it warns once (``RuntimeWarning`` naming the cause)
-and returns ``None``; ``offer_many`` then runs the scalar loop.  Every
-cffi object lives in this module, never on a router, so routers stay
-picklable.
+The first dispatch of a process calls :func:`kernel`, which loads
+``dispatch.c`` through :func:`repro.native.load`, binds it next to
+numpy's ``numpy.random._generator`` module, which exports the draw
+functions, and checks it once against the scalar loop on two fixed
+chunks.  When the kernel cannot load, ``offer_many`` runs the scalar
+loop.  Every cffi object lives in this module, never on a router, so
+routers stay picklable.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
-import os
-import platform
-import shutil
-import subprocess
-import tempfile
-import warnings
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-__all__ = ["kernel", "kernel_name"]
+from repro import native
+
+__all__ = ["kernel"]
 
 SOURCE = Path(__file__).with_name("dispatch.c")
-CACHE_DIR = Path(__file__).with_name("__pycache__")
-#: Never fast-math and never contracted multiply-adds: the kernel must
-#: round exactly like the Python reference.
-CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 _CDEF = """
 double random_standard_uniform(void *bitgen);
@@ -60,10 +45,6 @@ void dispatch_chunk(void *bitgen, double (*uniform)(void *),
 """
 
 
-class KernelUnavailable(RuntimeError):
-    """Why the compiled kernel cannot serve this process."""
-
-
 @functools.cache
 def kernel() -> Callable | None:
     """The compiled chunk router, or ``None`` when it cannot load.
@@ -72,79 +53,23 @@ def kernel() -> Callable | None:
     router's side of ``dispatch_chunk`` in ``dispatch.c``; see
     :meth:`repro.cluster.router.JobRouter._offer_compiled`.
     """
-    try:
-        run = _open(_build())
-        _self_check(run)
-    except KernelUnavailable as exc:
-        warnings.warn(
-            f"compiled dispatch kernel unavailable ({exc}); request chunks "
-            "run the scalar JobRouter.offer loop",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return None
-    return run
+    return native.load(
+        "dispatch", SOURCE, _CDEF, _bind, _self_check,
+        fallback="request chunks run the scalar JobRouter.offer loop",
+    )
 
 
-def kernel_name() -> str:
-    """``"c"`` when chunks run the compiled kernel, else ``"python"``."""
-    return "c" if kernel() is not None else "python"
-
-
-def _build() -> Path:
-    """Path of the compiled library, compiling it on a cache miss."""
-    compiler = shutil.which("cc")
-    if compiler is None:
-        raise KernelUnavailable("no C compiler: cc is not on PATH")
-    try:
-        source = SOURCE.read_bytes()
-    except OSError as exc:
-        raise KernelUnavailable(f"cannot read {SOURCE.name}: {exc}") from exc
-    key = b"\0".join([source, " ".join(CFLAGS).encode(), platform.machine().encode()])
-    target = CACHE_DIR / f"dispatch-{hashlib.sha256(key).hexdigest()[:16]}.so"
-    if target.exists():
-        return target
-    try:
-        CACHE_DIR.mkdir(parents=True, exist_ok=True)
-        workdir = tempfile.mkdtemp(dir=CACHE_DIR, prefix=".dispatch-")
-    except OSError as exc:
-        raise KernelUnavailable(f"cannot write to {CACHE_DIR}: {exc}") from exc
-    try:
-        partial = os.path.join(workdir, target.name)
-        result = subprocess.run(
-            [compiler, *CFLAGS, "-o", partial, str(SOURCE)],
-            capture_output=True,
-            text=True,
-        )
-        if result.returncode != 0:
-            detail = result.stderr.strip().splitlines()[:1] or ["no diagnostics"]
-            raise KernelUnavailable(f"cc failed to compile {SOURCE.name}: {detail[0]}")
-        os.replace(partial, target)
-    except OSError as exc:
-        raise KernelUnavailable(f"cannot build {target.name}: {exc}") from exc
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
-    return target
-
-
-def _open(library: Path) -> Callable:
+def _bind(ffi, library) -> Callable:
     """Bind the library and numpy's draw functions behind one callable."""
-    try:
-        import cffi
-    except ImportError as exc:
-        raise KernelUnavailable("cffi is not installed") from exc
-    ffi = cffi.FFI()
-    ffi.cdef(_CDEF)
     try:
         generator = ffi.dlopen(np.random._generator.__file__)
         uniform = generator.random_standard_uniform
         normal = generator.random_normal
     except (AttributeError, OSError) as exc:
-        raise KernelUnavailable(f"numpy does not export its random C API: {exc}") from exc
-    try:
-        dispatch_chunk = ffi.dlopen(str(library)).dispatch_chunk
-    except (AttributeError, OSError) as exc:
-        raise KernelUnavailable(f"cannot open {library.name}: {exc}") from exc
+        raise native.KernelUnavailable(
+            f"numpy does not export its random C API: {exc}"
+        ) from exc
+    dispatch_chunk = library.dispatch_chunk
     # Types resolved once: a type given by name is re-parsed on every call.
     doubles, longs = ffi.typeof("double[]"), ffi.typeof("int64_t[]")
     new, unpack, from_buffer = ffi.new, ffi.unpack, ffi.from_buffer
@@ -215,4 +140,6 @@ def _self_check(run: Callable) -> None:
         expected = [scalar.offer(arrival) for arrival in arrivals.tolist()]
         got = compiled._offer_compiled(run, arrivals).tolist()
         if got != expected or state(compiled) != state(scalar):
-            raise KernelUnavailable("the load-time check disagrees with the scalar loop")
+            raise native.KernelUnavailable(
+                "the load-time check disagrees with the scalar loop"
+            )

@@ -134,6 +134,8 @@ class OptimizationJob:
             raise ValueError(f"processing time must be positive, got {self.proc_time}")
         if not self.rates:
             raise ValueError("rates must be non-empty")
+        if not all(math.isfinite(r) for r in self.rates):
+            raise ValueError(f"job {self.name!r}: rates must be finite")
         if any(r < 0 for r in self.rates):
             raise ValueError("rates must be non-negative")
         if self.weights is not None and len(self.weights) != len(self.rates):

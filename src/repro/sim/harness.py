@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 import numpy as np
 
+from repro import native
 from repro.cluster.job import InferenceJobSpec
 from repro.cluster.kubernetes import ResourceQuota
 from repro.policy import AutoscalePolicy, JobObservation, ScalingDecision
@@ -335,8 +336,7 @@ class SimHarness:
         none.
 
         Backends report how their hot path actually ran -- compiled-kernel
-        vs scalar request dispatch and which kernel loaded (``"c"`` or
-        ``"python"``), chunk cuts forced by event-time faults,
+        vs scalar request dispatch, chunk cuts forced by event-time faults,
         hybrid fidelity promotions/demotions -- so a regression into a slow
         regime shows up in ``metadata["dispatch"]`` without profiling.
         Counters are observability only and are never serialized into
@@ -346,13 +346,18 @@ class SimHarness:
         return None
 
     def base_metadata(self) -> dict:
-        """The metadata fields every backend records identically."""
+        """The metadata fields every backend records identically.
+
+        ``kernels`` says which compiled kernels this process has loaded
+        (:func:`repro.native.kernels`; reading it never loads one).
+        """
         metadata = {
             "duration_minutes": self.duration_minutes,
             "rate_scale": self.config.rate_scale,
             "seed": self.config.seed,
             "quota_cpus": self.quota.cpus,
             "simulator": self.fidelity_label,
+            "kernels": native.kernels(),
         }
         if self.device_pool is not None:
             metadata.update(self.device_pool.metadata())

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cluster.dispatch import kernel_name
 from repro.cluster.rayserve import RayServeCluster
 from repro.policy import JobObservation, ScalingDecision
 from repro.sim.faults import make_fault_injector
@@ -582,9 +581,6 @@ class HybridSimulation(SimHarness):
             scalar += sum(r.scalar_requests for r in self.cluster.routers.values())
         promotions = sum(1 for e in self._fidelity_events if e["to"] == "request")
         return {
-            # None when the run built no request-level cluster: nothing can
-            # dispatch, so the kernel is never loaded.
-            "kernel": kernel_name() if self.cluster is not None else None,
             "vector_requests": vector,
             "scalar_requests": scalar,
             "fault_chunk_cuts": self._fault_chunk_cuts,

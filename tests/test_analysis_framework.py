@@ -444,6 +444,56 @@ class TestForecastGate:
             self.load_check_perf().load_forecast_baseline(path)
 
 
+class TestTablesGate:
+    BASELINE = {"shapes": [], "identical": True, "gated_speedup": 3.0}
+
+    load_check_perf = TestUnpairedBaselines.load_check_perf
+
+    @staticmethod
+    def measured(*speedups, identical=True):
+        shapes = [
+            {"workload": f"w{i}", "scenarios": 140, "max_servers": 32, "speedup": s}
+            for i, s in enumerate(speedups)
+        ]
+        return {"shapes": shapes, "identical": identical}
+
+    def verdicts(self, measured):
+        rows, ok = self.load_check_perf().compare_tables(self.BASELINE, measured)
+        return [row[-1] for row in rows], ok
+
+    def test_identical_and_fast_passes(self):
+        assert self.verdicts(self.measured(7.0, 3.5)) == (["ok", "ok", "ok"], True)
+
+    def test_diverged_table_fails_even_when_fast(self):
+        verdicts, ok = self.verdicts(self.measured(7.0, identical=False))
+        assert not ok and verdicts[0].startswith("REGRESSED")
+
+    def test_fallen_back_kernel_fails_its_shape(self):
+        # The numpy fallback times the oracle against itself: about 1x.
+        verdicts, ok = self.verdicts(self.measured(7.0, 1.02))
+        assert not ok and verdicts == ["ok", "ok", verdicts[2]]
+        assert verdicts[2].startswith("REGRESSED")
+
+    def test_no_shapes_fails(self):
+        verdicts, ok = self.verdicts(self.measured())
+        assert not ok and verdicts[1].startswith("REGRESSED")
+
+    def test_checked_in_baseline_loads(self):
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parent.parent
+        mod = self.load_check_perf()
+        baseline = mod.load_tables_baseline(root / "results" / "BENCH_tables.json")
+        assert baseline["identical"] and baseline["gated_speedup"] == 3.0
+        assert baseline["kernel"] == "c"
+
+    def test_baseline_missing_keys_rejected(self, tmp_path):
+        path = tmp_path / "BENCH_tables.json"
+        path.write_text('{"identical": true}')
+        with pytest.raises(ValueError, match="missing"):
+            self.load_check_perf().load_tables_baseline(path)
+
+
 # -------------------------------------------------- run_checks umbrella
 
 

@@ -124,6 +124,20 @@ class TestDeterminism:
         assert len(findings) == 1
         assert "repro.cluster.fixture" in findings[0].message
 
+    def test_wall_clock_flagged_in_native_loader(self):
+        # The kernel loader decides which code builds every table and
+        # routes every request chunk.
+        findings = lint(
+            """
+            import time
+            stamp = time.time()
+            """,
+            "determinism",
+            module="repro.native",
+        )
+        assert len(findings) == 1
+        assert "repro.native" in findings[0].message
+
     def test_perf_counter_allowed_on_sim_path(self):
         # Telemetry timers time solves, they never steer them.
         assert not lint(

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import api
+from repro import api, native
 from repro.cluster import dispatch
 from repro.cluster.models import ModelProfile
 from repro.cluster.router import JobRouter
@@ -277,7 +277,7 @@ class TestEventFaultCuts:
         meta = results[compiled].metadata
         assert meta["total_failures"] > 0
         assert meta["dispatch"]["fault_chunk_cuts"] > 0
-        assert results[False].metadata["dispatch"]["kernel"] == "python"
+        assert results[False].metadata["kernels"]["dispatch"] == "python"
 
     @staticmethod
     def _run_event_sim(faults="event"):
@@ -318,7 +318,7 @@ class TestDispatchCounters:
         result = TestEventFaultCuts._run_event_sim(faults=None)
         counts = result.metadata["dispatch"]
         assert counts["vector_requests"] == 0
-        assert counts["kernel"] == "python"
+        assert result.metadata["kernels"]["dispatch"] == "python"
         assert counts["scalar_requests"] == int(result.jobs["a"].arrivals.sum())
 
 
@@ -332,7 +332,7 @@ class TestKernelLoading:
         if shutil.which("cc") is None or importlib.util.find_spec("cffi") is None:
             pytest.skip("needs a C compiler (cc) and cffi")
         assert dispatch.kernel() is not None
-        assert dispatch.kernel_name() == "c"
+        assert native.kernels()["dispatch"] == "c"
 
     def test_router_pickles_after_compiled_chunks(self):
         # Serve journals pickle live harnesses: the kernel's cffi objects
@@ -351,7 +351,6 @@ class TestKernelLoading:
         broken = tmp_path / "dispatch.c"
         broken.write_text("this is not C\n")
         monkeypatch.setattr(dispatch, "SOURCE", broken)
-        monkeypatch.setattr(dispatch, "CACHE_DIR", tmp_path / "cache")
         dispatch.kernel.cache_clear()
         try:
             with warnings.catch_warnings(record=True) as caught:
@@ -371,7 +370,7 @@ class TestKernelLoading:
                     for result in stats.results:
                         counts = result.metadata["dispatch"]
                         requests = sum(int(job.arrivals.sum()) for job in result.jobs.values())
-                        assert counts["kernel"] == kernel
+                        assert result.metadata["kernels"]["dispatch"] == kernel
                         assert counts[counter] == requests > 0
         assert report_digest(fallback) == report_digest(compiled)
 

@@ -10,6 +10,7 @@ now honours ``SimulationConfig.faults`` (which it previously ignored
 silently).
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from repro.cluster import dispatch
 from repro.cluster.job import InferenceJobSpec
 from repro.cluster.kubernetes import ResourceQuota
 from repro.cluster.metrics import MetricsCollector
@@ -782,7 +784,7 @@ class TestHybridBackend:
     def test_one_dispatch_schema_for_every_preset(self):
         faults = FaultConfig(mttf_seconds=60.0, seed=1, process="event")
         keys = {
-            "kernel", "vector_requests", "scalar_requests",
+            "vector_requests", "scalar_requests",
             "fault_chunk_cuts", "promotions", "demotions",
         }
         request = _hybrid_sim(None, faults=faults, cls=Simulation).run()
@@ -794,8 +796,16 @@ class TestHybridBackend:
             assert set(result.metadata["dispatch"]) == keys
         assert request.metadata["dispatch"]["fault_chunk_cuts"] > 0
         assert hybrid.metadata["dispatch"]["fault_chunk_cuts"] > 0  # hybrid cuts too
-        assert flow.metadata["dispatch"]["kernel"] is None  # never loaded
         assert flow.metadata["dispatch"]["vector_requests"] == 0
+        for result in (request, flow, hybrid):
+            assert set(result.metadata["kernels"]) == {"dispatch", "erlang"}
+        assert request.metadata["kernels"]["dispatch"] is not None  # loaded
+
+    def test_flow_run_never_loads_the_dispatch_kernel(self, monkeypatch):
+        monkeypatch.setattr(dispatch, "kernel", functools.cache(dispatch.kernel.__wrapped__))
+        flow = _hybrid_sim(None, cls=FlowSimulation).run()
+        assert flow.metadata["kernels"]["dispatch"] is None
+        assert dispatch.kernel.cache_info().currsize == 0
 
     def test_deterministic_given_seed(self):
         options = HybridBackendOptions(request_jobs=("j1",))

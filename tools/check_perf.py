@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Perf gates: optimizer hot path, sweeps, sim backends, scenario builds, training.
+"""Perf gates: optimizer hot path, sweeps, sim backends, scenario builds, training, tables.
 
-Six benches run in-process and compare against checked-in baselines:
+Seven benches run in-process and compare against checked-in baselines:
 
 - the allocation hot-path micro-benchmark
   (``benchmarks/bench_optimizer_hotpath.py`` vs
@@ -43,7 +43,13 @@ Six benches run in-process and compare against checked-in baselines:
   ``results/BENCH_forecast.json``): stacked N-HiTS training
   (``NHiTSForecaster.fit_many``) must leave every job bit-identical to
   one ``fit`` per job (unconditional) and keep the gated speedup over it.
-  Both sides are timed in one process, so only their ratio is gated.
+  Both sides are timed in one process, so only their ratio is gated;
+- the latency-table bench (``benchmarks/bench_queueing_tables.py`` vs
+  ``results/BENCH_tables.json``): the compiled table kernel
+  (``queueing/erlang.c``) must build tables byte-identical to the numpy
+  loops (unconditional) and keep the gated speedup over them at each e2e
+  workload's table shape.  Like the training gate, it gates only a ratio
+  taken within one process.
 
 Run next to the tier-1 verify command:
 
@@ -537,11 +543,12 @@ def compare_hetero(baseline: dict, measured: dict) -> tuple[list[tuple], bool]:
     return rows, ok
 
 
-def load_forecast_baseline(path: Path) -> dict:
+def load_forecast_baseline(path: Path, keys=("speedup", "identical", "gated_speedup")) -> dict:
+    """A ratio-gate baseline: one JSON object holding at least ``keys``."""
     data = json.loads(path.read_text())
     if not isinstance(data, dict):
         raise ValueError(f"{path} is not a benchmark result")
-    missing = {"speedup", "identical", "gated_speedup"} - set(data)
+    missing = set(keys) - set(data)
     if missing:
         raise ValueError(f"{path} is missing {sorted(missing)}")
     return data
@@ -577,6 +584,50 @@ def compare_forecast(baseline: dict, measured: dict) -> tuple[list[tuple], bool]
         )
     )
     return rows, identical and fast
+
+
+def load_tables_baseline(path: Path) -> dict:
+    return load_forecast_baseline(path, keys=("shapes", "identical", "gated_speedup"))
+
+
+def compare_tables(baseline: dict, measured: dict) -> tuple[list[tuple], bool]:
+    """Gate rows for the latency-table bench; same row shape as :func:`compare`.
+
+    As in :func:`compare_forecast`, the identity is absolute and each
+    speedup is a ratio of two timings taken in one process.
+    """
+    identical = bool(measured.get("identical"))
+    rows = [
+        (
+            "tables/identity",
+            "bytes",
+            "== numpy",
+            "== numpy" if identical else "DIVERGED",
+            "ok" if identical else "REGRESSED (the kernel changed a table)",
+        )
+    ]
+    ok = identical
+    required = baseline["gated_speedup"]
+    shapes = measured.get("shapes") or []
+    if not shapes:
+        rows.append(("tables", "speedup", f">= {required:.1f}x", "-",
+                     "REGRESSED (no table shapes measured)"))
+        ok = False
+    for shape in shapes:
+        speedup = shape.get("speedup", 0.0)
+        fast = speedup >= required
+        ok = ok and fast
+        rows.append(
+            (
+                f"tables/{shape['workload']} "
+                f"{shape['scenarios']}x{shape['max_servers']}",
+                "speedup",
+                f">= {required:.1f}x",
+                f"{speedup:.2f}x",
+                "ok" if fast else "REGRESSED (lost the compiled-kernel speedup)",
+            )
+        )
+    return rows, ok
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -694,13 +745,18 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     forecast_baseline_path = REPO_ROOT / "results" / "BENCH_forecast.json"
-    if not forecast_baseline_path.exists():
-        print(
-            f"error: baseline {forecast_baseline_path} not found; run the bench "
-            "once (pytest benchmarks/bench_forecast_train.py)",
-            file=sys.stderr,
-        )
-        return 2
+    tables_baseline_path = REPO_ROOT / "results" / "BENCH_tables.json"
+    for path, bench in (
+        (forecast_baseline_path, "bench_forecast_train.py"),
+        (tables_baseline_path, "bench_queueing_tables.py"),
+    ):
+        if not path.exists():
+            print(
+                f"error: baseline {path} not found; run the bench "
+                f"once (pytest benchmarks/{bench})",
+                file=sys.stderr,
+            )
+            return 2
 
     # The hetero gate deliberately tolerates a missing baseline file (it
     # self-reports SKIPPED below) -- a malformed one is still an error.
@@ -723,6 +779,7 @@ def main(argv: list[str] | None = None) -> int:
         if run_hetero_gate and args.hetero_baseline.exists():
             hetero_baseline = load_hetero_baseline(args.hetero_baseline)
         forecast_baseline = load_forecast_baseline(forecast_baseline_path)
+        tables_baseline = load_tables_baseline(tables_baseline_path)
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: cannot read baseline: {exc}", file=sys.stderr)
         return 2
@@ -866,6 +923,21 @@ def main(argv: list[str] | None = None) -> int:
         )
     )
 
+    from benchmarks.bench_queueing_tables import run_tables_bench
+
+    print(f"\nrunning latency-table bench (baseline: {tables_baseline_path}) ...")
+    tables_measured = run_tables_bench()
+    tables_rows, tables_ok = compare_tables(tables_baseline, tables_measured)
+    ok = ok and tables_ok
+    print()
+    print(
+        format_table(
+            ["point", "metric", "baseline", "measured", "verdict"],
+            tables_rows,
+            title="== Latency table kernel perf gate ==",
+        )
+    )
+
     if args.write:
         args.baseline.write_text(json.dumps({"points": measured}, indent=2) + "\n")
         print(f"\nwrote new baseline to {args.baseline}")
@@ -891,6 +963,8 @@ def main(argv: list[str] | None = None) -> int:
             json.dumps(forecast_measured, indent=2) + "\n"
         )
         print(f"wrote new baseline to {forecast_baseline_path}")
+        tables_baseline_path.write_text(json.dumps(tables_measured, indent=2) + "\n")
+        print(f"wrote new baseline to {tables_baseline_path}")
 
     if not ok:
         print(
