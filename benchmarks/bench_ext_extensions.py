@@ -33,7 +33,6 @@ from repro.core.autoscaler import FaroConfig, JobSpec
 from repro.core.decentralized import DecentralizedFaro
 from repro.core.utility import SLO
 from repro.experiments.report import format_table
-from repro.experiments.runner import run_trials
 from repro.hetero import (
     CPU_SMALL,
     GPU_T4,

@@ -10,9 +10,9 @@ lead the *Fair* variants.
 import numpy as np
 
 from benchmarks.conftest import BENCH_MINUTES, BENCH_PROFILE, write_result
+from repro import api
 from repro.experiments import paper_scenario
 from repro.experiments.report import format_table
-from repro.experiments.runner import run_trials
 
 SIZES = (16, 24, 32, 36, 48, 64)
 POLICIES = ("oneshot", "aiad", "mark", "faro-fair", "faro-sum", "faro-fairsum")
@@ -24,7 +24,7 @@ def test_fig15_size_sweep(benchmark):
         for size in SIZES:
             scenario = paper_scenario(size, duration_minutes=BENCH_MINUTES, seed=0)
             for policy in POLICIES:
-                stats = run_trials(
+                stats = api.run_policy(
                     scenario,
                     policy,
                     trials=1,

@@ -8,9 +8,9 @@ recovers it (up to 1.36x).
 """
 
 from benchmarks.conftest import BENCH_MINUTES, BENCH_PROFILE, write_result
+from repro import api
 from repro.experiments.ablation import ABLATION_ORDER, ablation_policy_factory
 from repro.experiments.report import format_table
-from repro.experiments.runner import run_trials
 
 PAPER_SO = {
     "w/o relaxation": 2.11,
@@ -32,9 +32,7 @@ def test_fig16_ablation(benchmark, bench_cache):
             factory = ablation_policy_factory(
                 stage, objective="fairsum", predictor_profile=BENCH_PROFILE
             )
-            stats = run_trials(
-                scenario, stage, trials=1, seed=0, policy_factory=factory
-            )
+            stats = api.execute_trials(scenario, stage, factory, trials=1, seed=0)
             lost[stage] = stats.lost_utility_mean
         return lost
 

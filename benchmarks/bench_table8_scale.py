@@ -17,6 +17,7 @@ import time
 import numpy as np
 
 from benchmarks.conftest import BENCH_PROFILE, write_result
+from repro import api
 from repro.core.hierarchical import solve_hierarchical
 from repro.core.objectives import make_objective
 from repro.core.optimizer import (
@@ -28,7 +29,6 @@ from repro.core.optimizer import (
 )
 from repro.core.utility import SLO
 from repro.experiments.report import format_table, ratio
-from repro.experiments.runner import run_trials
 from repro.experiments.scenarios import large_scale_scenario
 
 PAPER_20 = {
@@ -57,13 +57,13 @@ def test_table8_large_scale(benchmark):
 
     def run():
         stats_20 = {
-            name: run_trials(
+            name: api.run_policy(
                 scenario_20, name, trials=1, seed=0, predictor_profile=BENCH_PROFILE
             )
             for name in PAPER_20
         }
         stats_100 = {
-            name: run_trials(
+            name: api.run_policy(
                 scenario_100,
                 name,
                 trials=1,

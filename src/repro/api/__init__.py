@@ -86,7 +86,6 @@ from repro.api.parallel import (
     TrialShard,
     plan_shards,
     run_parallel,
-    run_policies_parallel,
 )
 # The serving engine re-exports are lazy (PEP 562): repro.serve imports
 # this package's submodules at its own import time, so an eager
@@ -156,7 +155,6 @@ __all__ = [
     "SweepJournal",
     "plan_shards",
     "run_parallel",
-    "run_policies_parallel",
     "ServeOptions",
     "ServeSpec",
     "ServeResult",

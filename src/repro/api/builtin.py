@@ -4,12 +4,10 @@ Importing :mod:`repro.api` loads this module, which registers every policy
 the paper's evaluation uses -- the five Faro variants (kind ``"faro"``),
 the five baselines (kind ``"baseline"``), and the decentralized/flat Faro
 controllers (kind ``"controller"``) -- on the default registry.  The
-construction logic here is the single source of truth; the legacy
-``repro.experiments.policies.make_policy`` shim routes through it.
+construction logic here is the single source of truth.
 
-Registration order matters: ``kind="faro"`` and ``kind="baseline"`` names
-are re-exported (in order) as the legacy ``ALL_FARO_VARIANTS`` and
-``ALL_BASELINES`` tuples.
+Registration order matters: ``registry.names(kind="faro")`` and
+``registry.names(kind="baseline")`` list the names in the paper's order.
 """
 
 from __future__ import annotations

@@ -59,7 +59,6 @@ __all__ = [
     "SweepJournal",
     "plan_shards",
     "run_parallel",
-    "run_policies_parallel",
 ]
 
 
@@ -598,127 +597,6 @@ def run_parallel(
         ),
     )
     return report
-
-
-# ------------------------------------------------- built-scenario fan-out
-
-
-@dataclass(frozen=True)
-class _PolicyShardJob:
-    """Worker payload for fan-out over an already-built scenario.
-
-    The scenario itself is *not* here: it ships once per worker process
-    via the pool initializer (:func:`_install_worker_scenario`), not once
-    per shard -- traces for every job would otherwise be re-pickled for
-    every trial range.  (Spec files are not involved; this is the path
-    parameter sweeps over hand-built scenarios take, e.g.
-    :func:`repro.experiments.sweeps.sweep_faro_config`.)
-    """
-
-    policy_spec: object  # PolicySpec
-    trial_start: int
-    trial_stop: int
-    total_trials: int
-    simulator: str
-    seed: int
-    predictor_profile: object = None
-    sim_overrides: object = None
-    backend_options: object = None
-
-
-#: Per-worker-process scenario installed by :func:`_install_worker_scenario`.
-_WORKER_SCENARIO = None
-
-
-def _install_worker_scenario(scenario) -> None:
-    global _WORKER_SCENARIO
-    _WORKER_SCENARIO = scenario
-
-
-def _run_policy_shard(job: _PolicyShardJob) -> TrialStats:
-    return run_policy(
-        _WORKER_SCENARIO,
-        job.policy_spec,
-        trials=job.trial_stop - job.trial_start,
-        simulator=job.simulator,
-        seed=job.seed,
-        predictor_profile=job.predictor_profile,
-        sim_overrides=job.sim_overrides,
-        backend_options=job.backend_options,
-        trial_offset=job.trial_start,
-        total_trials=job.total_trials,
-    )
-
-
-def run_policies_parallel(
-    scenario,
-    policy_specs: Sequence,
-    *,
-    workers: int,
-    trials: int = 1,
-    simulator: str = "request",
-    seed: int = 0,
-    predictor_profile=None,
-    sim_overrides=None,
-    backend_options=None,
-    trials_per_shard: int | None = None,
-) -> list[TrialStats]:
-    """Run several policies on one *built* scenario across a process pool.
-
-    Returns one :class:`TrialStats` per entry of ``policy_specs``, in
-    order, bit-identical to calling :func:`repro.api.runner.run_policy`
-    serially for each (same :func:`derive_trial_seed` seeds; per-cell
-    trials are merged with :meth:`TrialStats.merged`).  Unlike
-    :func:`run_parallel` this path has no journal and no fault isolation:
-    a failing shard raises, like the serial loop would.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if not policy_specs:
-        raise ValueError("policy_specs must be non-empty")
-    if trials_per_shard is None:
-        trials_per_shard = _auto_trials_per_shard(trials, len(policy_specs), workers)
-    jobs = []
-    for policy_index, policy_spec in enumerate(policy_specs):
-        for start in range(0, trials, trials_per_shard):
-            jobs.append(
-                (
-                    policy_index,
-                    _PolicyShardJob(
-                        policy_spec=policy_spec,
-                        trial_start=start,
-                        trial_stop=min(start + trials_per_shard, trials),
-                        total_trials=trials,
-                        simulator=simulator,
-                        seed=seed,
-                        predictor_profile=predictor_profile,
-                        sim_overrides=sim_overrides,
-                        backend_options=backend_options,
-                    ),
-                )
-            )
-    context = multiprocessing.get_context("spawn")
-    parts: dict[int, list[TrialStats]] = {}
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(jobs)),
-        mp_context=context,
-        initializer=_install_worker_scenario,
-        initargs=(scenario,),
-    ) as pool:
-        futures = [
-            (policy_index, pool.submit(_run_policy_shard, job))
-            for policy_index, job in jobs
-        ]
-        for policy_index, future in futures:
-            parts.setdefault(policy_index, []).append(future.result())
-    return [
-        parts[index][0]
-        if len(parts[index]) == 1
-        else TrialStats.merged(parts[index])
-        for index in range(len(policy_specs))
-    ]
 
 
 def _scenario_label(spec: ExperimentSpec, shard: TrialShard) -> str:

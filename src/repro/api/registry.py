@@ -2,10 +2,10 @@
 
 Every policy the experiment harness can run -- Faro variants, baselines,
 decentralized controllers, user plugins -- is registered here under a
-stable name together with a *typed* options dataclass and a builder.  The
-registry replaces the old hardcoded ``ALL_FARO_VARIANTS``/``ALL_BASELINES``
-tuples and the ``make_policy`` if/elif ladder: resolution, option
-validation, and construction all go through one lookup.
+stable name together with a *typed* options dataclass and a builder.
+Resolution, option validation, and construction all go through one
+lookup; ``names(kind=...)`` lists one kind's policies in registration
+order.
 
 Registering a policy::
 

@@ -3,10 +3,10 @@
 :func:`run` drives the whole pipeline -- scenario construction (trace
 generation), policy construction through the registry (including predictor
 training), and multi-trial simulation -- and returns a :class:`RunReport`.
-The legacy ``repro.experiments.runner.run_trials``/``compare_policies``
-entry points are thin shims over the same :func:`execute_trials` core, so
-spec-driven runs and legacy calls with equal settings produce bit-identical
-results (same seeds -> same summary statistics).
+Every trial runs through :func:`execute_trials`: :func:`run_policy` feeds it
+a registered policy on a built scenario, and callers with a hand-written
+``(scenario, seed) -> policy`` factory (the Fig. 16 ablation) call it
+directly.  Equal settings give bit-identical results on every route.
 
 Telemetry: pass ``progress=callback`` to receive :class:`RunEvent` values
 at scenario/policy/trial boundaries (the CLI uses this for live output).
@@ -37,7 +37,6 @@ __all__ = [
     "RunReport",
     "derive_trial_seed",
     "make_policy_factory",
-    "make_policy",
     "build_trial_simulation",
     "execute_trials",
     "run_policy",
@@ -226,18 +225,6 @@ def make_policy_factory(
         return info.builder(sc, trial_seed, config)
 
     return policy.display_label, factory
-
-
-def make_policy(
-    policy: PolicySpec | str,
-    scenario: Scenario,
-    trial_seed: int,
-    *,
-    predictor_profile: Any = None,
-) -> Any:
-    """Construct one trial's policy instance for ``scenario``."""
-    _, factory = make_policy_factory(policy, predictor_profile=predictor_profile)
-    return factory(scenario, trial_seed)
 
 
 def build_trial_simulation(

@@ -3,7 +3,7 @@
 Ten subcommands cover the workflows a user reaches for first:
 
 - ``run``      -- one policy on one paper scenario, or (with ``--spec``)
-  a whole declarative experiment file driven through ``repro.api.run``.
+  a whole declarative experiment file; both run through ``repro.api.run``.
 - ``sweep``    -- spec files on a sharded parallel worker pool
   (``repro.api.run_parallel``): bit-identical to ``run --spec``, resumable
   via a shard journal (``--resume``), failures isolated per shard.
@@ -64,16 +64,44 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _scenario_from_args(args: argparse.Namespace):
-    from repro.experiments.scenarios import paper_scenario
+def _run_flags(args: argparse.Namespace, policies: list[str]):
+    """Run the scenario flags and ``policies`` as one spec via ``api.run``.
 
-    size = args.size if args.size in ("RS", "SO", "HO") else int(args.size)
-    return paper_scenario(
-        size=size,
-        num_jobs=args.jobs,
-        duration_minutes=args.minutes,
-        seed=args.seed,
-    )
+    The flags become a ``paper`` scenario in an :class:`ExperimentSpec`, so
+    bad flags fail like a bad spec file: ``api.run`` checks every policy
+    name and builds the scenario before any trial starts.  Returns the
+    scenario name and the stats per policy, or ``None`` after printing one
+    ``error:`` line.
+    """
+    from repro import api
+
+    try:
+        size = int(args.size)
+    except ValueError:
+        size = args.size  # a cluster name; the paper scenario checks it
+    try:
+        spec = api.ExperimentSpec.compare(
+            args.command,
+            api.ScenarioSpec(
+                kind="paper",
+                params={
+                    "size": size,
+                    "num_jobs": args.jobs,
+                    "duration_minutes": args.minutes,
+                    "seed": args.seed,
+                },
+            ),
+            policies,
+            trials=args.trials,
+            seed=args.seed,
+            simulator=args.simulator,
+        )
+        report = api.run(spec)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+    [(scenario, stats)] = report.stats.items()
+    return scenario, stats
 
 
 def _progress_printer(verbose: bool):
@@ -122,18 +150,14 @@ def _cmd_run_spec(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.experiments.plotting import ascii_timeline
     from repro.experiments.report import format_table
-    from repro.experiments.runner import run_trials
 
     if args.spec:
         return _cmd_run_spec(args)
-    scenario = _scenario_from_args(args)
-    stats = run_trials(
-        scenario,
-        args.policy,
-        trials=args.trials,
-        simulator=args.simulator,
-        seed=args.seed,
-    )
+    ran = _run_flags(args, [args.policy])
+    if ran is None:
+        return 2
+    scenario, per_policy = ran
+    stats = per_policy[args.policy]
     rows = [
         ["lost cluster utility", f"{stats.lost_utility_mean:.3f}", f"{stats.lost_utility_sd:.3f}"],
         [
@@ -151,7 +175,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         format_table(
             ["metric", "mean", "sd"],
             rows,
-            title=f"{args.policy} on {scenario.name} ({args.trials} trial(s))",
+            title=f"{args.policy} on {scenario} ({args.trials} trial(s))",
         )
     )
     if args.chart:
@@ -372,20 +396,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.experiments.plotting import ascii_bars
     from repro.experiments.report import format_table
-    from repro.experiments.runner import compare_policies
 
-    scenario = _scenario_from_args(args)
-    policies = [p.strip() for p in args.policies.split(",") if p.strip()]
+    # A repeated name keeps showing one row: an ExperimentSpec rejects
+    # repeated labels.
+    policies = list(dict.fromkeys(p.strip() for p in args.policies.split(",") if p.strip()))
     if not policies:
         print("error: --policies must name at least one policy", file=sys.stderr)
         return 2
-    stats = compare_policies(
-        scenario,
-        policies,
-        trials=args.trials,
-        simulator=args.simulator,
-        seed=args.seed,
-    )
+    ran = _run_flags(args, policies)
+    if ran is None:
+        return 2
+    scenario, stats = ran
     ordered = sorted(stats.values(), key=lambda s: s.lost_utility_mean)
     rows = [
         [
@@ -400,7 +421,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         format_table(
             ["policy", "lost utility", "sd", "violation rate"],
             rows,
-            title=f"Policy comparison on {scenario.name}",
+            title=f"Policy comparison on {scenario}",
         )
     )
     if args.chart:

@@ -1,12 +1,15 @@
 """Experiment harness reproducing the paper's evaluation (§6).
 
+Trials run through :mod:`repro.api` (``api.run`` for a spec,
+``api.run_policy`` for a registered policy on a built scenario,
+``api.execute_trials`` for a hand-written policy factory); this package
+holds the pieces those runs are made of and reported with.
+
 - :mod:`repro.experiments.scenarios` -- the paper's workload/cluster setups
   (right-sized 36, slightly oversubscribed 32, heavily oversubscribed 16
   replicas; 10-job Azure+Twitter mix; mixed ResNet18/34; large-scale).
-- :mod:`repro.experiments.policies` -- legacy policy factory (shim over
-  the :mod:`repro.api` policy registry), with shared trained predictors.
-- :mod:`repro.experiments.runner` -- legacy multi-trial execution API
-  (shim over the :mod:`repro.api` run engine).
+- :mod:`repro.experiments.policies` -- the predictor-training budget and
+  the shared trained-predictor cache the registered policies use.
 - :mod:`repro.experiments.metrics` -- Kendall-tau ranking distance and
   summary statistics.
 - :mod:`repro.experiments.report` -- paper-vs-measured table formatting.
@@ -23,8 +26,6 @@ from repro.experiments.scenarios import (
     mixed_model_scenario,
     paper_scenario,
 )
-from repro.experiments.policies import make_policy
-from repro.experiments.runner import TrialStats, compare_policies, run_trials
 from repro.experiments.metrics import kendall_tau_distance, rank_policies
 from repro.experiments.report import format_table, paper_comparison_table
 from repro.experiments.sweeps import (
@@ -35,29 +36,12 @@ from repro.experiments.sweeps import (
 )
 from repro.experiments.plotting import ascii_bars, ascii_boxplot, ascii_timeline
 
-
-def __getattr__(name: str):
-    # Registry-derived policy lists live on the policies module (PEP 562);
-    # delegate so plugins registered later are reflected here too.
-    if name in ("ALL_FARO_VARIANTS", "ALL_BASELINES"):
-        from repro.experiments import policies
-
-        return getattr(policies, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "Scenario",
     "CLUSTER_SIZES",
     "paper_scenario",
     "mixed_model_scenario",
     "large_scale_scenario",
-    "make_policy",
-    "ALL_BASELINES",
-    "ALL_FARO_VARIANTS",
-    "run_trials",
-    "compare_policies",
-    "TrialStats",
     "kendall_tau_distance",
     "rank_policies",
     "format_table",

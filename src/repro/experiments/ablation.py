@@ -14,8 +14,8 @@ The paper's ablation (bottom to top of Fig. 16):
 7. ``w/ prob. pred.``  -- probabilistic prediction (...which probabilistic
    prediction then compensates for).
 
-Each rung is a policy factory compatible with
-:func:`repro.experiments.runner.run_trials`'s ``policy_factory`` hook.
+Each rung is a ``(scenario, seed) -> policy`` factory; pass it as the
+``policy_factory`` of :func:`repro.api.runner.execute_trials`.
 """
 
 from __future__ import annotations

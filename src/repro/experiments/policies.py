@@ -1,24 +1,12 @@
-"""Legacy policy factory, now a shim over the control-plane registry.
+"""Shared trained predictors for the registered policies.
 
 Policy construction lives in :mod:`repro.api.builtin`, where every Faro
 variant, baseline, and controller registers itself on the
-:class:`repro.api.PolicyRegistry` with a typed options schema.  This module
-keeps the pieces the old harness API exposed:
-
-- :func:`make_policy` -- **deprecated**; resolves through the registry
-  (``repro.api.get_registry().build(...)`` is the replacement).
-- ``ALL_FARO_VARIANTS`` / ``ALL_BASELINES`` -- derived from the registry
-  (kinds ``"faro"`` and ``"baseline"`` in registration order), no longer
-  hardcoded tuples.
-- :class:`PredictorProfile` / :func:`train_predictors` -- the shared
-  predictor-training budget and cache, used by the registry builders.
-
-Policy names:
-
-- Faro variants: ``faro-sum``, ``faro-fair``, ``faro-fairsum``,
-  ``faro-penaltysum``, ``faro-penaltyfairsum`` (all hybrid: long-term
-  predictive + short-term reactive).
-- Baselines: ``fairshare``, ``oneshot``, ``aiad``, ``mark``, ``cilantro``.
+:class:`repro.api.PolicyRegistry` with a typed options schema
+(``repro.api.get_registry().build(...)`` builds one instance).  This
+module holds what those builders share: :class:`PredictorProfile`, the
+predictor-training budget, and :func:`train_predictors`, which trains
+every job's N-HiTS forecaster once per scenario and caches the result.
 """
 
 from __future__ import annotations
@@ -30,15 +18,8 @@ import numpy as np
 
 from repro.experiments.scenarios import Scenario
 from repro.forecast.nhits import NHiTSConfig, NHiTSForecaster
-from repro.policy import AutoscalePolicy
 
-__all__ = [
-    "ALL_FARO_VARIANTS",
-    "ALL_BASELINES",
-    "PredictorProfile",
-    "train_predictors",
-    "make_policy",
-]
+__all__ = ["PredictorProfile", "train_predictors"]
 
 
 @dataclass(frozen=True)
@@ -125,52 +106,3 @@ def train_predictors(
     )
     _PREDICTOR_CACHE[key] = forecasters
     return forecasters
-
-
-def _registry():
-    """The default policy registry with built-ins registered.
-
-    Submodule imports on purpose: they stay correct even when this runs
-    mid-way through ``repro.experiments``/``repro.api`` package init.
-    """
-    import repro.api.builtin  # noqa: F401  (registration side effects)
-    import repro.api.registry
-
-    return repro.api.registry.get_registry()
-
-
-def __getattr__(name: str):
-    # The paper's canonical policy lists, derived from the registry so
-    # plugins and built-ins share one catalog (PEP 562 module attributes).
-    if name == "ALL_FARO_VARIANTS":
-        return _registry().names(kind="faro")
-    if name == "ALL_BASELINES":
-        return _registry().names(kind="baseline")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def make_policy(
-    name: str,
-    scenario: Scenario,
-    seed: int = 0,
-    predictor_profile: PredictorProfile | None = None,
-    faro_overrides: dict | None = None,
-) -> AutoscalePolicy:
-    """Instantiate a policy by name for a scenario.
-
-    .. deprecated::
-        Use ``repro.api.get_registry().build(name, scenario, ...)`` (or a
-        :class:`repro.api.PolicySpec` through :func:`repro.api.run`).  This
-        shim maps the legacy keyword arguments onto registry options,
-        ignoring ones the policy does not accept -- the old factory's
-        behaviour.  The typed spec path is strict instead.
-    """
-    registry = _registry()
-    info = registry.get(name)
-    supported = {field_name for field_name, _ in info.option_fields()}
-    options: dict = {}
-    if predictor_profile is not None and "predictor_profile" in supported:
-        options["predictor_profile"] = predictor_profile
-    if faro_overrides and "faro" in supported:
-        options["faro"] = dict(faro_overrides)
-    return registry.build(name, scenario, seed=seed, options=options)

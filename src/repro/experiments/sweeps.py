@@ -4,8 +4,10 @@ DESIGN.md calls out the knobs the paper fixes by fiat -- ``rho_max = 0.95``
 (§3.4), ``alpha`` (Eq. 1 / Fig. 4a), the 5-minute long-term period (§4.4),
 the 7-minute prediction window (§5), and the cold-start magnitude (§4.1).
 These sweeps quantify each choice: every point is a full trace-driven run
-via :func:`repro.experiments.runner.run_trials`, so the output rows slot
-directly into the bench report tables.
+via :func:`repro.api.runner.run_policy`, so the output rows slot directly
+into the bench report tables.  For a parallel sweep, write the points as
+policies of an :class:`~repro.api.spec.ExperimentSpec` and run it with
+``repro.api.run(spec, workers=N)`` or ``repro-faro sweep``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass, field
 from repro.api.runner import TrialStats, run_policy
 from repro.api.spec import PolicySpec
 from repro.experiments.policies import PredictorProfile
-from repro.experiments.runner import run_trials
 from repro.experiments.scenarios import Scenario
 
 __all__ = ["SweepResult", "sweep_faro_config", "sweep_cold_start", "sweep_predictor"]
@@ -75,46 +76,23 @@ def sweep_faro_config(
     simulator: str = "flow",
     seed: int = 0,
     predictor_profile: PredictorProfile | None = None,
-    workers: int = 1,
 ) -> SweepResult:
     """Sweep one :class:`~repro.core.autoscaler.FaroConfig` field.
 
     Every other setting stays at the paper default, so the sweep isolates
-    the single knob.  ``workers > 1`` fans the sweep points out over the
-    sharded executor (:mod:`repro.api.parallel`); trial seeds never depend
-    on the policy or sharding, so parallel sweeps are bit-identical to
-    serial ones.
+    the single knob.
     """
     if parameter not in SWEEPABLE:
         raise ValueError(f"cannot sweep {parameter!r}; choose from {SWEEPABLE}")
     if not values:
         raise ValueError("values must be non-empty")
-    specs = [
-        PolicySpec(
+    result = SweepResult(parameter=parameter)
+    for value in values:
+        spec = PolicySpec(
             name=f"faro-{objective}",
             options={"faro": {parameter: value}},
             label=f"faro-{objective}",
         )
-        for value in values
-    ]
-    if workers > 1:
-        from repro.api.parallel import run_policies_parallel
-
-        stats_list = run_policies_parallel(
-            scenario,
-            specs,
-            workers=workers,
-            trials=trials,
-            simulator=simulator,
-            seed=seed,
-            predictor_profile=predictor_profile,
-        )
-        result = SweepResult(parameter=parameter)
-        for value, stats in zip(values, stats_list):
-            result.add(value, stats)
-        return result
-    result = SweepResult(parameter=parameter)
-    for value, spec in zip(values, specs):
         stats = run_policy(
             scenario,
             spec,
@@ -179,9 +157,10 @@ def sweep_predictor(
 ) -> SweepResult:
     """Compare workload predictors feeding the same Faro controller.
 
-    ``persistence`` plans for the current rate only (the Fig. 16
-    "w/o prediction" rung); ``nhits`` is the paper's trained probabilistic
-    predictor.
+    ``nhits`` is the paper's trained probabilistic predictor;
+    ``persistence`` runs the same controller with the persistence
+    predictor (``use_trained_predictor=False``), which plans for the
+    current rate and trains nothing.
     """
     known = {"persistence", "nhits"}
     unknown = set(kinds) - known
@@ -189,31 +168,21 @@ def sweep_predictor(
         raise ValueError(f"unknown predictor kinds {sorted(unknown)}; choose from {sorted(known)}")
     if not kinds:
         raise ValueError("kinds must be non-empty")
-    from repro.experiments.ablation import ablation_policy_factory
-
     result = SweepResult(parameter="predictor")
     for kind in kinds:
-        if kind == "nhits":
-            stats = run_trials(
-                scenario,
-                f"faro-{objective}",
-                trials=trials,
-                simulator=simulator,
-                seed=seed,
-                predictor_profile=predictor_profile,
-            )
-        else:
-            # The "w/ hybrid" ablation rung is exactly Faro with the
-            # persistence predictor (everything else enabled except
-            # shrinking/probabilistic, which need a real predictor).
-            factory = ablation_policy_factory("w/ hybrid", objective=objective)
-            stats = run_trials(
-                scenario,
-                f"faro-{objective}-persistence",
-                trials=trials,
-                simulator=simulator,
-                seed=seed,
-                policy_factory=factory,
-            )
+        trained = kind == "nhits"
+        spec = PolicySpec(
+            name=f"faro-{objective}",
+            options={"use_trained_predictor": trained},
+            label=f"faro-{objective}" if trained else f"faro-{objective}-persistence",
+        )
+        stats = run_policy(
+            scenario,
+            spec,
+            trials=trials,
+            simulator=simulator,
+            seed=seed,
+            predictor_profile=predictor_profile,
+        )
         result.add(kind, stats)
     return result

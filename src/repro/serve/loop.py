@@ -45,7 +45,7 @@ from repro.api.runner import (
     _validate_spec,
     build_trial_simulation,
     derive_trial_seed,
-    make_policy,
+    make_policy_factory,
     start_scenario,
 )
 from repro.api.spec import ExperimentSpec
@@ -685,12 +685,10 @@ def _build_or_restore_loop(
     else:
         duration_limit = scenario.duration_minutes
     trial_seed = derive_trial_seed(exp.seed, trial)
-    policy = make_policy(
-        policy_spec,
-        scenario,
-        trial_seed,
-        predictor_profile=exp.predictor_profile,
+    _, policy_factory = make_policy_factory(
+        policy_spec, predictor_profile=exp.predictor_profile
     )
+    policy = policy_factory(scenario, trial_seed)
     harness = build_trial_simulation(
         scenario,
         policy,

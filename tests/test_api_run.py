@@ -1,10 +1,9 @@
-"""Run-engine tests: spec-driven runs reproduce the legacy entry points."""
+"""Run-engine tests: spec-driven runs reproduce per-policy runs."""
 
 import pytest
 
 from repro import api
 from repro.experiments.policies import PredictorProfile
-from repro.experiments.runner import compare_policies, run_trials
 
 TINY_PROFILE = PredictorProfile(epochs=1, max_windows=64)
 
@@ -46,7 +45,8 @@ def _tiny_spec(**overrides) -> api.ExperimentSpec:
 
 class TestEquivalence:
     def test_run_reproduces_compare_policies(self, tmp_path):
-        """Same seeds -> same summary stats as the legacy path (RS/SO/HO).
+        """Same seeds -> same summary stats as ``run_policy`` on the built
+        scenario, policy by policy (RS/SO/HO).
 
         The spec takes the full acceptance route: serialized to a file,
         reloaded with ``ExperimentSpec.from_file``, run via ``api.run``.
@@ -54,22 +54,20 @@ class TestEquivalence:
         path = _tiny_spec().to_file(tmp_path / "rs_so_ho.json")
         report = api.run(api.ExperimentSpec.from_file(path))
         for label in ("RS", "SO", "HO"):
-            spec = _scenario_spec(label)
-            scenario = spec.build()
-            legacy = compare_policies(
-                scenario,
-                list(POLICIES),
-                trials=1,
-                simulator="flow",
-                seed=0,
-                predictor_profile=TINY_PROFILE,
-            )
+            scenario = _scenario_spec(label).build()
             for policy in POLICIES:
                 via_api = report.get(f"tiny-{label}", policy)
-                via_legacy = legacy[policy]
-                assert via_api.lost_utility_mean == via_legacy.lost_utility_mean
-                assert via_api.lost_effective_mean == via_legacy.lost_effective_mean
-                assert via_api.violation_rate_mean == via_legacy.violation_rate_mean
+                via_policy = api.run_policy(
+                    scenario,
+                    policy,
+                    trials=1,
+                    simulator="flow",
+                    seed=0,
+                    predictor_profile=TINY_PROFILE,
+                )
+                assert via_api.lost_utility_mean == via_policy.lost_utility_mean
+                assert via_api.lost_effective_mean == via_policy.lost_effective_mean
+                assert via_api.violation_rate_mean == via_policy.violation_rate_mean
 
     def test_run_is_deterministic(self):
         spec = _tiny_spec()
@@ -81,18 +79,6 @@ class TestEquivalence:
                     a.get(scenario, policy).lost_utility_mean
                     == b.get(scenario, policy).lost_utility_mean
                 )
-
-    def test_trials_match_run_trials(self):
-        scenario = _scenario_spec("SO").build()
-        via_legacy = run_trials(
-            scenario, "fairshare", trials=2, simulator="flow", seed=3
-        )
-        via_api = api.run_policy(
-            scenario, "fairshare", trials=2, simulator="flow", seed=3
-        )
-        assert len(via_api.results) == 2
-        assert via_api.lost_utility_mean == via_legacy.lost_utility_mean
-        assert via_api.lost_utility_sd == via_legacy.lost_utility_sd
 
 
 class TestRunFromFile:

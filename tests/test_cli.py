@@ -37,6 +37,21 @@ class TestRun:
         assert code == 0
         assert "Cluster utility over time" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--size", "XL"], "error: unknown size 'XL'"),
+            (["--size", "0", "--jobs", "2"], "error: cluster of 0 replicas"),
+        ],
+    )
+    def test_bad_scenario_flags_exit_cleanly(self, flags, message, capsys):
+        code = main(["run", *flags])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+        assert captured.err.count("\n") == 1
+
 
 class TestSpecRun:
     def _write_spec(self, tmp_path):
@@ -251,6 +266,20 @@ class TestCompare:
         code = main(["compare", "--policies", " , ", "--jobs", "2", "--size", "6"])
         assert code == 2
         assert "at least one policy" in capsys.readouterr().err
+
+    def test_unknown_policy_fails_before_any_trial(self, capsys, monkeypatch):
+        from repro.api import runner
+
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial started")
+
+        monkeypatch.setattr(runner, "build_trial_simulation", no_trial)
+        code = main(["compare", "--policies", "fairshare,ghost", "--jobs", "2",
+                     "--size", "6"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unknown policy 'ghost'")
 
 
 class TestTraces:

@@ -3,13 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.api import get_registry
 from repro.experiments import (
-    ALL_BASELINES,
-    ALL_FARO_VARIANTS,
     CLUSTER_SIZES,
     format_table,
     kendall_tau_distance,
-    make_policy,
     paper_comparison_table,
     paper_scenario,
     rank_policies,
@@ -96,26 +94,30 @@ class TestReport:
 
 class TestPolicyFactory:
     def test_all_baselines_construct(self, tiny_scenario):
-        for name in ALL_BASELINES:
+        for name in get_registry().names(kind="baseline"):
             if name == "mark":
                 continue  # needs predictor training, covered below
-            policy = make_policy(name, tiny_scenario)
+            policy = get_registry().build(name, tiny_scenario)
             assert policy.tick_interval > 0
 
     def test_faro_variants_construct(self, tiny_scenario):
         profile = PredictorProfile(epochs=1, max_windows=64)
-        for name in ALL_FARO_VARIANTS[:2]:
-            policy = make_policy(name, tiny_scenario, predictor_profile=profile)
+        for name in get_registry().names(kind="faro")[:2]:
+            policy = get_registry().build(
+                name, tiny_scenario, options={"predictor_profile": profile}
+            )
             assert "Faro" in policy.name
 
     def test_mark_with_predictor(self, tiny_scenario):
         profile = PredictorProfile(epochs=1, max_windows=64)
-        policy = make_policy("mark", tiny_scenario, predictor_profile=profile)
+        policy = get_registry().build(
+            "mark", tiny_scenario, options={"predictor_profile": profile}
+        )
         assert policy.name.startswith("MArk")
 
     def test_unknown_policy(self, tiny_scenario):
         with pytest.raises(ValueError):
-            make_policy("chaos-monkey", tiny_scenario)
+            get_registry().build("chaos-monkey", tiny_scenario)
 
 
 class TestAblation:

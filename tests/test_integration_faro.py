@@ -8,6 +8,7 @@ the *direction* of the paper's results rather than exact numbers.
 import numpy as np
 import pytest
 
+from repro.api import run_policy
 from repro.cluster.job import InferenceJobSpec
 from repro.cluster.kubernetes import ResourceQuota
 from repro.cluster.models import ModelProfile
@@ -15,7 +16,6 @@ from repro.core.autoscaler import FaroAutoscaler, FaroConfig, JobSpec
 from repro.core.hybrid import HybridAutoscaler, ReactiveConfig
 from repro.core.optimizer import ClusterCapacity
 from repro.experiments import paper_scenario
-from repro.experiments.runner import run_trials
 from repro.sim.simulation import Simulation, SimulationConfig
 
 MODEL = ModelProfile(name="m", proc_time=0.18, proc_jitter=0.0)
@@ -29,12 +29,12 @@ def mini_scenario():
 
 @pytest.fixture(scope="module")
 def faro_stats(mini_scenario):
-    return run_trials(mini_scenario, "faro-fairsum", trials=1, seed=0)
+    return run_policy(mini_scenario, "faro-fairsum", trials=1, seed=0)
 
 
 @pytest.fixture(scope="module")
 def fairshare_stats(mini_scenario):
-    return run_trials(mini_scenario, "fairshare", trials=1, seed=0)
+    return run_policy(mini_scenario, "fairshare", trials=1, seed=0)
 
 
 class TestFaroVsFairShare:

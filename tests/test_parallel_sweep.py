@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import api
-from repro.api.parallel import plan_shards, run_policies_parallel
+from repro.api.parallel import plan_shards
 from repro.api.runner import RunReport, TrialStats
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -178,29 +178,6 @@ class TestPlanShards:
             plan_shards(spec, 2, trials_per_shard=0)
         with pytest.raises(ValueError):
             api.run_parallel(spec, workers=2, shard_order=[0])  # not a permutation
-
-
-class TestRunPoliciesParallel:
-    def test_matches_serial_run_policy(self):
-        spec = tiny_spec()
-        scenario = spec.scenarios[0].build()
-        policies = [api.PolicySpec(name="fairshare"), api.PolicySpec(name="aiad")]
-        serial = [
-            api.run_policy(
-                scenario,
-                p,
-                trials=2,
-                simulator="flow",
-                seed=0,
-            )
-            for p in policies
-        ]
-        parallel = run_policies_parallel(
-            scenario, policies, workers=2, trials=2, simulator="flow", seed=0
-        )
-        for s, p in zip(serial, parallel):
-            assert s.to_summary_dict() == p.to_summary_dict()
-            assert p.trial_indices == [0, 1]
 
 
 # ------------------------------------------------------- merge properties

@@ -1,10 +1,10 @@
-"""Experiment runner tests."""
+"""Trial-loop tests: ``execute_trials`` and ``run_policy``."""
 
 import numpy as np
 import pytest
 
+from repro.api.runner import TrialStats, execute_trials, run_policy
 from repro.experiments import paper_scenario
-from repro.experiments.runner import TrialStats, run_trials
 from repro.policy import AutoscalePolicy, ScalingDecision
 from repro.sim.recorder import JobSeries, SimulationResult
 
@@ -61,53 +61,43 @@ def tiny():
 
 class TestRunTrials:
     def test_policy_factory_hook(self, tiny):
-        stats = run_trials(
-            tiny,
-            "custom",
-            trials=2,
-            seed=0,
-            policy_factory=lambda sc, seed: FixedSharePolicy(3),
+        stats = execute_trials(
+            tiny, "custom", lambda sc, seed: FixedSharePolicy(3), trials=2, seed=0
         )
         assert len(stats.results) == 2
         assert stats.policy == "custom"
         assert 0.0 <= stats.violation_rate_mean <= 1.0
 
     def test_flow_simulator_selected(self, tiny):
-        stats = run_trials(
+        stats = execute_trials(
             tiny,
             "custom",
+            lambda sc, seed: FixedSharePolicy(3),
             trials=1,
             simulator="flow",
-            policy_factory=lambda sc, seed: FixedSharePolicy(3),
         )
         assert stats.results[0].metadata["simulator"] == "analytic-flow"
 
     def test_request_simulator_default(self, tiny):
-        stats = run_trials(
-            tiny,
-            "custom",
-            trials=1,
-            policy_factory=lambda sc, seed: FixedSharePolicy(3),
+        stats = execute_trials(
+            tiny, "custom", lambda sc, seed: FixedSharePolicy(3), trials=1
         )
         assert stats.results[0].metadata["simulator"] == "request-level"
 
     def test_unknown_simulator(self, tiny):
         with pytest.raises(ValueError):
-            run_trials(tiny, "fairshare", simulator="hardware")
+            run_policy(tiny, "fairshare", simulator="hardware")
 
     def test_trials_differ_by_seed(self, tiny):
-        stats = run_trials(
-            tiny,
-            "custom",
-            trials=2,
-            policy_factory=lambda sc, seed: FixedSharePolicy(3),
+        stats = execute_trials(
+            tiny, "custom", lambda sc, seed: FixedSharePolicy(3), trials=2
         )
         a, b = stats.results
         assert not np.array_equal(a.jobs[tiny.job_names[0]].arrivals,
                                   b.jobs[tiny.job_names[0]].arrivals)
 
     def test_baseline_by_name(self, tiny):
-        stats = run_trials(tiny, "fairshare", trials=1)
+        stats = run_policy(tiny, "fairshare", trials=1)
         assert stats.policy == "fairshare"
         result = stats.results[0]
         # FairShare splits 8 replicas over 2 jobs -> 4 each.

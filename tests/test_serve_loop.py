@@ -19,7 +19,11 @@ import pytest
 
 from repro import api
 from repro.api.journal import content_digest
-from repro.api.runner import build_trial_simulation, derive_trial_seed, make_policy
+from repro.api.runner import (
+    build_trial_simulation,
+    derive_trial_seed,
+    make_policy_factory,
+)
 from repro.experiments.policies import PredictorProfile
 from repro.serve import (
     CallbackSink,
@@ -264,12 +268,10 @@ class _SteppingClock(VirtualClock):
 def _build_loop(options, clock, fail_calls=()):
     scenario = _scenario_spec().build()
     seed = derive_trial_seed(0, 0)
-    policy = make_policy(
-        api.PolicySpec(name="fairshare"),
-        scenario,
-        seed,
-        predictor_profile=PROFILE,
+    _, factory = make_policy_factory(
+        api.PolicySpec(name="fairshare"), predictor_profile=PROFILE
     )
+    policy = factory(scenario, seed)
     harness = build_trial_simulation(
         scenario, policy, simulator="flow", trial_seed=seed
     )

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.experiments import paper_scenario
-from repro.experiments.runner import TrialStats
+from repro.api.runner import TrialStats
+from repro.experiments import paper_scenario, policies
 from repro.experiments.sweeps import (
     SweepResult,
     sweep_cold_start,
@@ -96,6 +96,20 @@ class TestSweepPredictor:
     def test_persistence_only(self, tiny_scenario):
         result = sweep_predictor(tiny_scenario, kinds=("persistence",))
         assert result.values == ["persistence"]
+
+    def test_persistence_trains_nothing(self, tiny_scenario, monkeypatch):
+        """The persistence arm is the nhits arm's controller without the
+        trained forecasters: it must not train N-HiTS."""
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("the persistence arm trained N-HiTS")
+
+        monkeypatch.setattr(policies, "_PREDICTOR_CACHE", {})
+        monkeypatch.setattr(policies.NHiTSForecaster, "fit_many", no_training)
+        result = sweep_predictor(tiny_scenario, kinds=("persistence",))
+        [stats] = result.stats
+        assert stats.policy == "faro-fairsum-persistence"
+        assert stats.results[0].policy_name.startswith("Faro")
 
     def test_unknown_kind_rejected(self, tiny_scenario):
         with pytest.raises(ValueError):
