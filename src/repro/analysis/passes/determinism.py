@@ -107,6 +107,7 @@ class DeterminismOptions:
         "repro.hetero",
         "repro.api.parallel",
         "repro.native",
+        "repro.core.trstlp",
     )
     #: The online-serving package: the strict rule (telemetry timers and
     #: sleeps flagged too) applies here, except in ``clock_modules``.

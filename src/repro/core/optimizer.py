@@ -53,6 +53,7 @@ Hot-path architecture (planner-latency engineering, §3.4 / Fig. 5):
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import os
@@ -65,7 +66,7 @@ from typing import Sequence
 import numpy as np
 from scipy import optimize as sciopt
 
-from repro.core import interp
+from repro.core import interp, trstlp
 from repro.core.objectives import ClusterObjective
 from repro.core.penalty import (
     penalty_multiplier,
@@ -1085,16 +1086,20 @@ def _solve_scipy(
     fun, counter = _negative_objective(problem)
     constraints = _constraint_functions(problem)
     options = {"maxiter": maxiter}
+    step = contextlib.nullcontext()
     if method == "cobyla":
         # Paper §5: initial variable change (rhobeg) of 2.
         options = {"maxiter": maxiter, "rhobeg": 2.0}
-    result = sciopt.minimize(
-        fun,
-        x0,
-        method=method.upper(),
-        constraints=constraints,
-        options=options,
-    )
+        # COBYLA's trust-region step on the compiled kernel, same bits.
+        step = trstlp.installed()
+    with step:
+        result = sciopt.minimize(
+            fun,
+            x0,
+            method=method.upper(),
+            constraints=constraints,
+            options=options,
+        )
     return np.asarray(result.x, dtype=float), float(-result.fun), counter["nfev"]
 
 

@@ -1,12 +1,15 @@
 """The one loader of the compiled kernels.
 
-Two hot paths run as C kernels next to their Python reference:
+Three hot paths run as C kernels next to their Python reference:
 
 - ``dispatch`` (:mod:`repro.cluster.dispatch`, ``cluster/dispatch.c``)
   routes request chunks exactly as ``JobRouter.offer`` does;
 - ``erlang`` (:mod:`repro.queueing.vectorized`, ``queueing/erlang.c``)
   builds the Erlang-C and M/D/c latency tables exactly as their numpy
-  loops do.
+  loops do;
+- ``trstlp`` (:mod:`repro.core.trstlp`, ``core/trstlp.c``) takes COBYLA's
+  trust-region step exactly as scipy's pyprima ``trstlp`` does, calling
+  numpy's bundled BLAS and LAPACK for every sum.
 
 Each client module wraps :func:`load` in its own ``kernel()`` under
 ``functools.cache``, so a kernel loads once per process, on first use.
@@ -27,6 +30,7 @@ client modules, never on anything that is pickled.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import platform
@@ -37,7 +41,7 @@ import warnings
 from pathlib import Path
 from typing import Any, Callable, TypeVar
 
-__all__ = ["CFLAGS", "KernelUnavailable", "load", "kernels", "state"]
+__all__ = ["CFLAGS", "KernelUnavailable", "host", "load", "kernels", "state"]
 
 #: Never fast-math and never contracted multiply-adds: a kernel must round
 #: exactly like its Python reference.
@@ -103,9 +107,61 @@ def state(kernel: Callable[[], object]) -> str | None:
 def kernels() -> dict[str, str | None]:
     """Run metadata ``metadata["kernels"]``: the :func:`state` of every kernel."""
     from repro.cluster import dispatch
+    from repro.core import trstlp
     from repro.queueing import vectorized
 
-    return {"dispatch": state(dispatch.kernel), "erlang": state(vectorized.kernel)}
+    return {
+        "dispatch": state(dispatch.kernel),
+        "erlang": state(vectorized.kernel),
+        "trstlp": state(trstlp.kernel),
+    }
+
+
+def host() -> dict[str, object]:
+    """Run metadata ``metadata["platform"]``: what sets a kernel's bits here.
+
+    The digest pins hold on one class of CPU: the ``trstlp`` kernel takes
+    its sums from OpenBLAS's choice of kernels, and numpy and glibc pick
+    their vector loops by CPU too.  So a pin that moves on another host can
+    be told apart by three facts, each ``None`` when it cannot be read:
+
+    - ``openblas_core``: the core OpenBLAS picked (``"SkylakeX"``, ...);
+    - ``numpy_targets``: numpy's active CPU dispatch targets;
+    - ``glibc``: the C library's version (``"glibc 2.36"``).
+
+    Read once per process; the result is a fresh copy every time.
+    """
+    facts = _host_facts()
+    targets = facts["numpy_targets"]
+    return {**facts, "numpy_targets": None if targets is None else list(targets)}
+
+
+@functools.cache
+def _host_facts() -> dict[str, object]:
+    import ctypes
+
+    import numpy as np
+
+    try:
+        blas = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        corename = blas.scipy_openblas_get_corename64_
+        corename.argtypes = []
+        corename.restype = ctypes.c_char_p
+        core = corename()
+        core = core.decode() if core else None
+    except (AttributeError, OSError):
+        core = None
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+        targets = tuple(t for t in __cpu_dispatch__ if __cpu_features__.get(t))
+    except (ImportError, AttributeError):
+        targets = None
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        libc = None
+    return {"openblas_core": core, "numpy_targets": targets, "glibc": libc}
 
 
 def _build(name: str, source: Path) -> Path:

@@ -349,7 +349,10 @@ class SimHarness:
         """The metadata fields every backend records identically.
 
         ``kernels`` says which compiled kernels this process has loaded
-        (:func:`repro.native.kernels`; reading it never loads one).
+        (:func:`repro.native.kernels`; reading it never loads one), and
+        ``platform`` the BLAS core, numpy CPU targets and C library they ran
+        on (:func:`repro.native.host`), so a digest that moves on another
+        host explains itself.
         """
         metadata = {
             "duration_minutes": self.duration_minutes,
@@ -358,6 +361,7 @@ class SimHarness:
             "quota_cpus": self.quota.cpus,
             "simulator": self.fidelity_label,
             "kernels": native.kernels(),
+            "platform": native.host(),
         }
         if self.device_pool is not None:
             metadata.update(self.device_pool.metadata())

@@ -483,7 +483,7 @@ class TestTablesGate:
 
         root = Path(__file__).resolve().parent.parent
         mod = self.load_check_perf()
-        baseline = mod.load_tables_baseline(root / "results" / "BENCH_tables.json")
+        baseline = mod.load_kernel_baseline(root / "results" / "BENCH_tables.json")
         assert baseline["identical"] and baseline["gated_speedup"] == 3.0
         assert baseline["kernel"] == "c"
 
@@ -491,7 +491,33 @@ class TestTablesGate:
         path = tmp_path / "BENCH_tables.json"
         path.write_text('{"identical": true}')
         with pytest.raises(ValueError, match="missing"):
-            self.load_check_perf().load_tables_baseline(path)
+            self.load_check_perf().load_kernel_baseline(path)
+
+
+class TestTrstlpGate:
+    load_check_perf = TestUnpairedBaselines.load_check_perf
+
+    def test_gates_each_shape_against_the_checked_in_floor(self):
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parent.parent
+        mod = self.load_check_perf()
+        baseline = mod.load_kernel_baseline(root / "results" / "BENCH_trstlp.json")
+        assert baseline["identical"] and baseline["gated_speedup"] == 5.0
+        assert baseline["kernel"] == "c"
+        measured = {
+            "identical": True,
+            "shapes": [
+                {"workload": "headline", "shape": "10x22", "speedup": 60.0},
+                {"workload": "serve-stream", "shape": "20x42", "speedup": 1.01},
+            ],
+        }
+        rows, ok = mod.compare_trstlp(baseline, measured)
+        assert [row[0] for row in rows] == [
+            "trstlp/identity", "trstlp/headline 10x22", "trstlp/serve-stream 20x42",
+        ]
+        # A kernel that fell back to pyprima times pyprima against itself.
+        assert not ok and rows[2][-1].startswith("REGRESSED")
 
 
 # -------------------------------------------------- run_checks umbrella

@@ -138,6 +138,20 @@ class TestDeterminism:
         assert len(findings) == 1
         assert "repro.native" in findings[0].message
 
+    def test_wall_clock_flagged_in_trstlp_kernel(self):
+        # The trust-region kernel takes every COBYLA step of a Faro solve,
+        # but repro.core as a whole times its solves.
+        findings = lint(
+            """
+            import time
+            stamp = time.time()
+            """,
+            "determinism",
+            module="repro.core.trstlp",
+        )
+        assert len(findings) == 1
+        assert "repro.core.trstlp" in findings[0].message
+
     def test_perf_counter_allowed_on_sim_path(self):
         # Telemetry timers time solves, they never steer them.
         assert not lint(

@@ -17,6 +17,7 @@ BENCH_DIR = ROOT / "benchmarks"
 #: Kept in sync with benchmarks/ by ``test_every_bench_is_covered``.
 BENCHES = [
     "bench_ablation_knobs.py",
+    "bench_cobyla_trstlp.py",
     "bench_ext_extensions.py",
     "bench_fig01_motivation.py",
     "bench_fig02_cilantro.py",

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Perf gates: optimizer hot path, sweeps, sim backends, scenario builds, training, tables.
+"""Perf gates: optimizer hot path, sweeps, sim backends, scenario builds, training, kernels.
 
-Seven benches run in-process and compare against checked-in baselines:
+Eight benches run in-process and compare against checked-in baselines:
 
 - the allocation hot-path micro-benchmark
   (``benchmarks/bench_optimizer_hotpath.py`` vs
@@ -49,7 +49,14 @@ Seven benches run in-process and compare against checked-in baselines:
   (``queueing/erlang.c``) must build tables byte-identical to the numpy
   loops (unconditional) and keep the gated speedup over them at each e2e
   workload's table shape.  Like the training gate, it gates only a ratio
-  taken within one process.
+  taken within one process;
+- the trust-region step bench (``benchmarks/bench_cobyla_trstlp.py`` vs
+  ``results/BENCH_trstlp.json``): the compiled ``trstlp`` kernel
+  (``core/trstlp.c``) must return steps byte-identical to scipy's pyprima
+  ``trstlp`` on every input a Faro-shaped COBYLA solve hands it
+  (unconditional) and keep the gated speedup over it at each e2e
+  workload's shape, again as a ratio taken within one process.  A kernel
+  that silently fell back to pyprima reads about 1x and fails.
 
 Run next to the tier-1 verify command:
 
@@ -586,32 +593,36 @@ def compare_forecast(baseline: dict, measured: dict) -> tuple[list[tuple], bool]
     return rows, identical and fast
 
 
-def load_tables_baseline(path: Path) -> dict:
+def load_kernel_baseline(path: Path) -> dict:
+    """A compiled-kernel baseline (``BENCH_tables.json``, ``BENCH_trstlp.json``)."""
     return load_forecast_baseline(path, keys=("shapes", "identical", "gated_speedup"))
 
 
-def compare_tables(baseline: dict, measured: dict) -> tuple[list[tuple], bool]:
-    """Gate rows for the latency-table bench; same row shape as :func:`compare`.
+def _compare_kernel(
+    name: str, reference: str, label, baseline: dict, measured: dict
+) -> tuple[list[tuple], bool]:
+    """Gate rows for a compiled-kernel bench; same row shape as :func:`compare`.
 
     As in :func:`compare_forecast`, the identity is absolute and each
-    speedup is a ratio of two timings taken in one process.
+    speedup, one per measured shape (``label`` names it), is a ratio of
+    two timings taken in one process.
     """
     identical = bool(measured.get("identical"))
     rows = [
         (
-            "tables/identity",
+            f"{name}/identity",
             "bytes",
-            "== numpy",
-            "== numpy" if identical else "DIVERGED",
-            "ok" if identical else "REGRESSED (the kernel changed a table)",
+            f"== {reference}",
+            f"== {reference}" if identical else "DIVERGED",
+            "ok" if identical else "REGRESSED (the kernel changed its output)",
         )
     ]
     ok = identical
     required = baseline["gated_speedup"]
     shapes = measured.get("shapes") or []
     if not shapes:
-        rows.append(("tables", "speedup", f">= {required:.1f}x", "-",
-                     "REGRESSED (no table shapes measured)"))
+        rows.append((name, "speedup", f">= {required:.1f}x", "-",
+                     "REGRESSED (no shapes measured)"))
         ok = False
     for shape in shapes:
         speedup = shape.get("speedup", 0.0)
@@ -619,8 +630,7 @@ def compare_tables(baseline: dict, measured: dict) -> tuple[list[tuple], bool]:
         ok = ok and fast
         rows.append(
             (
-                f"tables/{shape['workload']} "
-                f"{shape['scenarios']}x{shape['max_servers']}",
+                f"{name}/{label(shape)}",
                 "speedup",
                 f">= {required:.1f}x",
                 f"{speedup:.2f}x",
@@ -628,6 +638,24 @@ def compare_tables(baseline: dict, measured: dict) -> tuple[list[tuple], bool]:
             )
         )
     return rows, ok
+
+
+def compare_tables(baseline: dict, measured: dict) -> tuple[list[tuple], bool]:
+    """Gate rows for the latency-table bench (:func:`_compare_kernel`)."""
+    return _compare_kernel(
+        "tables", "numpy",
+        lambda shape: f"{shape['workload']} {shape['scenarios']}x{shape['max_servers']}",
+        baseline, measured,
+    )
+
+
+def compare_trstlp(baseline: dict, measured: dict) -> tuple[list[tuple], bool]:
+    """Gate rows for the trust-region step bench (:func:`_compare_kernel`)."""
+    return _compare_kernel(
+        "trstlp", "pyprima",
+        lambda shape: f"{shape['workload']} {shape['shape']}",
+        baseline, measured,
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -746,9 +774,11 @@ def main(argv: list[str] | None = None) -> int:
 
     forecast_baseline_path = REPO_ROOT / "results" / "BENCH_forecast.json"
     tables_baseline_path = REPO_ROOT / "results" / "BENCH_tables.json"
+    trstlp_baseline_path = REPO_ROOT / "results" / "BENCH_trstlp.json"
     for path, bench in (
         (forecast_baseline_path, "bench_forecast_train.py"),
         (tables_baseline_path, "bench_queueing_tables.py"),
+        (trstlp_baseline_path, "bench_cobyla_trstlp.py"),
     ):
         if not path.exists():
             print(
@@ -779,7 +809,8 @@ def main(argv: list[str] | None = None) -> int:
         if run_hetero_gate and args.hetero_baseline.exists():
             hetero_baseline = load_hetero_baseline(args.hetero_baseline)
         forecast_baseline = load_forecast_baseline(forecast_baseline_path)
-        tables_baseline = load_tables_baseline(tables_baseline_path)
+        tables_baseline = load_kernel_baseline(tables_baseline_path)
+        trstlp_baseline = load_kernel_baseline(trstlp_baseline_path)
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: cannot read baseline: {exc}", file=sys.stderr)
         return 2
@@ -938,6 +969,21 @@ def main(argv: list[str] | None = None) -> int:
         )
     )
 
+    from benchmarks.bench_cobyla_trstlp import run_trstlp_bench
+
+    print(f"\nrunning trust-region step bench (baseline: {trstlp_baseline_path}) ...")
+    trstlp_measured = run_trstlp_bench()
+    trstlp_rows, trstlp_ok = compare_trstlp(trstlp_baseline, trstlp_measured)
+    ok = ok and trstlp_ok
+    print()
+    print(
+        format_table(
+            ["point", "metric", "baseline", "measured", "verdict"],
+            trstlp_rows,
+            title="== COBYLA trust-region step kernel perf gate ==",
+        )
+    )
+
     if args.write:
         args.baseline.write_text(json.dumps({"points": measured}, indent=2) + "\n")
         print(f"\nwrote new baseline to {args.baseline}")
@@ -965,6 +1011,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wrote new baseline to {forecast_baseline_path}")
         tables_baseline_path.write_text(json.dumps(tables_measured, indent=2) + "\n")
         print(f"wrote new baseline to {tables_baseline_path}")
+        trstlp_baseline_path.write_text(json.dumps(trstlp_measured, indent=2) + "\n")
+        print(f"wrote new baseline to {trstlp_baseline_path}")
 
     if not ok:
         print(
