@@ -1,10 +1,10 @@
 """Metrics collection (the paper's modified Ray Router exports, §5).
 
 Per job the collector aggregates request outcomes into fixed-size time bins
-(default 15 s) holding arrivals, drops, SLO violations and latency samples.
-From the bins it derives:
+(default 15 s; a minute must hold a whole number of them) holding arrivals,
+drops, SLO violations and latency samples.  From the bins it derives:
 
-- recent observations for the control loop (:meth:`observation`),
+- recent observations for the control loop (:meth:`observation_fields`),
 - per-minute arrival-rate history for time-series predictors
   (:meth:`rate_history`), and
 - per-minute evaluation series (violation rate, p99 latency, utility) for
@@ -12,28 +12,63 @@ From the bins it derives:
 
 Dropped requests count as SLO violations with infinite latency, matching
 the paper's metric definitions (§6 "Metrics").
+
+The bins are numpy arrays, filled in place either by :meth:`record`, one
+request at a time, or by the compiled dispatch kernel of
+:mod:`repro.cluster.dispatch`, which records each request of a chunk as it
+routes it, with :meth:`record`'s exact steps:
+
+- ``_counts``: one row per bin of arrivals, drops, violations, and the
+  number of latencies stored up to and including the bin;
+- ``_proc_sums``: per bin, the collector's ``proc_time`` added once per
+  served request, so the sum rounds as :meth:`record`'s additions do;
+- ``_minutes``: arrivals per minute, so :meth:`rate_history` is a slice;
+- ``_latencies``: every served latency in arrival order, so the latencies
+  of a run of bins are one slice, cut at the bins' cumulative ends;
+- ``_fill``: the number of bins opened and of latencies stored.
+
+So outcomes must be recorded in time order: one in a bin before the latest
+recorded bin raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.penalty import penalty_multiplier
 from repro.core.utility import SLO, inverse_utility
 
-__all__ = ["MinuteStats", "MetricsCollector"]
+__all__ = ["MinuteStats", "MetricsCollector", "bins_per_minute"]
+
+#: The columns of ``MetricsCollector._counts`` (``dispatch.c`` uses the same).
+ARRIVALS, DROPS, VIOLATIONS, LATENCY_END = range(4)
 
 
-@dataclass
-class _Bin:
-    arrivals: int = 0
-    drops: int = 0
-    violations: int = 0
-    latencies: list[float] = field(default_factory=list)
-    proc_time_sum: float = 0.0
+def bins_per_minute(bin_seconds: float, name: str = "bin_seconds") -> int:
+    """The number of ``bin_seconds`` bins in a minute.
+
+    Raises ``ValueError`` naming ``name`` unless ``bin_seconds`` is
+    positive and divides 60 s into a whole number of bins: per-minute rates
+    sum whole bins, so a bin across a minute edge would count its arrivals
+    in one minute only (25 s bins read 0.833 req/s from a steady 1 req/s).
+    """
+    count = round(60.0 / bin_seconds) if bin_seconds > 0 else 0
+    if count < 1 or count * bin_seconds != 60.0:
+        raise ValueError(
+            f"{name} must be positive and divide 60 s into a whole number of "
+            f"bins, got {bin_seconds}"
+        )
+    return count
+
+
+def _grown(array: np.ndarray, length: int) -> np.ndarray:
+    """A zero-padded copy of ``array`` with ``length`` rows."""
+    grown = np.zeros((length,) + array.shape[1:], dtype=array.dtype)
+    grown[: array.shape[0]] = array
+    return grown
 
 
 @dataclass(frozen=True)
@@ -62,8 +97,7 @@ class MetricsCollector:
         alpha: float = 1.0,
         history_prefix: np.ndarray | None = None,
     ) -> None:
-        if bin_seconds <= 0:
-            raise ValueError(f"bin_seconds must be positive, got {bin_seconds}")
+        self.bins_per_minute = bins_per_minute(bin_seconds)
         self.job_name = job_name
         self.slo = slo
         self.proc_time = proc_time
@@ -75,116 +109,115 @@ class MetricsCollector:
         self.history_prefix = (
             np.asarray(history_prefix, dtype=float) if history_prefix is not None else None
         )
-        self._bins: dict[int, _Bin] = {}
+        self._counts = np.zeros((0, 4), dtype=np.int64)
+        self._proc_sums = np.zeros(0)
+        self._minutes = np.zeros(0, dtype=np.int64)
+        self._latencies = np.zeros(0)
+        self._fill = np.zeros(2, dtype=np.int64)
         #: Synthetic per-minute rates (requests/second) for minutes this
         #: collector never observed -- seeded by the hybrid backend when a
         #: job is promoted to request fidelity mid-run, so predictors are
         #: not blinded by the empty pre-promotion history.  Consulted by
-        #: :meth:`rate_history` only where no real bins exist; never
+        #: :meth:`rate_history` only where no arrivals were recorded; never
         #: contributes to :meth:`minute_stats` or observations.
         self._rate_backfill: dict[int, float] = {}
+
+    def _reserve(self, last_arrival: float, latencies: int) -> None:
+        """Room for the bins up to ``last_arrival``'s and ``latencies`` more."""
+        minutes = int(last_arrival // self.bin_seconds) // self.bins_per_minute + 1
+        if minutes > self._minutes.shape[0]:
+            minutes = max(minutes, 2 * self._minutes.shape[0])
+            self._counts = _grown(self._counts, minutes * self.bins_per_minute)
+            self._proc_sums = _grown(self._proc_sums, minutes * self.bins_per_minute)
+            self._minutes = _grown(self._minutes, minutes)
+        stored = int(self._fill[1]) + latencies
+        if stored > self._latencies.shape[0]:
+            self._latencies = _grown(self._latencies, max(stored, 2 * self._latencies.shape[0]))
 
     # ------------------------------------------------------------- record
 
     def record(self, arrival_time: float, latency: float, proc_time: float | None = None) -> None:
         """Record one request outcome (``latency = inf`` for drops)."""
         index = int(arrival_time // self.bin_seconds)
-        bin_ = self._bins.setdefault(index, _Bin())
-        bin_.arrivals += 1
+        opened, stored = self._fill.tolist()
+        if index < max(opened - 1, 0):
+            raise ValueError(
+                f"outcomes must be recorded in time order from t=0: arrival "
+                f"{arrival_time} falls in bin {index}, before bin {max(opened - 1, 0)}"
+            )
+        if index >= self._counts.shape[0] or stored == self._latencies.shape[0]:
+            self._reserve(arrival_time, 1)
+        counts = self._counts
+        if index >= opened:
+            counts[opened : index + 1, LATENCY_END] = stored
+            self._fill[0] = index + 1
+        row = counts[index]
+        row[ARRIVALS] += 1
+        self._minutes[index // self.bins_per_minute] += 1
         if math.isinf(latency):
-            bin_.drops += 1
-            bin_.violations += 1
+            row[DROPS] += 1
+            row[VIOLATIONS] += 1
             return
         if latency > self.slo.target:
-            bin_.violations += 1
-        bin_.latencies.append(latency)
-        bin_.proc_time_sum += proc_time if proc_time is not None else self.proc_time
-
-    def record_many(self, arrival_times, latencies) -> None:
-        """Record a batch of request outcomes (``inf`` latency = drop).
-
-        Bit-identical to calling :meth:`record` once per request in order
-        (pinned by ``tests/test_sim_backends.py``): counts are exact, bin
-        latency lists receive the same values in the same order, and the
-        per-bin ``proc_time_sum`` is accumulated with the same sequential
-        additions (one per served request, in order) so not even
-        floating-point rounding can differ.
-        """
-        arrival_times = np.asarray(arrival_times, dtype=float)
-        latencies = np.asarray(latencies, dtype=float)
-        n = arrival_times.shape[0]
-        if n == 0:
-            return
-        indices = (arrival_times // self.bin_seconds).astype(np.int64)
-        # Arrivals come in nondecreasing time order, so equal bins form
-        # contiguous runs; processing runs in order preserves the exact
-        # per-bin append/accumulate order of the scalar path.  (Out-of-order
-        # input still lands in the right bins -- later runs of a repeated
-        # bin just append after earlier ones, as record() would.)
-        boundaries = np.flatnonzero(indices[1:] != indices[:-1]) + 1
-        run_starts = [0, *boundaries.tolist()]
-        run_ends = [*boundaries.tolist(), n]
-        slo_target = self.slo.target
-        proc_time = self.proc_time
-        for start, end in zip(run_starts, run_ends):
-            bin_ = self._bins.setdefault(int(indices[start]), _Bin())
-            count = end - start
-            bin_.arrivals += count
-            window = latencies[start:end]
-            # inf > target is True, so this counts drops and slow requests
-            # in one comparison (record() counts a drop as a violation).
-            bin_.violations += int(np.count_nonzero(window > slo_target))
-            drops = int(np.count_nonzero(np.isinf(window)))
-            if drops:
-                bin_.drops += drops
-                window = window[np.isfinite(window)]
-            served = window.shape[0]
-            if served:
-                bin_.latencies.extend(window.tolist())
-                # Repeated addition is not multiplication in floating
-                # point: accumulate exactly as record() would have.
-                total = bin_.proc_time_sum
-                for _ in range(served):
-                    total += proc_time
-                bin_.proc_time_sum = total
+            row[VIOLATIONS] += 1
+        self._latencies[stored] = latency
+        self._fill[1] = row[LATENCY_END] = stored + 1
+        self._proc_sums[index] += proc_time if proc_time is not None else self.proc_time
 
     # -------------------------------------------------------- observation
 
-    def _bins_in(self, start: float, end: float) -> list[_Bin]:
-        first = int(start // self.bin_seconds)
-        last = int(math.ceil(end / self.bin_seconds))
-        return [self._bins[i] for i in range(first, last) if i in self._bins]
+    def _bin_range(self, start: float, end: float) -> tuple[int, int]:
+        """Bins ``[first, last)`` of the window ``[start, end)``, widened
+        outward to whole bins."""
+        first = max(int(start // self.bin_seconds), 0)
+        return first, max(int(math.ceil(end / self.bin_seconds)), first)
 
-    def window_latency_percentile(self, start: float, end: float) -> float:
-        """SLO-percentile latency over [start, end); drops count as inf."""
-        bins = self._bins_in(start, end)
-        latencies: list[float] = []
-        drops = 0
-        for bin_ in bins:
-            latencies.extend(bin_.latencies)
-            drops += bin_.drops
-        total = len(latencies) + drops
+    def _percentile(self, last: int, served: int, drops: int) -> float:
+        """SLO-percentile latency of the bins before ``last`` that hold the
+        last ``served`` latencies and ``drops`` drops; drops count as inf."""
+        opened, hi = self._fill.tolist()
+        if last < opened:
+            hi = int(self._counts[last - 1, LATENCY_END]) if last else 0
+        lo = hi - served
+        total = served + drops
         if total == 0:
             return 0.0
         rank = self.slo.quantile * total
-        if rank > len(latencies):
+        if rank > served:
             return math.inf
-        ordered = np.sort(np.asarray(latencies))
-        index = min(max(int(math.ceil(rank)) - 1, 0), len(ordered) - 1)
-        return float(ordered[index])
+        # The order statistic a full sort would put at this index.
+        index = min(max(int(math.ceil(rank)) - 1, 0), served - 1)
+        return float(np.partition(self._latencies[lo:hi], index)[index])
+
+    def _totals(self, first: int, last: int) -> list[int]:
+        """Arrivals, drops and violations in bins ``[first, last)``."""
+        return self._counts[first:last, :LATENCY_END].sum(axis=0).tolist()
+
+    def window_latency_percentile(self, start: float, end: float) -> float:
+        """SLO-percentile latency over [start, end); drops count as inf."""
+        first, last = self._bin_range(start, end)
+        arrivals, drops, _ = self._totals(first, last)
+        return self._percentile(last, arrivals - drops, drops)
 
     def observation_fields(self, start: float, end: float) -> dict:
-        """Raw aggregates over [start, end) for building JobObservation."""
-        bins = self._bins_in(start, end)
-        arrivals = sum(b.arrivals for b in bins)
-        drops = sum(b.drops for b in bins)
-        violations = sum(b.violations for b in bins)
+        """Raw aggregates over [start, end) for building JobObservation.
+
+        The aggregates cover every bin that ``[start, end)`` touches: the
+        window is widened outward to whole bins, while ``arrival_rate``
+        still divides by ``end - start``.  With 15 s bins and a 10 s control
+        tick, ``[now - 60, now)`` then holds 60, 70 or 65 s of arrivals in
+        rotation (``now`` = 60, 70, 80, ...): a steady 10 req/s reads
+        ``arrival_rate`` 10.0, 11.667 and 10.833, and the latency and
+        violation aggregates cover the same 60-70 s.
+        """
+        first, last = self._bin_range(start, end)
+        arrivals, drops, violations = self._totals(first, last)
         served = arrivals - drops
-        proc_sum = sum(b.proc_time_sum for b in bins)
+        proc_sum = sum(self._proc_sums[first:last].tolist())
         duration = max(end - start, 1e-9)
         return {
             "arrival_rate": arrivals / duration,
-            "latency": self.window_latency_percentile(start, end),
+            "latency": self._percentile(last, served, drops),
             "slo_violation_rate": violations / arrivals if arrivals else 0.0,
             "mean_proc_time": proc_sum / served if served else self.proc_time,
             "drop_rate": drops / arrivals if arrivals else 0.0,
@@ -195,29 +228,27 @@ class MetricsCollector:
 
         This is the series fed to time-series predictors; requests/second
         units keep it consistent with the optimizer's latency models.
+        Minutes before t=0 come from the history prefix (0 where it has
+        none); a minute without arrivals takes its backfilled rate, if any.
         """
         if minutes < 1:
             raise ValueError(f"minutes must be >= 1, got {minutes}")
-        bins_per_minute = max(int(round(60.0 / self.bin_seconds)), 1)
-        current_minute = int(now // 60.0)
+        current = int(now // 60.0)
+        lo = current - minutes
         rates = np.zeros(minutes)
         prefix = self.history_prefix
-        for offset in range(minutes):
-            minute = current_minute - minutes + offset
-            if minute < 0:
-                if prefix is not None and prefix.shape[0] + minute >= 0:
-                    rates[offset] = prefix[prefix.shape[0] + minute]
-                continue
-            first_bin = minute * bins_per_minute
-            total = sum(
-                self._bins[first_bin + k].arrivals
-                for k in range(bins_per_minute)
-                if (first_bin + k) in self._bins
-            )
-            if total == 0 and minute in self._rate_backfill:
-                rates[offset] = self._rate_backfill[minute]
-            else:
-                rates[offset] = total / 60.0
+        if lo < 0 and prefix is not None:
+            first = max(lo, -prefix.shape[0])
+            stop = min(current, 0)
+            if stop > first:
+                rates[first - lo : stop - lo] = prefix[prefix.shape[0] + first : prefix.shape[0] + stop]
+        observed = max(lo, 0)
+        counts = self._minutes[observed:current]
+        start = observed - lo
+        np.divide(counts, 60.0, out=rates[start : start + counts.shape[0]])
+        for minute, rate in self._rate_backfill.items():
+            if observed <= minute < current and not rates[minute - lo]:
+                rates[minute - lo] = rate
         return rates
 
     def backfill_rate_history(self, minute_rates: dict[int, float]) -> None:
@@ -226,7 +257,7 @@ class MetricsCollector:
         Hybrid fidelity promotion calls this with the offered trace rates
         of the minutes the job spent on the analytic side, so
         :meth:`rate_history` stays informative across the fidelity switch.
-        Backfill never overrides minutes with real recorded bins.
+        Backfill never overrides minutes with recorded arrivals.
         """
         for minute, rate in minute_rates.items():
             self._rate_backfill[int(minute)] = float(rate)
@@ -235,20 +266,15 @@ class MetricsCollector:
 
     def minute_stats(self, minute: int) -> MinuteStats:
         """Evaluation aggregates for one whole minute."""
-        start, end = minute * 60.0, (minute + 1) * 60.0
-        bins = self._bins_in(start, end)
-        arrivals = sum(b.arrivals for b in bins)
-        drops = sum(b.drops for b in bins)
-        violations = sum(b.violations for b in bins)
-        latency = self.window_latency_percentile(start, end)
+        first, last = self._bin_range(minute * 60.0, (minute + 1) * 60.0)
+        arrivals, drops, violations = self._totals(first, last)
+        latency = self._percentile(last, arrivals - drops, drops)
         if arrivals == 0:
             utility = 1.0  # An idle job trivially meets its SLO.
             violation_rate = 0.0
         else:
             utility = inverse_utility(latency, self.slo.target, alpha=self.alpha)
             violation_rate = violations / arrivals
-        from repro.core.penalty import penalty_multiplier
-
         drop_fraction = drops / arrivals if arrivals else 0.0
         effective = penalty_multiplier(drop_fraction) * utility
         return MinuteStats(
@@ -261,10 +287,3 @@ class MetricsCollector:
             utility=utility,
             effective_utility=effective,
         )
-
-    def trim_before(self, time_s: float) -> None:
-        """Drop bins older than ``time_s`` (bound long-run memory)."""
-        cutoff = int(time_s // self.bin_seconds)
-        stale = [i for i in self._bins if i < cutoff]
-        for index in stale:
-            del self._bins[index]

@@ -131,16 +131,14 @@ class RayServeCluster:
         return latency
 
     def offer_chunk(self, job_name: str, chunk: "np.ndarray") -> None:
-        """Route one chunk of arrivals and record every outcome.
+        """Route one chunk of arrivals (nondecreasing times) and record
+        every outcome.
 
         Bit-identical to calling :meth:`offer` per arrival in order (see
-        :meth:`JobRouter.offer_many` and
-        :meth:`~repro.cluster.metrics.MetricsCollector.record_many`), but
-        routes and records in two batch passes instead of 2N calls.
+        :meth:`JobRouter.offer_many`), but one compiled kernel call routes
+        and records the whole chunk.
         """
-        chunk = np.asarray(chunk, dtype=float)
-        latencies = self.routers[job_name].offer_many(chunk)
-        self.metrics[job_name].record_many(chunk, latencies)
+        self.routers[job_name].offer_many(chunk, self.metrics[job_name])
 
     def total_replicas(self) -> int:
         return sum(router.replica_count for router in self.routers.values())

@@ -10,37 +10,36 @@ starts on scale-up and graceful draining on scale-down.
 Implementation: a *virtual-time* router.  Because service is (near-)
 deterministic and dispatch is FIFO/work-conserving, a request's start time
 is fully determined at arrival: it runs on the replica that frees up
-earliest.  The router therefore keeps a heap of per-replica free times
-instead of simulating per-request events, which is exact for this
-discipline and roughly an order of magnitude faster -- the property that
-makes trace-driven, day-long multi-policy sweeps tractable in pure Python.
+earliest, the one with the smallest ``(free_at, id)``.  The router
+therefore keeps per-replica free times instead of simulating per-request
+events, which is exact for this discipline and roughly an order of
+magnitude faster -- the property that makes trace-driven, day-long
+multi-policy sweeps tractable.
+
+The state is numpy arrays, so that the compiled kernel of
+:mod:`repro.cluster.dispatch` can route a whole chunk in place: the pool is
+four arrays in replica-id order (``free_at``, ``ready_at``, ids and
+requests served), and the start times of accepted requests that have not
+started form a ring with its head and length.  The scalar
+:meth:`JobRouter.offer` reads and writes the same arrays; it is the
+kernel's reference and its fallback.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.cluster import dispatch
 from repro.cluster.models import ModelProfile
 
-__all__ = ["Replica", "RouterTotals", "JobRouter"]
+if TYPE_CHECKING:
+    from repro.cluster.metrics import MetricsCollector
 
-
-@dataclass
-class Replica:
-    """Bookkeeping for one Ray Serve replica (worker pod)."""
-
-    replica_id: int
-    ready_at: float
-    free_at: float
-    served: int = 0
-    active: bool = True
+__all__ = ["RouterTotals", "JobRouter"]
 
 
 @dataclass
@@ -92,23 +91,45 @@ class JobRouter:
         self.vector_requests = 0
         self.scalar_requests = 0
         self._rng = np.random.default_rng(seed)
-        self._ids = itertools.count()
-        self._replicas: dict[int, Replica] = {}
-        self._free_heap: list[tuple[float, int]] = []
-        # Start times of accepted-but-not-yet-started requests.  Starts are
-        # assigned in nondecreasing order (FIFO + earliest-free dispatch), so
-        # a deque with front-expiry gives the exact router queue length.
-        self._pending_starts: deque[float] = deque()
-        for _ in range(initial_replicas):
-            self._add_replica(ready_at=0.0)
+        self._next_id = 0
+        # The pool, in replica-id order.
+        self._free_at = np.zeros(0)
+        self._ready_at = np.zeros(0)
+        self._ids = np.zeros(0, dtype=np.int64)
+        self._served = np.zeros(0, dtype=np.int64)
+        # No replica is still cold-starting from this time on.
+        self._all_ready_at = 0.0
+        # Start times of accepted-but-not-yet-started requests: a ring whose
+        # head is _pending[_queue[0]] and whose length is _queue[1].  Starts
+        # are assigned in nondecreasing order (FIFO + earliest-free
+        # dispatch), so front expiry gives the exact router queue length,
+        # which never exceeds the threshold; the ring grows up to it.
+        self._pending = np.zeros(min(queue_threshold, 64))
+        self._queue = np.zeros(2, dtype=np.int64)
+        self._add_replicas([0.0] * initial_replicas)
 
     # ----------------------------------------------------------- replicas
 
-    def _add_replica(self, ready_at: float) -> Replica:
-        replica = Replica(replica_id=next(self._ids), ready_at=ready_at, free_at=ready_at)
-        self._replicas[replica.replica_id] = replica
-        heapq.heappush(self._free_heap, (replica.free_at, replica.replica_id))
-        return replica
+    def _add_replicas(self, ready_at: list[float]) -> None:
+        """Append replicas, idle until their ``ready_at``, with fresh ids."""
+        count = len(ready_at)
+        ready = np.array(ready_at, dtype=float)
+        self._free_at = np.concatenate([self._free_at, ready])
+        self._ready_at = np.concatenate([self._ready_at, ready])
+        ids = np.arange(self._next_id, self._next_id + count, dtype=np.int64)
+        self._ids = np.concatenate([self._ids, ids])
+        self._served = np.concatenate([self._served, np.zeros(count, dtype=np.int64)])
+        self._next_id += count
+        self._all_ready_at = max([self._all_ready_at, *ready_at])
+
+    def _remove_replicas(self, positions: list[int]) -> None:
+        """Retire the replicas at ``positions`` in the pool."""
+        keep = np.ones(self._ids.shape[0], dtype=bool)
+        keep[positions] = False
+        self._free_at = self._free_at[keep]
+        self._ready_at = self._ready_at[keep]
+        self._ids = self._ids[keep]
+        self._served = self._served[keep]
 
     def _sample_cold_start(self) -> float:
         lo, hi = self.cold_start_range
@@ -119,11 +140,13 @@ class JobRouter:
     @property
     def replica_count(self) -> int:
         """Replicas that exist (running or still cold-starting)."""
-        return len(self._replicas)
+        return self._ids.shape[0]
 
     def ready_replica_count(self, now: float) -> int:
         """Replicas past their cold start at time ``now``."""
-        return sum(1 for r in self._replicas.values() if r.ready_at <= now)
+        if now >= self._all_ready_at:
+            return self.replica_count
+        return int(np.count_nonzero(self._ready_at <= now))
 
     def scale_to(self, target: int, now: float) -> int:
         """Set the replica target; returns the applied delta.
@@ -137,13 +160,9 @@ class JobRouter:
             raise ValueError(f"target must be >= 0, got {target}")
         delta = target - self.replica_count
         if delta > 0:
-            for _ in range(delta):
-                self._add_replica(ready_at=now + self._sample_cold_start())
+            self._add_replicas([now + self._sample_cold_start() for _ in range(delta)])
         elif delta < 0:
-            victims = self._pick_victims(-delta, now)
-            for replica_id in victims:
-                self._replicas[replica_id].active = False
-                del self._replicas[replica_id]
+            self._remove_replicas(self._pick_victims(-delta, now))
         return delta
 
     def fail_replica(self, now: float) -> int | None:
@@ -155,34 +174,61 @@ class JobRouter:
         failure is the capacity loss until reconciliation recreates the pod
         and it finishes a fresh cold start, which this models exactly.
         """
-        if not self._replicas:
+        if not self.replica_count:
             return None
-        victims = list(self._replicas)
-        victim = int(victims[self._rng.integers(len(victims))])
-        self._replicas[victim].active = False
-        del self._replicas[victim]
+        position = int(self._rng.integers(self.replica_count))
+        victim = int(self._ids[position])
+        self._remove_replicas([position])
         self.totals.failures += 1
         return victim
 
     def _pick_victims(self, count: int, now: float) -> list[int]:
-        pending = [r for r in self._replicas.values() if r.ready_at > now and r.served == 0]
-        pending.sort(key=lambda r: -r.ready_at)
-        victims = [r.replica_id for r in pending[:count]]
+        """Pool positions of the ``count`` replicas a scale-down retires."""
+        ready_at = self._ready_at.tolist()
+        served = self._served.tolist()
+        free_at = self._free_at.tolist()
+        positions = range(len(ready_at))
+        # Sorts are stable: ties keep id order.
+        pending = [k for k in positions if ready_at[k] > now and served[k] == 0]
+        pending.sort(key=lambda k: -ready_at[k])
+        victims = pending[:count]
         remaining = count - len(victims)
         if remaining > 0:
-            running = [r for r in self._replicas.values() if r.replica_id not in victims]
-            running.sort(key=lambda r: r.free_at)
-            victims.extend(r.replica_id for r in running[:remaining])
+            running = [k for k in positions if k not in victims]
+            running.sort(key=lambda k: free_at[k])
+            victims.extend(running[:remaining])
         return victims
 
     # ------------------------------------------------------------ dispatch
 
     def queue_length(self, now: float) -> int:
         """Requests accepted but not yet started (the router queue)."""
-        pending = self._pending_starts
-        while pending and pending[0] <= now:
-            pending.popleft()
-        return len(pending)
+        pending, queue = self._pending, self._queue
+        head, length = start = queue.tolist()
+        capacity = pending.shape[0]
+        while length and pending[head] <= now:
+            head = head + 1 if head + 1 < capacity else 0
+            length -= 1
+        if length != start[1]:
+            queue[0], queue[1] = head, length
+        return length
+
+    def pending_starts(self) -> list[float]:
+        """Start times of the requests in the router queue, oldest first."""
+        head, length = self._queue.tolist()
+        return np.roll(self._pending, -head)[:length].tolist()
+
+    def _reserve_queue(self, extra: int) -> None:
+        """Room in the ring for ``extra`` more pending starts (up to the
+        queue threshold, which the queue never exceeds)."""
+        capacity = self._pending.shape[0]
+        length = int(self._queue[1])
+        if capacity >= self.queue_threshold or length + extra <= capacity:
+            return
+        grown = np.zeros(min(self.queue_threshold, max(2 * capacity, length + extra)))
+        grown[:length] = self.pending_starts()
+        self._pending = grown
+        self._queue[0] = 0
 
     @property
     def proc_time(self) -> float:
@@ -210,88 +256,58 @@ class JobRouter:
         if self.drop_rate > 0.0 and self._rng.random() < self.drop_rate:
             self.totals.explicit_dropped += 1
             return math.inf
-        if not self._replicas:
+        if not self.replica_count or self.queue_length(arrival) >= self.queue_threshold:
             self.totals.tail_dropped += 1
             return math.inf
-        if self.queue_length(arrival) >= self.queue_threshold:
-            self.totals.tail_dropped += 1
-            return math.inf
-        # Pop stale heap entries until one matches a live replica's state.
-        while self._free_heap:
-            free_at, replica_id = self._free_heap[0]
-            replica = self._replicas.get(replica_id)
-            if replica is None or replica.free_at != free_at:
-                heapq.heappop(self._free_heap)
-                continue
-            break
-        else:
-            self.totals.tail_dropped += 1
-            return math.inf
-        heapq.heappop(self._free_heap)
-        start = max(arrival, replica.free_at, replica.ready_at)
+        free_at = self._free_at
+        # argmin takes the first of equal free times: the smallest id.
+        pick = int(free_at.argmin())
+        start = max(arrival, float(free_at[pick]), float(self._ready_at[pick]))
         completion = start + self._proc_time_sample()
-        replica.free_at = completion
-        replica.served += 1
-        heapq.heappush(self._free_heap, (completion, replica_id))
+        free_at[pick] = completion
+        self._served[pick] += 1
         if start > arrival:
-            self._pending_starts.append(start)
+            self._reserve_queue(1)
+            head, length = self._queue.tolist()
+            self._pending[(head + length) % self._pending.shape[0]] = start
+            self._queue[1] = length + 1
         self.totals.served += 1
         return completion - arrival
 
     # ------------------------------------------------------- batch offers
 
-    def offer_many(self, arrivals: np.ndarray) -> np.ndarray:
-        """Offer a chunk of arrivals (nondecreasing times); returns latencies.
+    def offer_many(self, arrivals: np.ndarray, collector: MetricsCollector) -> None:
+        """Offer a chunk of arrivals (nondecreasing times) and record each
+        outcome in ``collector``.
 
-        Identical to calling :meth:`offer` once per arrival in order -- bit
-        for bit, including RNG consumption and post-chunk replica state
-        (fuzzed by ``tests/test_dispatch_differential.py``).  The chunk runs
-        through the compiled kernel of :mod:`repro.cluster.dispatch`, which
-        performs :meth:`offer`'s steps per request and draws from this
+        Identical to ``collector.record(arrival, self.offer(arrival))`` once
+        per arrival in order -- bit for bit, in this router's arrays and
+        generator and in the collector's bins and latencies (fuzzed by
+        ``tests/test_dispatch_differential.py``).  The chunk runs through
+        the compiled kernel of :mod:`repro.cluster.dispatch`, which performs
+        :meth:`offer`'s and :meth:`MetricsCollector.record`'s steps per
+        request, in place on both objects' arrays, and draws from this
         router's own generator, so every regime -- backlog, cold starts,
         jitter, drops -- takes the same path.  When the kernel cannot load,
-        the scalar :meth:`offer` loop serves the chunk.
+        the scalar loop serves the chunk.  Arrivals out of time order raise
+        ``ValueError`` (see :meth:`MetricsCollector.record`).
         """
         arrivals = np.ascontiguousarray(arrivals, dtype=float)
         run = dispatch.kernel()
         if run is None:
-            offer = self.offer
-            return np.array([offer(arrival) for arrival in arrivals.tolist()], dtype=float)
-        return self._offer_compiled(run, arrivals)
+            offer, record = self.offer, collector.record
+            for arrival in arrivals.tolist():
+                record(arrival, offer(arrival))
+            return
+        self._offer_compiled(run, collector, arrivals)
 
-    def _offer_compiled(self, run, arrivals: np.ndarray) -> np.ndarray:
-        """Route ``arrivals`` with the compiled kernel ``run``.
-
-        Hands the kernel this router's live state as plain lists and writes
-        the result back.  The free-time heap is rebuilt from live replicas:
-        its stale entries never win a pop, so pop order is unchanged.
-        """
+    def _offer_compiled(self, run, collector: MetricsCollector, arrivals: np.ndarray) -> None:
+        """Route and record ``arrivals`` with the compiled kernel ``run``."""
+        accepted, tail_dropped, explicit_dropped = run(self, collector, arrivals)
         n = arrivals.shape[0]
-        replicas = list(self._replicas.values())
-        latencies = np.empty(n)
-        frees, served, pending, counts = run(
-            self._rng, arrivals, latencies,
-            [replica.free_at for replica in replicas],
-            [replica.ready_at for replica in replicas],
-            [replica.replica_id for replica in replicas],
-            [replica.served for replica in replicas],
-            list(self._pending_starts),
-            self.drop_rate, self.proc_time, self.model.proc_jitter,
-            self.queue_threshold,
-        )
-        for replica, free, count in zip(replicas, frees, served):
-            replica.free_at = free
-            replica.served = count
-        self._free_heap = [
-            (free, replica.replica_id) for replica, free in zip(replicas, frees)
-        ]
-        heapq.heapify(self._free_heap)
-        self._pending_starts = deque(pending)
-        accepted, tail_dropped, explicit_dropped = counts
         totals = self.totals
         totals.arrivals += n
         totals.served += accepted
         totals.tail_dropped += tail_dropped
         totals.explicit_dropped += explicit_dropped
         self.vector_requests += n
-        return latencies

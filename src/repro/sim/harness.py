@@ -37,6 +37,7 @@ import numpy as np
 from repro import native
 from repro.cluster.job import InferenceJobSpec
 from repro.cluster.kubernetes import ResourceQuota
+from repro.cluster.metrics import bins_per_minute
 from repro.policy import AutoscalePolicy, JobObservation, ScalingDecision
 from repro.sim.faults import FaultConfig
 from repro.sim.recorder import SimulationResult
@@ -53,7 +54,9 @@ class SimulationConfig:
 
     ``rate_scale`` multiplies all trace rates (useful for scaled-down runs);
     ``observation_window`` is the trailing window from which observations
-    are built (60 s, one metrics minute).  A non-None ``faults`` enables
+    are built (60 s, one metrics minute), widened outward to whole
+    metrics bins of ``metrics_bin_seconds``, which must divide a minute
+    into a whole number of bins.  A non-None ``faults`` enables
     replica fault injection (see :mod:`repro.sim.faults`); a mapping is
     coerced to a :class:`~repro.sim.faults.FaultConfig` so spec files can
     carry fault settings as plain JSON.  Backend-specific options do not
@@ -87,6 +90,7 @@ class SimulationConfig:
                 f"invalid cold_start_range {cold!r}: need 0 <= low <= high"
             )
         object.__setattr__(self, "cold_start_range", (float(lo), float(hi)))
+        bins_per_minute(self.metrics_bin_seconds, "metrics_bin_seconds")
         if isinstance(self.faults, Mapping):
             object.__setattr__(self, "faults", FaultConfig(**self.faults))
         if self.faults is not None and self.duration_minutes is None:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.cluster.metrics import MetricsCollector
 from repro.core.utility import SLO
+from repro.sim import SimulationConfig
 
 
 def make_collector(slo=0.72, bin_seconds=15.0, prefix=None):
@@ -84,6 +85,24 @@ class TestPercentiles:
 
 
 class TestObservationFields:
+    def test_bin_aligned_window_on_a_10s_tick(self):
+        """The window [now - 60, now) is widened outward to whole 15 s bins,
+        but arrival_rate divides by 60 s: on the 10 s control tick a steady
+        10 req/s reads 10.0, 11.667 and 10.833 in rotation, and latency and
+        violations cover the same 60-70 s (only the first 10 s violate)."""
+        collector = make_collector()
+        arrivals = ((np.arange(1200) + 0.5) / 10.0).tolist()  # 10 req/s
+        readings, recorded = [], 0
+        for now in (60.0, 70.0, 80.0, 90.0, 100.0, 110.0):
+            while arrivals[recorded] < now:
+                t = arrivals[recorded]
+                collector.record(t, 1.0 if t < 10.0 else 0.2)
+                recorded += 1
+            readings.append(collector.observation_fields(now - 60.0, now))
+        assert [r["arrival_rate"] for r in readings] == [600 / 60, 700 / 60, 650 / 60] * 2
+        assert [r["slo_violation_rate"] for r in readings[:3]] == [100 / 600, 100 / 700, 0.0]
+        assert [r["latency"] for r in readings[:3]] == [1.0, 1.0, 0.2]
+
     def test_rates_and_proc(self):
         collector = make_collector()
         for t in range(60):
@@ -120,14 +139,38 @@ class TestRateHistory:
         assert history[2] == pytest.approx(5.0)
         assert history[3] == 0.0
 
-    def test_trim_before(self):
-        collector = make_collector()
-        collector.record(10.0, 0.1)
-        collector.record(200.0, 0.1)
-        collector.trim_before(100.0)
-        assert collector.minute_stats(0).arrivals == 0
-        assert collector.minute_stats(3).arrivals == 1
-
     def test_invalid_minutes(self):
         with pytest.raises(ValueError):
             make_collector().rate_history(0.0, 0)
+
+
+class TestBinSeconds:
+    """A minute must hold a whole number of bins: per-minute rates sum whole
+    bins, so 25 s bins would read 0.833 req/s from a steady 1 req/s."""
+
+    @pytest.mark.parametrize("bin_seconds", [25.0, 40.0, 120.0, 0.0, -15.0])
+    def test_rejected(self, bin_seconds):
+        with pytest.raises(ValueError, match="bin_seconds"):
+            make_collector(bin_seconds=bin_seconds)
+        with pytest.raises(ValueError, match="metrics_bin_seconds"):
+            SimulationConfig(metrics_bin_seconds=bin_seconds)
+
+    @pytest.mark.parametrize("bin_seconds", [7.5, 15.0, 60.0])
+    def test_accepted(self, bin_seconds):
+        collector = make_collector(bin_seconds=bin_seconds)
+        assert collector.bins_per_minute * bin_seconds == 60.0
+        assert SimulationConfig(metrics_bin_seconds=bin_seconds).metrics_bin_seconds == bin_seconds
+        for t in range(180):  # a steady 1 req/s for three minutes
+            collector.record(float(t), 0.1)
+        assert collector.rate_history(180.0, 3).tolist() == [1.0, 1.0, 1.0]
+        assert [collector.minute_stats(m).arrivals for m in range(3)] == [60, 60, 60]
+
+
+class TestRecordOrder:
+    def test_a_bin_before_the_latest_is_refused(self):
+        collector = make_collector()
+        collector.record(40.0, 0.1)
+        collector.record(30.0, 0.1)  # the same 15 s bin
+        with pytest.raises(ValueError, match="time order"):
+            collector.record(10.0, 0.1)
+        assert collector.minute_stats(0).arrivals == 2

@@ -11,7 +11,6 @@ silently).
 """
 
 import functools
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -173,6 +172,7 @@ class TestSimulationConfigValidation:
 
 
 def _mk_router(jitter, replicas=4, seed=0, drop_rate=0.0, threshold=50):
+    """A router and the metrics collector its chunks are recorded in."""
     router = JobRouter(
         job_name="svc",
         model=ModelProfile(name="m", proc_time=0.18, proc_jitter=jitter),
@@ -182,23 +182,21 @@ def _mk_router(jitter, replicas=4, seed=0, drop_rate=0.0, threshold=50):
         seed=seed,
     )
     router.drop_rate = drop_rate
-    return router
+    collector = MetricsCollector(
+        job_name="svc", slo=SLO(target=0.72, percentile=99.0), proc_time=0.18
+    )
+    return router, collector
 
-def _router_state(router, now):
-    return {
-        "replicas": {
-            rid: (r.ready_at, r.free_at, r.served, r.active)
-            for rid, r in router._replicas.items()
-        },
-        "queue": router.queue_length(now),
-        "totals": (
-            router.totals.arrivals,
-            router.totals.served,
-            router.totals.tail_dropped,
-            router.totals.explicit_dropped,
-        ),
-        "rng": router._rng.bit_generator.state,
-    }
+
+def _offer_scalar(pair, chunk):
+    router, collector = pair
+    for t in chunk.tolist():
+        collector.record(t, router.offer(t))
+
+
+def _state(pair, now):
+    router, collector = pair
+    return dispatch.snapshot(router, collector), router.queue_length(now)
 
 
 def _chunked_arrivals(rpm, minutes, seed, tick=10.0):
@@ -233,7 +231,8 @@ _EDGE_CHUNKS = {
 
 
 class TestOfferManyBitIdentity:
-    """offer_many == sequential offer, state and all, on every regime."""
+    """offer_many == sequential offer and record, state and all, on every
+    regime."""
 
     @pytest.mark.parametrize(
         "load,replicas,jitter,drop_rate",
@@ -266,14 +265,15 @@ class TestOfferManyBitIdentity:
         now = 0.0
         for chunk in chunks:
             now += 10.0
-            expected = np.array([scalar.offer(t) for t in chunk.tolist()])
-            got = batch.offer_many(chunk)
-            np.testing.assert_array_equal(expected, got)
-            assert _router_state(scalar, now) == _router_state(batch, now)
+            _offer_scalar(scalar, chunk)
+            batch[0].offer_many(chunk, batch[1])
+            assert _state(scalar, now) == _state(batch, now)
 
     def test_empty_chunk(self):
-        router = _mk_router(jitter=0.0)
-        assert router.offer_many(np.empty(0)).shape == (0,)
+        pair = _mk_router(jitter=0.0)
+        before = _state(pair, 0.0)
+        pair[0].offer_many(np.empty(0), pair[1])
+        assert _state(pair, 0.0) == before
 
     def test_mid_run_scale_down_keeps_identity(self):
         scalar = _mk_router(jitter=0.0, replicas=4, seed=3)
@@ -281,44 +281,11 @@ class TestOfferManyBitIdentity:
         chunks = _chunked_arrivals(400, minutes=3, seed=5)
         for index, chunk in enumerate(chunks):
             if index == 6:
-                scalar.scale_to(2, now=60.0)
-                batch.scale_to(2, now=60.0)
-            for t in chunk.tolist():
-                scalar.offer(t)
-            batch.offer_many(chunk)
-        assert _router_state(scalar, 180.0) == _router_state(batch, 180.0)
-
-
-class TestRecordManyBitIdentity:
-    def _collector(self):
-        return MetricsCollector(
-            job_name="svc", slo=SLO(target=0.72, percentile=99.0), proc_time=0.18
-        )
-
-    def test_matches_sequential_record(self):
-        rng = np.random.default_rng(0)
-        arrivals = np.sort(rng.uniform(0.0, 240.0, 500))
-        latencies = rng.uniform(0.1, 1.5, 500)
-        latencies[rng.random(500) < 0.1] = math.inf  # drops
-        scalar, batch = self._collector(), self._collector()
-        for arrival, latency in zip(arrivals.tolist(), latencies.tolist()):
-            scalar.record(arrival, latency)
-        batch.record_many(arrivals, latencies)
-        assert scalar._bins.keys() == batch._bins.keys()
-        for index in scalar._bins:
-            a, b = scalar._bins[index], batch._bins[index]
-            assert (a.arrivals, a.drops, a.violations) == (
-                b.arrivals, b.drops, b.violations,
-            )
-            assert a.latencies == b.latencies
-            assert a.proc_time_sum == b.proc_time_sum  # bit-exact, not approx
-        for minute in range(4):
-            assert scalar.minute_stats(minute) == batch.minute_stats(minute)
-
-    def test_empty_batch_is_noop(self):
-        collector = self._collector()
-        collector.record_many(np.empty(0), np.empty(0))
-        assert collector._bins == {}
+                scalar[0].scale_to(2, now=60.0)
+                batch[0].scale_to(2, now=60.0)
+            _offer_scalar(scalar, chunk)
+            batch[0].offer_many(chunk, batch[1])
+        assert _state(scalar, 180.0) == _state(batch, 180.0)
 
 
 class TestTakeUntilArray:
