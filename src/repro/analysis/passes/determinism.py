@@ -108,6 +108,7 @@ class DeterminismOptions:
         "repro.api.parallel",
         "repro.native",
         "repro.core.trstlp",
+        "repro.forecast.nhits",
     )
     #: The online-serving package: the strict rule (telemetry timers and
     #: sleeps flagged too) applies here, except in ``clock_modules``.

@@ -11,8 +11,8 @@
  * Bit for bit, not just close: numpy's dot products and matrix products do
  * not sum left to right, so this file never sums a product itself.  Every
  * np.dot, @ and np.linalg.lstsq of the reference is a call to the BLAS or
- * LAPACK routine numpy calls there, through function pointers into numpy's
- * own bundled library, with numpy's memory layout and strides: views of
+ * LAPACK routine numpy calls there, through repro.native's table of numpy's
+ * own bundled routines, with numpy's memory layout and strides: views of
  * A_aug keep its row stride, fancy-indexed copies such as A[:, iact[:nact]]
  * are column-major, and np.dot of one-element vectors is a plain product.
  * The remaining arithmetic is elementwise + - * / and sqrt, which round the
@@ -57,6 +57,7 @@ enum { OK = 0, LSTSQ_FAILED = 1, NO_MEMORY = 2, BAD_QREXC = 3 };
 #define REALMIN DBL_MIN
 #define REALMAX DBL_MAX
 
+/* repro.native's table, which every BLAS-calling kernel receives. */
 typedef struct {
     ddot_fn ddot;
     dgemv_fn dgemv;
@@ -668,11 +669,9 @@ static double *take(double **cursor, int64_t count)
     return start;
 }
 
-int trstlp(ddot_fn ddot, dgemv_fn dgemv, dgemm_fn dgemm, dgelsd_fn dgelsd,
-           int64_t num_vars, int64_t m, const double *A, const double *b,
-           double delta, const double *g, double *d)
+int trstlp(const Blas *blas, int64_t num_vars, int64_t m, const double *A,
+           const double *b, double delta, const double *g, double *d)
 {
-    const Blas blas = {ddot, dgemv, dgemm, dgelsd};
     const int64_t n = num_vars, cols = m + 1;
     const int64_t total = 4 * PAD(n * cols) + 2 * PAD(n * n) + 6 * PAD(cols)
                           + PAD(cols + 1) + 9 * PAD(n) + 2 * PAD(2 * n)
@@ -738,10 +737,10 @@ int trstlp(ddot_fn ddot, dgemv_fn dgemv, dgemm_fn dgemm, dgelsd_fn dgelsd,
         }
     }
 
-    status = trstlp_sub(&blas, &w, iact, &nact, 1, A_aug, b_aug, m, delta, d,
+    status = trstlp_sub(blas, &w, iact, &nact, 1, A_aug, b_aug, m, delta, d,
                         vmultc, z);
     if (status == OK)
-        status = trstlp_sub(&blas, &w, iact, &nact, 2, A_aug, b_aug, cols, delta,
+        status = trstlp_sub(blas, &w, iact, &nact, 2, A_aug, b_aug, cols, delta,
                             d, vmultc, z);
     free(block);
     return status;

@@ -5,9 +5,10 @@ one function of it, the trust-region LP ``trstlp``, takes most of a Faro
 solve: many small numpy calls per iteration, each dominated by Python
 overhead.  ``trstlp.c`` computes the same step in C.  It does not do its
 own sums: every ``np.dot``, ``@`` and ``np.linalg.lstsq`` of the reference
-is a call, through function pointers, into the BLAS and LAPACK that numpy
-bundles (``ddot``, ``dgemv``, ``dgemm`` and ``dgelsd``) with numpy's memory
-layout, so each step has pyprima's bits.
+is a call into the BLAS and LAPACK that numpy bundles (``ddot``, ``dgemv``,
+``dgemm`` and ``dgelsd``), through the table :func:`repro.native.blas`
+shares between kernels, with numpy's memory layout, so each step has
+pyprima's bits.
 
 pyprima has no hook, so :func:`installed` swaps the kernel in as the
 ``trstlp`` global of ``scipy._lib.pyprima.cobyla.cobylb`` for the length of
@@ -37,30 +38,9 @@ __all__ = ["installed", "kernel"]
 
 SOURCE = Path(__file__).with_name("trstlp.c")
 
-_CDEF = """
-typedef double (*ddot_fn)(int64_t, const double *, int64_t, const double *, int64_t);
-typedef void (*dgemv_fn)(int, int, int64_t, int64_t, double, const double *,
-                         int64_t, const double *, int64_t, double, double *, int64_t);
-typedef void (*dgemm_fn)(int, int, int, int64_t, int64_t, int64_t, double,
-                         const double *, int64_t, const double *, int64_t, double,
-                         double *, int64_t);
-typedef void (*dgelsd_fn)(const int64_t *, const int64_t *, const int64_t *,
-                          double *, const int64_t *, double *, const int64_t *,
-                          double *, const double *, int64_t *, double *,
-                          const int64_t *, int64_t *, int64_t *);
-double scipy_cblas_ddot64_(int64_t, const double *, int64_t, const double *, int64_t);
-void scipy_cblas_dgemv64_(int, int, int64_t, int64_t, double, const double *,
-                          int64_t, const double *, int64_t, double, double *, int64_t);
-void scipy_cblas_dgemm64_(int, int, int, int64_t, int64_t, int64_t, double,
-                          const double *, int64_t, const double *, int64_t, double,
-                          double *, int64_t);
-void scipy_dgelsd_64_(const int64_t *, const int64_t *, const int64_t *, double *,
-                      const int64_t *, double *, const int64_t *, double *,
-                      const double *, int64_t *, double *, const int64_t *,
-                      int64_t *, int64_t *);
-int trstlp(ddot_fn, dgemv_fn, dgemm_fn, dgelsd_fn, int64_t num_vars, int64_t m,
-           const double *A, const double *b, double delta, const double *g,
-           double *d);
+_CDEF = native.BLAS_CDEF + """
+int trstlp(const Blas *blas, int64_t num_vars, int64_t m, const double *A,
+           const double *b, double delta, const double *g, double *d);
 """
 
 
@@ -116,19 +96,7 @@ def _bind(ffi, library) -> Callable:
         raise native.KernelUnavailable(
             "pyprima runs its naive linear algebra or its debugging checks"
         )
-    try:
-        blas = ffi.dlopen(np._core._multiarray_umath.__file__)
-        lapack = ffi.dlopen(np.linalg._umath_linalg.__file__)
-        routines = (
-            blas.scipy_cblas_ddot64_,
-            blas.scipy_cblas_dgemv64_,
-            blas.scipy_cblas_dgemm64_,
-            lapack.scipy_dgelsd_64_,
-        )
-    except (AttributeError, OSError) as exc:
-        raise native.KernelUnavailable(
-            f"numpy does not export its bundled BLAS and LAPACK: {exc}"
-        ) from exc
+    table = ffi.from_buffer("Blas *", native.blas())
     step = library.trstlp
     doubles = ffi.typeof("double[]")
     from_buffer = ffi.from_buffer
@@ -149,7 +117,7 @@ def _bind(ffi, library) -> Callable:
         num_vars, m = matrix.shape
         d = np.empty(num_vars)
         status = step(
-            *routines, num_vars, m, from_buffer(doubles, matrix),
+            table, num_vars, m, from_buffer(doubles, matrix),
             from_buffer(doubles, rhs), float(delta),
             from_buffer(doubles, gradient), from_buffer(doubles, d),
         )

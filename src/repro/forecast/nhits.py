@@ -22,25 +22,40 @@ Training is stacked: :meth:`NHiTSForecaster.fit_many` trains up to
 ``_STACK_SIZE`` jobs whose configs differ only in ``seed`` (and whose window
 counts match after the ``max_windows`` cap) as one model with a leading
 job axis on every parameter -- one forward pass, one backward pass and one
-Adam update per minibatch for the whole stack, which shares the autodiff
-engine's per-op bookkeeping between jobs.  Each job keeps its own
+Adam update per minibatch for the whole stack.  Each job keeps its own
 generator, its own loss (a mean over batch and horizon) and its own
 gradient clipping, so it comes out bit-identical to being trained alone;
 :meth:`NHiTSForecaster.fit` is the one-job stack.
+
+A step runs on a compiled kernel (``nhits.c``, loaded by :func:`kernel`
+through :func:`repro.native.load`): C runs the forward pass up to the
+summed forecast and sigma knots, the loss head (softplus, sigma floor and
+``_loss``) runs on the autodiff tape from those two leaves, and C runs the
+backward pass, each job's clip and Adam in place on flat numpy buffers
+that the stack owns.  Every matrix product in C is the BLAS call numpy's
+``@`` makes, through :func:`repro.native.blas`, so the kernel gives the
+tape's bits; the tape (:class:`_TapeStep`) is its oracle, and the fallback
+when it cannot load.  Python keeps the epoch loop, each job's ``_rng``
+draws and the minibatch gather either way.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass, replace
-from typing import Sequence
+from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 
+from repro import native
 from repro.autodiff import MLP, Adam, Module, Tensor
 from repro.forecast.base import Forecaster, StandardScaler, sliding_windows
 
-__all__ = ["NHiTSConfig", "NHiTSForecaster"]
+__all__ = ["NHiTSConfig", "NHiTSForecaster", "kernel"]
+
+SOURCE = Path(__file__).with_name("nhits.c")
 
 #: Jobs per stacked training model: a training step's autodiff graph peaks at
 #: ~0.8 MB per stacked job (fast profile), and stacks of 8 train no faster.
@@ -160,10 +175,13 @@ class _NHiTSNetwork(Module):
             if sigma_raw is not None:
                 sigma_sum = sigma_raw if sigma_sum is None else sigma_sum + sigma_raw
         assert forecast_sum is not None
+        return self.head(forecast_sum, sigma_sum)
+
+    def head(self, forecast_sum: Tensor, sigma_sum: Tensor | None) -> tuple[Tensor, Tensor | None]:
+        """``(mu, sigma)`` from the blocks' summed forecasts and sigma knots."""
         if sigma_sum is None:
             return forecast_sum, None
-        sigma = sigma_sum.softplus() + self.config.sigma_floor
-        return forecast_sum, sigma
+        return forecast_sum, sigma_sum.softplus() + self.config.sigma_floor
 
 
 class NHiTSForecaster(Forecaster):
@@ -303,50 +321,63 @@ def _fit_stack(stack: list[NHiTSForecaster], series: list[np.ndarray]) -> None:
     generator, its own loss and its own gradient clipping.
     """
     cfg = stack[0].config
-    inputs, targets = zip(*(job._windows(values) for job, values in zip(stack, series)))
-    own = [job.network.parameters() for job in stack]
-    network = copy.deepcopy(stack[0].network)
-    params = network.parameters()
-    for k, param in enumerate(params):
-        param.data = np.stack([np.atleast_2d(job_params[k].data) for job_params in own])
-    optimizer = Adam(params, lr=cfg.lr, clip_norm=None)
-    n = inputs[0].shape[0]
+    windows = [job._windows(values) for job, values in zip(stack, series)]
+    inputs, targets = map(np.stack, zip(*windows))
+    network = _stacked_network(stack)
+    step = (kernel() or _TapeStep)(network, stack[0]._loss, cfg.lr)
+    jobs = np.arange(len(stack))[:, None]
+    n = inputs.shape[1]
     history = np.empty((cfg.epochs, len(stack)))
     for epoch in range(cfg.epochs):
-        orders = [job._rng.permutation(n) for job in stack]
+        orders = np.stack([job._rng.permutation(n) for job in stack])
         epoch_loss = np.zeros(len(stack))
         batches = 0
         for start in range(0, n, cfg.batch_size):
-            index = [order[start : start + cfg.batch_size] for order in orders]
-            x = Tensor(np.stack([rows[i] for rows, i in zip(inputs, index)]))
-            y = Tensor(np.stack([rows[i] for rows, i in zip(targets, index)]))
-            epoch_loss += _train_step(network, optimizer, stack[0]._loss, x, y)
+            index = orders[:, start : start + cfg.batch_size]
+            epoch_loss += step(inputs[jobs, index], targets[jobs, index])
             batches += 1
         history[epoch] = epoch_loss / max(batches, 1)
+    params = network.parameters()
     for j, (job, values) in enumerate(zip(stack, series)):
         job.loss_history = history[:, j].tolist()
-        for param, mine in zip(params, own[j]):
+        for param, mine in zip(params, job.network.parameters()):
             mine.data[...] = param.data[j].reshape(mine.shape)
         job._fitted = True
         if not cfg.probabilistic:
             job._estimate_residual_std(values, cfg.input_size, cfg.horizon)
 
 
-def _train_step(
-    network: _NHiTSNetwork, optimizer: Adam, loss, x: Tensor, y: Tensor
-) -> np.ndarray:
-    """One minibatch for a whole stack; returns each job's loss.
+def _stacked_network(stack: Sequence[NHiTSForecaster]) -> _NHiTSNetwork:
+    """A copy of the first job's network holding every job's parameters,
+    stacked on a leading job axis."""
+    own = [job.network.parameters() for job in stack]
+    network = copy.deepcopy(stack[0].network)
+    for k, param in enumerate(network.parameters()):
+        param.data = np.stack([np.atleast_2d(job_params[k].data) for job_params in own])
+    return network
+
+
+class _TapeStep:
+    """One minibatch for a whole stack on the autodiff tape; returns each
+    job's loss.  The kernel's oracle, and its fallback.
 
     The step's autodiff graph, gradients included, dies on return, before
     the next forward pass builds its own.
     """
-    mu, sigma = network(x)
-    losses = loss(mu, sigma, y)
-    optimizer.zero_grad()
-    losses.sum().backward()
-    _clip_each_job(optimizer.params, _CLIP_NORM)
-    optimizer.step()
-    return losses.data
+
+    def __init__(self, network: _NHiTSNetwork, loss, lr: float) -> None:
+        self.network = network
+        self.loss = loss
+        self.optimizer = Adam(network.parameters(), lr=lr, clip_norm=None)
+
+    def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        mu, sigma = self.network(Tensor(x))
+        losses = self.loss(mu, sigma, Tensor(y))
+        self.optimizer.zero_grad()
+        losses.sum().backward()
+        _clip_each_job(self.optimizer.params, _CLIP_NORM)
+        self.optimizer.step()
+        return losses.data
 
 
 def _clip_each_job(params: list[Tensor], clip_norm: float) -> None:
@@ -365,3 +396,166 @@ def _clip_each_job(params: list[Tensor], clip_norm: float) -> None:
             scale = clip_norm / norm
             for param in params:
                 param.grad[j] *= scale
+
+
+# ------------------------------------------------------------ compiled step
+
+_CDEF = native.BLAS_CDEF + """
+int64_t nhits_workspace(const int64_t *shape, int64_t rows);
+void nhits_forward(const Blas *blas, const int64_t *shape, int64_t rows,
+                   const double *params, const double *interp, const double *x,
+                   double *work, double *mu, double *sigma_sum);
+void nhits_backward(const Blas *blas, const int64_t *shape, int64_t rows,
+                    const double *params, const double *interp, double *work,
+                    const double *grad_mu, const double *grad_sigma,
+                    double *grads);
+void nhits_update(const int64_t *shape, double *params, double *grads,
+                  double *m, double *v, double clip_norm, double lr,
+                  double beta1, double beta2, double one_minus_beta1,
+                  double one_minus_beta2, double correction1,
+                  double correction2, double eps);
+"""
+
+
+@functools.cache
+def kernel() -> Callable | None:
+    """The compiled step, ``kernel()(network, loss, lr)``, or ``None`` when
+    it cannot load.
+
+    Loaded once per process, on the first stacked fit, and checked once
+    against :class:`_TapeStep` on a fixed corpus.
+    """
+    return native.load(
+        "nhits", SOURCE, _CDEF, _bind, _self_check,
+        fallback="N-HiTS trains on the autodiff tape",
+    )
+
+
+def _bind(ffi, library) -> Callable:
+    """The kernel's step factory, on numpy's BLAS."""
+    native.blas()  # refuse to load without numpy's routines
+    return functools.partial(_KernelStep, ffi, library)
+
+
+class _KernelStep:
+    """One minibatch for a whole stack on the compiled kernel; returns each
+    job's loss, and leaves the tape step's state behind.
+
+    The parameters, their gradients and Adam's moments move into one flat
+    buffer each, in ``network.parameters()`` order; every ``param.data``,
+    ``param.grad`` and ``optimizer._m``/``_v`` entry becomes a view of it.
+    """
+
+    def __init__(self, ffi, library, network: _NHiTSNetwork, loss, lr: float) -> None:
+        self.network = network
+        self.loss = loss
+        params = network.parameters()
+        self.optimizer = Adam(params, lr=lr, clip_norm=None)
+        self._ffi, self._library = ffi, library
+        flat = [np.concatenate([p.data.ravel() for p in params])]
+        flat += [np.zeros_like(flat[0]) for _ in range(3)]
+        offset = 0
+        for k, param in enumerate(params):
+            shape, size = param.data.shape, param.data.size
+            views = [buffer[offset : offset + size].reshape(shape) for buffer in flat]
+            param.data, param.grad, self.optimizer._m[k], self.optimizer._v[k] = views
+            offset += size
+        cfg, blocks = network.config, network.blocks
+        shape = np.array(
+            [params[0].shape[0], cfg.input_size, cfg.horizon, len(blocks), cfg.depth,
+             cfg.hidden, int(cfg.probabilistic)]
+            + [n for b in blocks for n in (b.kernel, b.backcast_knots, b.forecast_knots)],
+            dtype=np.int64,
+        )
+        # Each interpolation matrix in C order: the memory of its F-order view.
+        interp = np.concatenate(
+            [m.data.T.ravel() for b in blocks for m in (b.backcast_interp, b.forecast_interp)]
+        )
+        # C views that keep their numpy buffers alive as long as the step.
+        self._blas = ffi.from_buffer("Blas *", native.blas())
+        self._shape = ffi.from_buffer("int64_t[]", shape)
+        self._params, self._grads, self._m, self._v, self._interp = map(
+            self._pointer, (*flat, interp)
+        )
+        self._work = self._pointer(np.empty(0))
+
+    def _pointer(self, array: np.ndarray | None):
+        """``array``'s memory as a C ``double *``; NULL for ``None``."""
+        return self._ffi.NULL if array is None else self._ffi.from_buffer("double[]", array)
+
+    def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        library, cfg = self._library, self.network.config
+        jobs, rows, _ = x.shape
+        need = library.nhits_workspace(self._shape, rows)
+        if len(self._work) < need:
+            self._work = self._pointer(np.empty(need))
+        mu = np.empty((jobs, rows, cfg.horizon))
+        sigma_sum = np.empty_like(mu) if cfg.probabilistic else None
+        library.nhits_forward(
+            self._blas, self._shape, rows, self._params, self._interp,
+            self._pointer(np.ascontiguousarray(x, dtype=float)), self._work,
+            self._pointer(mu), self._pointer(sigma_sum),
+        )
+        mu = Tensor(mu, requires_grad=True)
+        if sigma_sum is not None:
+            sigma_sum = Tensor(sigma_sum, requires_grad=True)
+        losses = self.loss(*self.network.head(mu, sigma_sum), Tensor(y))
+        losses.sum().backward()
+        library.nhits_backward(
+            self._blas, self._shape, rows, self._params, self._interp, self._work,
+            self._pointer(mu.grad), self._pointer(getattr(sigma_sum, "grad", None)),
+            self._grads,
+        )
+        self.update()
+        return losses.data
+
+    def update(self) -> None:
+        """Clip each job's gradients and take one Adam step, as
+        :func:`_clip_each_job` and ``Adam.step`` do."""
+        opt = self.optimizer
+        opt._t += 1
+        self._library.nhits_update(
+            self._shape, self._params, self._grads, self._m, self._v,
+            _CLIP_NORM, opt.lr, opt.beta1, opt.beta2, 1.0 - opt.beta1, 1.0 - opt.beta2,
+            1.0 - opt.beta1**opt._t, 1.0 - opt.beta2**opt._t, opt.eps,
+        )
+
+
+def _step_state(step) -> bytes:
+    """Everything a step leaves behind: parameters, gradients and moments."""
+    params = step.network.parameters()
+    arrays = [p.data for p in params] + [p.grad for p in params]
+    arrays += step.optimizer._m + step.optimizer._v
+    return b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
+
+
+def _self_check(compiled: Callable) -> None:
+    """Raise unless ``compiled`` leaves :class:`_TapeStep`'s bytes on a fixed corpus.
+
+    Two jobs under each loss take a full batch, a one-row batch and a
+    batch whose targets are far off for the second job only, so that under
+    nll and mse its gradient clips and the first job's does not.
+    Parameters, gradients, moments and losses must match after every step.
+    """
+    rng = np.random.default_rng(5)
+    for loss in ("nll", "mse", "mae"):
+        cfg = NHiTSConfig(
+            input_size=8, horizon=4, kernels=(8, 2, 1), hidden=32,
+            probabilistic=loss == "nll", loss=loss,
+        )
+        jobs = [NHiTSForecaster(replace(cfg, seed=seed)) for seed in (1, 2)]
+        tape = _TapeStep(_stacked_network(jobs), jobs[0]._loss, cfg.lr)
+        kernel_step = compiled(_stacked_network(jobs), jobs[0]._loss, cfg.lr)
+        for rows, spread in ((6, 1.0), (1, 1.0), (6, 40.0)):
+            x = rng.standard_normal((2, rows, cfg.input_size))
+            y = rng.standard_normal((2, rows, cfg.horizon))
+            y[1] *= spread
+            expected = tape(x, y)
+            got = kernel_step(x, y)
+            if (
+                got.tobytes() != expected.tobytes()
+                or _step_state(kernel_step) != _step_state(tape)
+            ):
+                raise native.KernelUnavailable(
+                    "the load-time check disagrees with the autodiff tape"
+                )

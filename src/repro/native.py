@@ -1,6 +1,6 @@
-"""The one loader of the compiled kernels.
+"""The one loader of the compiled kernels, and the BLAS table they share.
 
-Three hot paths run as C kernels next to their Python reference:
+Four hot paths run as C kernels next to their Python reference:
 
 - ``dispatch`` (:mod:`repro.cluster.dispatch`, ``cluster/dispatch.c``)
   routes request chunks exactly as ``JobRouter.offer`` does;
@@ -8,8 +8,14 @@ Three hot paths run as C kernels next to their Python reference:
   builds the Erlang-C and M/D/c latency tables exactly as their numpy
   loops do;
 - ``trstlp`` (:mod:`repro.core.trstlp`, ``core/trstlp.c``) takes COBYLA's
-  trust-region step exactly as scipy's pyprima ``trstlp`` does, calling
-  numpy's bundled BLAS and LAPACK for every sum.
+  trust-region step exactly as scipy's pyprima ``trstlp`` does;
+- ``nhits`` (:mod:`repro.forecast.nhits`, ``forecast/nhits.c``) runs a
+  stacked N-HiTS training step exactly as the autodiff tape does.
+
+The last two never sum a product themselves: every ``np.dot``, ``@`` and
+``np.linalg.lstsq`` of their reference is a call through :func:`blas`,
+one table of the BLAS and LAPACK routines numpy itself calls, so their
+bits follow numpy's on any host.
 
 Each client module wraps :func:`load` in its own ``kernel()`` under
 ``functools.cache``, so a kernel loads once per process, on first use.
@@ -41,11 +47,26 @@ import warnings
 from pathlib import Path
 from typing import Any, Callable, TypeVar
 
-__all__ = ["CFLAGS", "KernelUnavailable", "host", "load", "kernels", "state"]
+__all__ = [
+    "BLAS_CDEF", "CFLAGS", "KernelUnavailable", "blas", "host", "load", "kernels", "state",
+]
 
 #: Never fast-math and never contracted multiply-adds: a kernel must round
 #: exactly like its Python reference.
 CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+#: The cffi declaration of :func:`blas`'s table; a kernel's C source names
+#: the same four entries with their function-pointer types.
+BLAS_CDEF = "typedef struct { void *ddot, *dgemv, *dgemm, *dgelsd; } Blas;"
+
+#: The table's routines, in :data:`BLAS_CDEF`'s order, with the numpy
+#: extension module that exports each.
+_BLAS_ROUTINES = (
+    ("scipy_cblas_ddot64_", "numpy._core._multiarray_umath"),
+    ("scipy_cblas_dgemv64_", "numpy._core._multiarray_umath"),
+    ("scipy_cblas_dgemm64_", "numpy._core._multiarray_umath"),
+    ("scipy_dgelsd_64_", "numpy.linalg._umath_linalg"),
+)
 
 T = TypeVar("T")
 
@@ -92,6 +113,44 @@ def load(
     return bound
 
 
+@functools.cache
+def blas():
+    """numpy's bundled ``ddot``, ``dgemv``, ``dgemm`` and ``dgelsd``, as one table.
+
+    A read-only numpy array of the four routines' addresses, in
+    :data:`BLAS_CDEF`'s order, resolved once per process; a kernel receives
+    it as ``ffi.from_buffer("Blas *", native.blas())``.  These are the
+    routines numpy's ``np.dot``, ``@`` and ``np.linalg.lstsq`` call, so a
+    kernel that calls them with numpy's layouts gets numpy's bits, on
+    whichever kernels OpenBLAS picked for this CPU.  Raises
+    :class:`KernelUnavailable` when cffi is missing or numpy does not export
+    them.  The addresses stay valid: numpy's own import keeps its
+    extension modules loaded.
+    """
+    import importlib
+
+    import numpy as np
+
+    try:
+        import cffi
+    except ImportError as exc:
+        raise KernelUnavailable("cffi is not installed") from exc
+    ffi = cffi.FFI()
+    ffi.cdef("".join(f"void {name}(void);" for name, _ in _BLAS_ROUTINES))
+    try:
+        addresses = []
+        for name, module in _BLAS_ROUTINES:
+            library = ffi.dlopen(importlib.import_module(module).__file__)
+            addresses.append(int(ffi.cast("uintptr_t", getattr(library, name))))
+    except (AttributeError, ImportError, OSError) as exc:
+        raise KernelUnavailable(
+            f"numpy does not export its bundled BLAS and LAPACK: {exc}"
+        ) from exc
+    table = np.array(addresses, dtype=np.uint64)
+    table.flags.writeable = False
+    return table
+
+
 def state(kernel: Callable[[], object]) -> str | None:
     """``"c"`` or ``"python"`` for a kernel this process has loaded, else ``None``.
 
@@ -108,22 +167,25 @@ def kernels() -> dict[str, str | None]:
     """Run metadata ``metadata["kernels"]``: the :func:`state` of every kernel."""
     from repro.cluster import dispatch
     from repro.core import trstlp
+    from repro.forecast import nhits
     from repro.queueing import vectorized
 
     return {
         "dispatch": state(dispatch.kernel),
         "erlang": state(vectorized.kernel),
         "trstlp": state(trstlp.kernel),
+        "nhits": state(nhits.kernel),
     }
 
 
 def host() -> dict[str, object]:
     """Run metadata ``metadata["platform"]``: what sets a kernel's bits here.
 
-    The digest pins hold on one class of CPU: the ``trstlp`` kernel takes
-    its sums from OpenBLAS's choice of kernels, and numpy and glibc pick
-    their vector loops by CPU too.  So a pin that moves on another host can
-    be told apart by three facts, each ``None`` when it cannot be read:
+    The digest pins hold on one class of CPU: the ``trstlp`` and ``nhits``
+    kernels, like numpy, take their sums from OpenBLAS's choice of kernels,
+    and numpy and glibc pick their vector loops by CPU too.  So a pin that
+    moves on another host can be told apart by three facts, each ``None``
+    when it cannot be read:
 
     - ``openblas_core``: the core OpenBLAS picked (``"SkylakeX"``, ...);
     - ``numpy_targets``: numpy's active CPU dispatch targets;

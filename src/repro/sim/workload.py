@@ -110,11 +110,12 @@ class PoissonArrivals:
 
     def _take_view(self, end_time: float) -> np.ndarray:
         """Buffer view of all arrivals <= end_time not yet taken."""
-        self._generate_minutes(end_time)
+        if self._next_minute * self.minute_seconds < end_time:
+            self._generate_minutes(end_time)
         buffer = self._buffer
         # The buffer is globally sorted (minutes generated in order, times
         # sorted within each minute), so the cut point is one searchsorted.
-        cursor = int(np.searchsorted(buffer, end_time, side="right"))
+        cursor = int(buffer.searchsorted(end_time, side="right"))
         cursor = max(cursor, self._cursor)
         taken = buffer[self._cursor : cursor]
         self._cursor = cursor

@@ -410,7 +410,10 @@ class TestUnpairedBaselines:
 
 
 class TestForecastGate:
-    BASELINE = {"speedup": 2.0, "identical": True, "gated_speedup": 1.5}
+    BASELINE = {
+        "speedup": 2.0, "identical": True, "gated_speedup": 1.5,
+        "gated_kernel_speedup": 2.0,
+    }
 
     load_check_perf = TestUnpairedBaselines.load_check_perf
 
@@ -419,15 +422,32 @@ class TestForecastGate:
         return [row[-1] for row in rows], ok
 
     def test_identical_and_fast_passes(self):
-        assert self.verdicts({"speedup": 1.6, "identical": True}) == (["ok", "ok"], True)
+        measured = {"speedup": 1.6, "kernel_speedup": 3.4, "identical": True}
+        assert self.verdicts(measured) == (["ok", "ok", "ok"], True)
 
     def test_diverged_weights_fail_even_when_fast(self):
-        verdicts, ok = self.verdicts({"speedup": 3.0, "identical": False})
+        verdicts, ok = self.verdicts(
+            {"speedup": 3.0, "kernel_speedup": 3.4, "identical": False}
+        )
         assert not ok and verdicts[0].startswith("REGRESSED")
 
     def test_lost_speedup_fails(self):
-        verdicts, ok = self.verdicts({"speedup": 1.2, "identical": True})
+        verdicts, ok = self.verdicts(
+            {"speedup": 1.2, "kernel_speedup": 3.4, "identical": True}
+        )
         assert not ok and verdicts[1].startswith("REGRESSED")
+
+    def test_fallen_back_kernel_fails_its_row(self):
+        # A kernel that fell back to the tape times the tape against itself.
+        verdicts, ok = self.verdicts(
+            {"speedup": 2.3, "kernel_speedup": 1.02, "identical": True}
+        )
+        assert not ok
+        assert verdicts[:2] == ["ok", "ok"] and verdicts[2].startswith("REGRESSED")
+
+    def test_unmeasured_kernel_fails_its_row(self):
+        verdicts, ok = self.verdicts({"speedup": 2.3, "identical": True})
+        assert not ok and verdicts[2].startswith("REGRESSED")
 
     def test_checked_in_baseline_loads(self):
         from pathlib import Path
@@ -436,11 +456,19 @@ class TestForecastGate:
         mod = self.load_check_perf()
         baseline = mod.load_forecast_baseline(root / "results" / "BENCH_forecast.json")
         assert baseline["identical"] and baseline["gated_speedup"] == 1.5
+        assert baseline["gated_kernel_speedup"] == 2.0
+        assert baseline["kernel"] == "c"
 
     def test_baseline_missing_keys_rejected(self, tmp_path):
         path = tmp_path / "BENCH_forecast.json"
         path.write_text('{"speedup": 2.0}')
         with pytest.raises(ValueError, match="missing"):
+            self.load_check_perf().load_forecast_baseline(path)
+
+    def test_baseline_without_the_kernel_floor_rejected(self, tmp_path):
+        path = tmp_path / "BENCH_forecast.json"
+        path.write_text('{"speedup": 2.0, "identical": true, "gated_speedup": 1.5}')
+        with pytest.raises(ValueError, match="gated_kernel_speedup"):
             self.load_check_perf().load_forecast_baseline(path)
 
 

@@ -20,6 +20,7 @@ Three layers of protection around the backend refactor:
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from repro import api
@@ -318,6 +319,19 @@ def promotion_spec(trials: int = 2, policies=("fairshare", "faro-fairsum")):
     )
 
 
+def request_level_arrivals(result) -> int:
+    """Arrivals in the minutes each job spent at request fidelity: its
+    initial fidelity, then its fidelity events in order."""
+    total = 0
+    for name, job in result.jobs.items():
+        request = np.full(job.arrivals.shape[0], name in result.metadata["request_jobs"])
+        for event in result.metadata["fidelity_events"]:
+            if event["job"] == name:
+                request[int(event["time"] // 60.0) :] = event["to"] == "request"
+        total += int(job.arrivals[request].sum())
+    return total
+
+
 class TestHybridPromotion:
     def test_promotion_behaviour_pinned(self):
         """The whole promotion schedule is deterministic and digest-pinned."""
@@ -330,7 +344,13 @@ class TestHybridPromotion:
         assert dispatch["promotions"] > 0
         events = result.metadata["fidelity_events"]
         assert all(e["time"] % 60.0 == 0.0 for e in events)  # minute boundaries
-        assert dispatch["vector_requests"] > 0  # promoted routers vectorize
+        # Every arrival of a job's request-level minutes is dispatched once.
+        dispatched = dispatch["vector_requests"] + dispatch["scalar_requests"]
+        assert dispatched == request_level_arrivals(result) > 0
+        if result.metadata["kernels"]["dispatch"] == "c":
+            assert dispatch["vector_requests"] > 0  # promoted routers vectorize
+        else:  # no compiler here: the scalar loop serves every request
+            assert dispatch["vector_requests"] == 0
 
     def test_promotion_sharded_sweep_matches_serial(self):
         spec = promotion_spec(trials=2, policies=("fairshare",))

@@ -497,11 +497,15 @@ class TestDispatchCounters:
 
     def test_vectorized_run_counts_vector_requests(self):
         result = TestEventFaultCuts._run_event_sim(faults=None)
-        dispatch = result.metadata["dispatch"]
-        assert dispatch["vector_requests"] > 0
-        assert dispatch["fault_chunk_cuts"] == 0
-        total = dispatch["vector_requests"] + dispatch["scalar_requests"]
-        assert total == int(result.jobs["a"].arrivals.sum())
+        counts = result.metadata["dispatch"]
+        assert counts["fault_chunk_cuts"] == 0
+        arrivals = int(result.jobs["a"].arrivals.sum())
+        assert counts["vector_requests"] + counts["scalar_requests"] == arrivals
+        if result.metadata["kernels"]["dispatch"] == "c":
+            assert counts["vector_requests"] > 0
+        else:  # no compiler here: the scalar loop serves every request
+            assert counts["vector_requests"] == 0
+            assert counts["scalar_requests"] == arrivals
 
     def test_scalar_run_counts_everything_scalar(self, monkeypatch):
         monkeypatch.setattr(dispatch, "kernel", lambda: None)
@@ -512,16 +516,21 @@ class TestDispatchCounters:
         assert counts["scalar_requests"] == int(result.jobs["a"].arrivals.sum())
 
 
+@pytest.fixture
+def compiled():
+    """Skip where the kernel cannot be built; fail where it can but did not load."""
+    if shutil.which("cc") is None or importlib.util.find_spec("cffi") is None:
+        pytest.skip("needs a C compiler (cc) and cffi")
+    assert dispatch.kernel() is not None
+
+
 class TestKernelLoading:
     """The compiled kernel loads where it can; where it cannot, the scalar
     loop takes over with one warning and identical results."""
 
-    def test_kernel_loads_where_it_can_be_built(self):
+    def test_kernel_loads_where_it_can_be_built(self, compiled):
         # A broken build fails here instead of silently moving every
         # request run back to the Python loop.
-        if shutil.which("cc") is None or importlib.util.find_spec("cffi") is None:
-            pytest.skip("needs a C compiler (cc) and cffi")
-        assert dispatch.kernel() is not None
         assert native.kernels()["dispatch"] == "c"
 
     def test_router_pickles_after_compiled_chunks(self):
@@ -541,6 +550,7 @@ class TestKernelLoading:
             collector.observation_fields(0.0, 20.0)
         )
 
+    @pytest.mark.usefixtures("compiled")
     def test_compile_failure_falls_back_to_the_scalar_loop(self, tmp_path, monkeypatch):
         spec = tiny_spec("fallback", "request", trials=1)
         compiled = api.run(spec)

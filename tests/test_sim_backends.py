@@ -765,7 +765,7 @@ class TestHybridBackend:
         assert hybrid.metadata["dispatch"]["fault_chunk_cuts"] > 0  # hybrid cuts too
         assert flow.metadata["dispatch"]["vector_requests"] == 0
         for result in (request, flow, hybrid):
-            assert set(result.metadata["kernels"]) == {"dispatch", "erlang", "trstlp"}
+            assert set(result.metadata["kernels"]) == {"dispatch", "erlang", "trstlp", "nhits"}
         assert request.metadata["kernels"]["dispatch"] is not None  # loaded
 
     def test_flow_run_never_loads_the_dispatch_kernel(self, monkeypatch):

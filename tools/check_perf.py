@@ -40,10 +40,13 @@ Eight benches run in-process and compare against checked-in baselines:
   file is absent: the hetero layer is newer than the other baselines and
   a missing file should not block the pre-existing gates;
 - the predictor-training bench (``benchmarks/bench_forecast_train.py`` vs
-  ``results/BENCH_forecast.json``): stacked N-HiTS training
-  (``NHiTSForecaster.fit_many``) must leave every job bit-identical to
-  one ``fit`` per job (unconditional) and keep the gated speedup over it.
-  Both sides are timed in one process, so only their ratio is gated;
+  ``results/BENCH_forecast.json``): N-HiTS training must leave every job
+  bit-identical whether it runs one ``fit`` per job or stacked
+  (``NHiTSForecaster.fit_many``), on the autodiff tape or on the compiled
+  kernel (``forecast/nhits.c``) -- unconditional.  Stacking must keep its
+  gated speedup on the tape, and the kernel its gated speedup over the
+  tape (a kernel that fell back to the tape reads about 1x and fails).
+  All sides are timed in one process, so only ratios are gated;
 - the latency-table bench (``benchmarks/bench_queueing_tables.py`` vs
   ``results/BENCH_tables.json``): the compiled table kernel
   (``queueing/erlang.c``) must build tables byte-identical to the numpy
@@ -550,7 +553,9 @@ def compare_hetero(baseline: dict, measured: dict) -> tuple[list[tuple], bool]:
     return rows, ok
 
 
-def load_forecast_baseline(path: Path, keys=("speedup", "identical", "gated_speedup")) -> dict:
+def load_forecast_baseline(
+    path: Path, keys=("speedup", "identical", "gated_speedup", "gated_kernel_speedup")
+) -> dict:
     """A ratio-gate baseline: one JSON object holding at least ``keys``."""
     data = json.loads(path.read_text())
     if not isinstance(data, dict):
@@ -564,9 +569,11 @@ def load_forecast_baseline(path: Path, keys=("speedup", "identical", "gated_spee
 def compare_forecast(baseline: dict, measured: dict) -> tuple[list[tuple], bool]:
     """Gate rows for the predictor-training bench; same row shape as :func:`compare`.
 
-    Both checks are baseline-free apart from the speedup floor: the
-    identity is absolute, and the speedup is a ratio of two timings taken
-    in one process, which host drift moves together.
+    Every check is baseline-free apart from the speedup floors: the
+    identity is absolute, and each speedup is a ratio of two timings taken
+    in one process, which host drift moves together.  ``forecast/stacked``
+    is stacking on the tape (``speedup``); ``forecast/kernel`` is the
+    compiled step against the tape, both stacked (``kernel_speedup``).
     """
     identical = bool(measured.get("identical"))
     rows = [
@@ -575,22 +582,29 @@ def compare_forecast(baseline: dict, measured: dict) -> tuple[list[tuple], bool]
             "weights",
             "== per job",
             "== per job" if identical else "DIVERGED",
-            "ok" if identical else "REGRESSED (stacked training changed a job)",
+            "ok" if identical else "REGRESSED (a training path changed a job)",
         )
     ]
-    required = baseline["gated_speedup"]
-    speedup = measured.get("speedup", 0.0)
-    fast = speedup >= required
-    rows.append(
-        (
-            "forecast/stacked",
-            "speedup",
-            f">= {required:.1f}x",
-            f"{speedup:.2f}x",
-            "ok" if fast else "REGRESSED (lost the stacked-training speedup)",
+    ok = identical
+    for point, key, floor, lost in (
+        ("forecast/stacked", "speedup", "gated_speedup", "the stacked-training speedup"),
+        ("forecast/kernel", "kernel_speedup", "gated_kernel_speedup",
+         "the compiled-step speedup"),
+    ):
+        required = baseline[floor]
+        speedup = measured.get(key, 0.0)
+        fast = speedup >= required
+        ok = ok and fast
+        rows.append(
+            (
+                point,
+                "speedup",
+                f">= {required:.1f}x",
+                f"{speedup:.2f}x",
+                "ok" if fast else f"REGRESSED (lost {lost})",
+            )
         )
-    )
-    return rows, identical and fast
+    return rows, ok
 
 
 def load_kernel_baseline(path: Path) -> dict:
