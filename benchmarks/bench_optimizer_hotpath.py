@@ -13,9 +13,10 @@ This micro-benchmark pins the perf trajectory of the optimizer hot path:
   allocation, the steady-state autoscaler configuration.
 - **pgd** rows break the COBYLA wall: the batched first-order solver
   (:mod:`repro.core.batched_solver`) at 200 and 1000 jobs, each carrying a
-  COBYLA quality differential (in-bench at 200, on pyprima's own
-  trust-region step so that the speedup measures pgd against a fixed
-  reference; the 1000-job point embeds a one-time converged reference,
+  COBYLA quality differential (in-bench at 200, on scipy's own COBYLA
+  with the compiled driver forced off, so that the speedup measures pgd
+  against a fixed reference; the 1000-job point embeds a one-time
+  converged reference,
   since a converged COBYLA solve there takes minutes) plus the
   quality/speedup constants the perf gate enforces.
 
@@ -134,9 +135,9 @@ def bench_pgd_flat(n, scenarios=35, cap=64, reps=2, cobyla_maxiter=None, cobyla_
         "gated_speedup": PGD_MIN_SPEEDUP,
     }
     if cobyla_maxiter is not None:
-        # COBYLA on pyprima's own trust-region step: a fixed reference that
-        # neither the trstlp kernel nor a faster COBYLA driver moves, so the
-        # ratio measures pgd.  The kernel does not change COBYLA's bits.
+        # COBYLA on scipy's own minimize, the compiled driver forced off: a
+        # fixed reference that the driver does not move, so the ratio
+        # measures pgd.  The driver does not change COBYLA's bits.
         loaded = trstlp.kernel
         trstlp.kernel = lambda: None
         try:

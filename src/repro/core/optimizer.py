@@ -53,7 +53,6 @@ Hot-path architecture (planner-latency engineering, §3.4 / Fig. 5):
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import math
 import os
@@ -939,7 +938,7 @@ def warm_start_vector(problem: AllocationProblem, allocation: Allocation) -> np.
 
 
 def _constraint_functions(problem: AllocationProblem):
-    """All inequality constraints as ONE array-valued callback.
+    """All inequality constraints as ONE array-valued callback, and its length.
 
     COBYLA/SLSQP accept vector constraint functions; a single numpy pass
     replaces the historical ``2n + 2`` per-scalar Python callbacks that
@@ -967,7 +966,7 @@ def _constraint_functions(problem: AllocationProblem):
             slacks[3 + 2 * n :: 2] = drop_max - drops
         return slacks
 
-    return [{"type": "ineq", "fun": all_slacks}]
+    return all_slacks, size
 
 
 def _negative_objective(problem: AllocationProblem):
@@ -1083,23 +1082,30 @@ def _optimize_drops(
 def _solve_scipy(
     problem: AllocationProblem, method: str, x0: np.ndarray, maxiter: int
 ) -> tuple[np.ndarray, float, int]:
+    """COBYLA (paper §5: initial variable change ``rhobeg`` of 2) or SLSQP.
+
+    COBYLA runs on the compiled driver of :mod:`repro.core.trstlp` when it
+    loads: the same solve as scipy's ``minimize(method="COBYLA")``, bit for
+    bit, with Python left only to evaluate ``fun`` and the slacks at each
+    point the driver hands back.  Otherwise, and for SLSQP, scipy's
+    ``minimize`` runs.
+    """
     fun, counter = _negative_objective(problem)
-    constraints = _constraint_functions(problem)
+    slacks, size = _constraint_functions(problem)
     options = {"maxiter": maxiter}
-    step = contextlib.nullcontext()
     if method == "cobyla":
-        # Paper §5: initial variable change (rhobeg) of 2.
-        options = {"maxiter": maxiter, "rhobeg": 2.0}
-        # COBYLA's trust-region step on the compiled kernel, same bits.
-        step = trstlp.installed()
-    with step:
-        result = sciopt.minimize(
-            fun,
-            x0,
-            method=method.upper(),
-            constraints=constraints,
-            options=options,
-        )
+        compiled = trstlp.kernel()
+        if compiled is not None:
+            z, f = compiled.minimize(fun, slacks, x0, size, rhobeg=2.0, maxiter=maxiter)
+            return z, float(-f), counter["nfev"]
+        options["rhobeg"] = 2.0
+    result = sciopt.minimize(
+        fun,
+        x0,
+        method=method.upper(),
+        constraints=[{"type": "ineq", "fun": slacks}],
+        options=options,
+    )
     return np.asarray(result.x, dtype=float), float(-result.fun), counter["nfev"]
 
 

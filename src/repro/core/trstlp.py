@@ -1,32 +1,41 @@
-"""The compiled trust-region step of COBYLA (``trstlp.c``) and its binding.
+"""COBYLA compiled (``trstlp.c``): scipy's pyprima driver and its trust-region step.
 
-scipy 1.17 runs COBYLA in pure Python (its PRIMA port, ``pyprima``), and
-one function of it, the trust-region LP ``trstlp``, takes most of a Faro
-solve: many small numpy calls per iteration, each dominated by Python
-overhead.  ``trstlp.c`` computes the same step in C.  It does not do its
-own sums: every ``np.dot``, ``@`` and ``np.linalg.lstsq`` of the reference
-is a call into the BLAS and LAPACK that numpy bundles (``ddot``, ``dgemv``,
-``dgemm`` and ``dgelsd``), through the table :func:`repro.native.blas`
-shares between kernels, with numpy's memory layout, so each step has
-pyprima's bits.
+scipy 1.17 runs COBYLA in pure Python (its PRIMA port, ``pyprima``), and a
+Faro solve spends most of its time in that Python: the driver ``cobylb``
+with its simplex updates, the trust-region LP ``trstlp``, and the wrappers
+scipy puts around every evaluation.  ``trstlp.c`` computes all of it in
+C.  It does not do its own sums: every ``np.dot``, ``@``,
+``np.linalg.lstsq`` and ``np.linalg.inv`` of the reference is a call into
+the BLAS and LAPACK that numpy bundles (``ddot``, ``dgemv``, ``dgemm``,
+``dgelsd`` and ``dgesv``), through the table :func:`repro.native.blas`
+shares between kernels, with numpy's memory layout, so a solve has
+scipy's bits.
 
-pyprima has no hook, so :func:`installed` swaps the kernel in as the
-``trstlp`` global of ``scipy._lib.pyprima.cobyla.cobylb`` for the length of
-one solve, and puts pyprima's function back afterwards;
-:func:`repro.core.optimizer.solve_allocation` does that around every
-``method="cobyla"`` solve, and no other caller of
-``scipy.optimize.minimize`` sees the kernel.  The first such solve of a
-process calls :func:`kernel`, which loads the kernel through
-:func:`repro.native.load` and checks it once against
-``trustregion.trstlp`` on a fixed corpus.  When it cannot load, COBYLA
-runs scipy's own code, which gives the same bits.  Every cffi object lives
-in this module.
+:func:`kernel` returns a :class:`Kernel` with two entry points:
+
+- :meth:`Kernel.minimize` is ``scipy.optimize.minimize(fun, x0,
+  method="COBYLA", constraints=[{"type": "ineq", "fun": slacks}],
+  options={"maxiter": ..., "rhobeg": ...})`` for that one call shape.  The
+  C driver never calls back into Python: it hands each point it needs
+  back to a short Python loop, which evaluates ``fun`` (unless scipy's
+  last-point cache would skip it) and ``slacks`` there and resumes the
+  driver.  :func:`repro.core.optimizer.solve_allocation` solves every
+  ``method="cobyla"`` problem through it; no other caller of
+  ``scipy.optimize.minimize`` sees it.
+- :meth:`Kernel.trstlp` is pyprima's ``trstlp(A, b, delta, g)`` alone.
+
+The first such solve of a process calls :func:`kernel`, which loads the
+kernel through :func:`repro.native.load` and checks it once against
+pyprima (the step on a fixed corpus, the simplex updates, one whole solve
+against scipy's).  When it cannot load, COBYLA runs scipy's own
+``minimize``, which gives the same bits.  Every cffi object lives in this
+module.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -34,72 +43,160 @@ import numpy as np
 
 from repro import native
 
-__all__ = ["installed", "kernel"]
+__all__ = ["Kernel", "kernel"]
 
 SOURCE = Path(__file__).with_name("trstlp.c")
 
 _CDEF = native.BLAS_CDEF + """
+typedef struct Driver Driver;
 int trstlp(const Blas *blas, int64_t num_vars, int64_t m, const double *A,
            const double *b, double delta, const double *g, double *d);
+Driver *cobyla_new(const Blas *blas, int64_t n, int64_t m, const double *x0,
+                   const double *options, int64_t maxfun, int64_t maxfilt,
+                   double *point, double *f, double *c, double *x);
+int cobyla_resume(Driver *state);
+void cobyla_free(Driver *state);
+int64_t cobyla_findpole(int64_t n, double cpen, const double *cval,
+                        const double *fval, double *phi);
+int cobyla_updatepole(const Blas *blas, int64_t n, int64_t m, double cpen,
+                      double *conmat, double *cval, double *fval, double *sim,
+                      double *simi, int *info);
+int cobyla_updatexfc(const Blas *blas, int64_t n, int64_t m, int64_t jdrop,
+                     const double *constr, double cpen, double cstrv,
+                     const double *d, double f, double *conmat, double *cval,
+                     double *fval, double *sim, double *simi, int *info);
 """
+
+#: ``cobyla_resume``'s requests: evaluate ``fun``, the constraints, or both.
+_NEED_F, _NEED_C = 1, 2
+
+#: scipy's ``minimize(method="COBYLA")`` default ``tol``, pyprima's ``rhoend``.
+_RHOEND = 1e-4
+
+
+def _failure(code: int) -> Exception:
+    """The exception pyprima raises where the driver returned ``code``."""
+    if code == -2:
+        return np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+    if code == -3:
+        return AssertionError()
+    if code == -4:
+        return np.linalg.LinAlgError("Singular matrix")
+    if code == -5:
+        return ValueError(
+            "zero-size array to reduction operation minimum which has no identity"
+        )
+    if code == -6:
+        return UnboundLocalError(
+            "cannot access local variable 'd' where it is not associated with a value"
+        )
+    return MemoryError("the COBYLA driver ran out of memory")
+
+
+@dataclass(frozen=True)
+class Kernel:
+    """The loaded kernel's entry points (see the module docstring)."""
+
+    #: ``minimize(fun, slacks, x0, m, rhobeg=..., maxiter=...) -> (x, f)``
+    minimize: Callable
+    #: ``trstlp(A, b, delta, g, reference=...) -> d``
+    trstlp: Callable
+    #: ``findpole``, ``updatepole`` and ``updatexfc`` alone, for the checks.
+    findpole: Callable
+    updatepole: Callable
+    updatexfc: Callable
 
 
 @functools.cache
-def kernel() -> Callable | None:
-    """The compiled ``trstlp(A, b, delta, g)``, or ``None`` when it cannot load.
+def kernel() -> Kernel | None:
+    """The compiled COBYLA, or ``None`` when it cannot load.
 
     Loaded once per process, on first use.
     """
     return native.load(
         "trstlp", SOURCE, _CDEF, _bind, _self_check,
-        fallback="COBYLA runs scipy's trstlp",
+        fallback="COBYLA runs scipy's minimize",
     )
 
 
-@contextlib.contextmanager
-def installed() -> Iterator[None]:
-    """Run the body with the kernel as pyprima's ``cobylb.trstlp``.
+def _options(n: int, m: int, rhobeg: float, maxfun: int) -> tuple[np.ndarray, int, int]:
+    """pyprima's settings for scipy's call, through pyprima's own ``preproc``
+    (so a ``maxfun`` below ``n + 2`` is raised, with its warning, as there).
 
-    A no-op when the kernel cannot load, or when something else has already
-    replaced pyprima's function.  pyprima's own ``trstlp`` is back in place
-    when the body ends, however it ends.
+    Returns ``rhobeg, rhoend, ctol, cweight, eta1, eta2, gamma1, gamma2,
+    ftarget`` as one array, ``maxfun`` and ``maxfilt``.
     """
-    run = kernel()
-    if run is None:
-        yield
-        return
-    from scipy._lib.pyprima.cobyla import cobylb, trustregion
+    from scipy._lib.pyprima.common import consts
+    from scipy._lib.pyprima.common.preproc import preproc
 
-    if cobylb.trstlp is not trustregion.trstlp:
-        yield
-        return
-    cobylb.trstlp = run
+    # pyprima's cobyla() defaults, as scipy leaves them.
+    eta1 = consts.ETA1_DEFAULT
+    eta2 = (eta1 + 2) / 3
+    maxhist = max(maxfun, n + 2, consts.MAXFUN_DIM_DEFAULT * n)
+    (
+        _, maxfun, _, ftarget, rhobeg, rhoend, _, maxfilt, ctol, cweight,
+        eta1, eta2, gamma1, gamma2, _,
+    ) = preproc(
+        "COBYLA", n, 0, maxfun, maxhist, -np.inf, rhobeg, _RHOEND,
+        num_constraints=m, maxfilt=2000, ctol=np.sqrt(np.finfo(float).eps),
+        cweight=consts.CWEIGHT_DEFAULT, eta1=eta1, eta2=eta2,
+        gamma1=consts.GAMMA1_DEFAULT, gamma2=consts.GAMMA2_DEFAULT,
+        is_constrained=m > 0,
+    )
+    settings = np.array(
+        [rhobeg, rhoend, ctol, cweight, eta1, eta2, gamma1, gamma2, ftarget], dtype=float
+    )
+    return settings, int(maxfun), int(maxfilt)
+
+
+def _bind(ffi, library) -> Kernel:
+    """The kernel's entry points, on numpy's BLAS."""
     try:
-        yield
-    finally:
-        cobylb.trstlp = trustregion.trstlp
-
-
-def _bind(ffi, library) -> Callable:
-    """The kernel behind pyprima's ``trstlp`` signature, on numpy's BLAS."""
-    try:
-        from scipy._lib.pyprima.cobyla import cobylb, trustregion
+        from scipy._lib.pyprima.cobyla import trustregion
         from scipy._lib.pyprima.common import consts, linalg
     except ImportError as exc:
         raise native.KernelUnavailable(f"scipy's COBYLA is not pyprima: {exc}") from exc
 
-    if cobylb.trstlp is not trustregion.trstlp:
-        raise native.KernelUnavailable(
-            "scipy's cobylb.trstlp is not pyprima's trustregion.trstlp"
-        )
     if linalg.USE_NAIVE_MATH or consts.DEBUGGING:
         raise native.KernelUnavailable(
             "pyprima runs its naive linear algebra or its debugging checks"
         )
     table = ffi.from_buffer("Blas *", native.blas())
-    step = library.trstlp
+    lib = library
     doubles = ffi.typeof("double[]")
     from_buffer = ffi.from_buffer
+
+    def minimize(fun, slacks, x0, m, *, rhobeg, maxiter):
+        """scipy's COBYLA on ``fun`` subject to ``slacks(x) >= 0``: ``(x, f)``.
+
+        ``slacks`` returns ``m`` values.  ``fun`` and ``slacks`` see each
+        point in their own copy, in scipy's order.
+        """
+        start = np.ascontiguousarray(np.atleast_1d(np.asarray(x0, dtype=float)))
+        if start.ndim != 1:
+            raise ValueError("'x0' must only have one dimension.")
+        n = start.size
+        settings, maxfun, maxfilt = _options(n, m, rhobeg, maxiter)
+        point, f, c, x = np.empty(n), np.empty(1), np.empty(m), np.empty(n)
+        state = lib.cobyla_new(
+            table, n, m, from_buffer(doubles, start), from_buffer(doubles, settings),
+            maxfun, maxfilt, from_buffer(doubles, point), from_buffer(doubles, f),
+            from_buffer(doubles, c), from_buffer(doubles, x),
+        )
+        if state == ffi.NULL:
+            raise _failure(-1)
+        resume = lib.cobyla_resume
+        try:
+            while (code := resume(state)) > 0:
+                if code & _NEED_F:
+                    f[0] = fun(point.copy())
+                if code & _NEED_C:
+                    c[:] = slacks(point.copy())
+        finally:
+            lib.cobyla_free(state)
+        if code < 0:
+            raise _failure(code)
+        return x, float(f[0])
 
     def run(A, b, delta, g, reference=trustregion.trstlp):
         """pyprima's ``trstlp``.  Inputs of other shapes, and inputs on which
@@ -116,7 +213,7 @@ def _bind(ffi, library) -> Callable:
             return reference(A, b, delta, g)
         num_vars, m = matrix.shape
         d = np.empty(num_vars)
-        status = step(
+        status = lib.trstlp(
             table, num_vars, m, from_buffer(doubles, matrix),
             from_buffer(doubles, rhs), float(delta),
             from_buffer(doubles, gradient), from_buffer(doubles, d),
@@ -125,36 +222,86 @@ def _bind(ffi, library) -> Callable:
             return reference(A, b, delta, g)
         return d
 
-    return run
+    def findpole(cpen, cval, fval):
+        phi = np.empty(len(fval))
+        return int(lib.cobyla_findpole(
+            len(fval) - 1, float(cpen), from_buffer(doubles, cval),
+            from_buffer(doubles, fval), from_buffer(doubles, phi),
+        ))
+
+    def simplex(conmat, cval, fval, sim, simi):
+        return (
+            sim.shape[0], conmat.shape[0], from_buffer(doubles, conmat),
+            from_buffer(doubles, cval), from_buffer(doubles, fval),
+            from_buffer(doubles, sim), from_buffer(doubles, simi),
+        )
+
+    def updatepole(cpen, conmat, cval, fval, sim, simi):
+        """In place on the (C-contiguous) arrays; returns pyprima's info."""
+        info = ffi.new("int *")
+        n, m, *arrays = simplex(conmat, cval, fval, sim, simi)
+        status = lib.cobyla_updatepole(table, n, m, float(cpen), *arrays, info)
+        if status:
+            raise _failure(status)
+        return info[0]
+
+    def updatexfc(jdrop, constr, cpen, cstrv, d, f, conmat, cval, fval, sim, simi):
+        """In place on the (C-contiguous) arrays; returns pyprima's info."""
+        info = ffi.new("int *")
+        n, m, *arrays = simplex(conmat, cval, fval, sim, simi)
+        status = lib.cobyla_updatexfc(
+            table, n, m, -1 if jdrop is None else int(jdrop),
+            from_buffer(doubles, constr), float(cpen), float(cstrv),
+            from_buffer(doubles, d), float(f), *arrays, info,
+        )
+        if status:
+            raise _failure(status)
+        return info[0]
+
+    return Kernel(minimize, run, findpole, updatepole, updatexfc)
 
 
 def _refuse(A, b, delta, g):
     raise native.KernelUnavailable("the load-time check reached a failure path")
 
 
-def _self_check(run: Callable) -> None:
-    """Raise unless ``run`` gives ``trustregion.trstlp``'s bytes on a fixed corpus.
+def _self_check(compiled: Kernel) -> None:
+    """Raise unless the kernel gives pyprima's and scipy's bytes.
 
-    Between them the six inputs take both stages through adding a
-    constraint with and without rank growth, exchanging and deleting active
-    constraints, a rank-deficient least-squares solve, both one-sided
-    Givens rotations and the rescaling of columns above 1e12.  About 15 ms,
-    once per process.
+    Three parts, about 40 ms once per process: ``trstlp`` on a fixed
+    corpus; ``findpole``, ``updatepole`` and ``updatexfc`` on fixed
+    simplices (NaN merits, twelve variables so numpy's row-by-row sums
+    differ from pairwise ones); and one small whole solve against scipy's
+    ``minimize``, on the evaluated points, ``x``, ``f`` and the number of
+    ``fun`` calls.
     """
     from scipy._lib.pyprima.cobyla import trustregion
 
     for A, b, delta, g in _corpus():
-        got = run(A, b, delta, g, reference=_refuse)
+        got = compiled.trstlp(A, b, delta, g, reference=_refuse)
         if got.tobytes() != trustregion.trstlp(A, b, delta, g).tobytes():
             raise native.KernelUnavailable(
                 "the load-time check disagrees with pyprima's trstlp"
             )
+    if not _updates_match(compiled):
+        raise native.KernelUnavailable(
+            "the load-time check disagrees with pyprima's simplex updates"
+        )
+    if not _solve_matches(compiled):
+        raise native.KernelUnavailable(
+            "the load-time check disagrees with scipy's COBYLA"
+        )
 
 
 def _corpus() -> Iterator[tuple[np.ndarray, np.ndarray, float, np.ndarray]]:
-    """The self-check's fixed inputs: Faro-shaped bound and capacity rows,
+    """The step check's fixed inputs: Faro-shaped bound and capacity rows,
     random rows and parallel copies of the capacity rows, from an infeasible
-    start, then from a feasible one with a column and ``g`` above 1e12."""
+    start, then from a feasible one with a column and ``g`` above 1e12.
+
+    Between them they take both stages of ``trstlp`` through adding a
+    constraint with and without rank growth, exchanging and deleting active
+    constraints, a rank-deficient least-squares solve, both one-sided
+    Givens rotations and the rescaling of columns above 1e12."""
     rng = np.random.default_rng(3)
     for num_vars, delta in ((3, 1.0), (6, 2.0), (10, 0.5)):
         eye = np.eye(num_vars)
@@ -167,3 +314,82 @@ def _corpus() -> Iterator[tuple[np.ndarray, np.ndarray, float, np.ndarray]]:
         huge = A.copy()
         huge[:, -1] *= 1e14
         yield huge, np.abs(b) + 0.1, delta, g * 1e13
+
+
+def _simplex(rng: np.random.Generator, n: int, m: int) -> tuple[np.ndarray, ...]:
+    """``conmat, cval, fval, sim, simi`` of a random, well-conditioned simplex."""
+    sim = np.hstack([np.eye(n) + 0.3 * rng.standard_normal((n, n)), rng.standard_normal((n, 1))])
+    simi = np.linalg.inv(sim[:, :n])
+    conmat = rng.standard_normal((m, n + 1))
+    cval = np.maximum(rng.standard_normal(n + 1), 0.0)
+    fval = rng.standard_normal(n + 1)
+    return conmat, cval, fval, sim, simi
+
+
+def _updates_match(compiled: Kernel) -> bool:
+    """findpole, updatepole and updatexfc against pyprima's, byte for byte."""
+    from scipy._lib.pyprima.cobyla import update
+
+    rng = np.random.default_rng(5)
+    for cval, fval in (
+        ([0.0, 1.0, 2.0, 0.5], [np.nan, 1.0, 0.0, 3.0]),
+        ([1.0, np.nan, 0.0, 0.5], [0.5, 1.0, 0.0, 3.0]),
+        ([0.0, 0.0, 1.0, 0.0], [2.0, -1.0, np.nan, 1.0]),
+        ([2.0, 1.0, 0.0, 1.0], [0.0, 1.0, 2.0, 1.0]),
+    ):
+        cval, fval = np.array(cval), np.array(fval)
+        if compiled.findpole(1.5, cval, fval) != update.findpole(1.5, cval, fval):
+            return False
+    n, m = 12, 5
+    for jdrop in (None, 3, n):
+        conmat, cval, fval, sim, simi = _simplex(rng, n, m)
+        fval[4] = fval.min() - 1.0
+        d = 0.5 * rng.standard_normal(n)
+        constr, f, cstrv = rng.standard_normal(m), float(fval.min() - 2.0), 0.25
+        ours = [a.copy() for a in (conmat, cval, fval, sim, simi)]
+        if jdrop is None:
+            theirs = update.updatepole(1.0, conmat, cval, fval, sim, simi)
+            info = compiled.updatepole(1.0, *ours)
+            expected = theirs[:5]
+        else:
+            theirs = update.updatexfc(jdrop, constr, 1.0, cstrv, d, f, conmat, cval, fval, sim, simi)
+            info = compiled.updatexfc(jdrop, constr, 1.0, cstrv, d, f, *ours)
+            sim_, simi_, fval_, conmat_, cval_, _ = theirs
+            expected = (conmat_, cval_, fval_, sim_, simi_)
+        if info != theirs[-1] or any(
+            np.asarray(a).tobytes() != b.tobytes() for a, b in zip(expected, ours)
+        ):
+            return False
+    return True
+
+
+def _solve_matches(compiled: Kernel) -> bool:
+    """One small Faro-shaped solve, on the kernel and on scipy's ``minimize``."""
+    import scipy.optimize
+
+    weights = np.array([1.0, 2.5])
+
+    def slacks(z):
+        return np.concatenate([[3.0 - z.sum()], z - 0.5, 3.0 - z])
+
+    def run(solve):
+        points = []
+
+        def fun(z):
+            points.append(z.tobytes())
+            return -float(weights @ np.log1p(z))
+
+        x, f = solve(fun)
+        return points, np.asarray(x, dtype=float).tobytes(), float(f)
+
+    def reference(fun):
+        result = scipy.optimize.minimize(
+            fun, np.ones(2), method="COBYLA",
+            constraints=[{"type": "ineq", "fun": slacks}],
+            options={"maxiter": 12, "rhobeg": 2.0},
+        )
+        return result.x, result.fun
+
+    return run(lambda fun: compiled.minimize(
+        fun, slacks, np.ones(2), 5, rhobeg=2.0, maxiter=12,
+    )) == run(reference)

@@ -7,15 +7,17 @@ Four hot paths run as C kernels next to their Python reference:
 - ``erlang`` (:mod:`repro.queueing.vectorized`, ``queueing/erlang.c``)
   builds the Erlang-C and M/D/c latency tables exactly as their numpy
   loops do;
-- ``trstlp`` (:mod:`repro.core.trstlp`, ``core/trstlp.c``) takes COBYLA's
-  trust-region step exactly as scipy's pyprima ``trstlp`` does;
+- ``trstlp`` (:mod:`repro.core.trstlp`, ``core/trstlp.c``) runs a whole
+  COBYLA solve exactly as scipy's ``minimize(method="COBYLA")`` (pyprima's
+  ``cobylb`` driver and its trust-region step ``trstlp``) runs it, handing
+  each point back to Python to evaluate;
 - ``nhits`` (:mod:`repro.forecast.nhits`, ``forecast/nhits.c``) runs a
   stacked N-HiTS training step exactly as the autodiff tape does.
 
-The last two never sum a product themselves: every ``np.dot``, ``@`` and
-``np.linalg.lstsq`` of their reference is a call through :func:`blas`,
-one table of the BLAS and LAPACK routines numpy itself calls, so their
-bits follow numpy's on any host.
+The last two never sum a product themselves: every ``np.dot``, ``@``,
+``np.linalg.lstsq`` and ``np.linalg.inv`` of their reference is a call
+through :func:`blas`, one table of the BLAS and LAPACK routines numpy
+itself calls, so their bits follow numpy's on any host.
 
 Each client module wraps :func:`load` in its own ``kernel()`` under
 ``functools.cache``, so a kernel loads once per process, on first use.
@@ -56,8 +58,9 @@ __all__ = [
 CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 #: The cffi declaration of :func:`blas`'s table; a kernel's C source names
-#: the same four entries with their function-pointer types.
-BLAS_CDEF = "typedef struct { void *ddot, *dgemv, *dgemm, *dgelsd; } Blas;"
+#: its entries with their function-pointer types, in this order (a prefix
+#: of them when it calls only those).
+BLAS_CDEF = "typedef struct { void *ddot, *dgemv, *dgemm, *dgelsd, *dgesv; } Blas;"
 
 #: The table's routines, in :data:`BLAS_CDEF`'s order, with the numpy
 #: extension module that exports each.
@@ -66,6 +69,7 @@ _BLAS_ROUTINES = (
     ("scipy_cblas_dgemv64_", "numpy._core._multiarray_umath"),
     ("scipy_cblas_dgemm64_", "numpy._core._multiarray_umath"),
     ("scipy_dgelsd_64_", "numpy.linalg._umath_linalg"),
+    ("scipy_dgesv_64_", "numpy.linalg._umath_linalg"),
 )
 
 T = TypeVar("T")
@@ -115,14 +119,14 @@ def load(
 
 @functools.cache
 def blas():
-    """numpy's bundled ``ddot``, ``dgemv``, ``dgemm`` and ``dgelsd``, as one table.
+    """numpy's bundled ``ddot``, ``dgemv``, ``dgemm``, ``dgelsd`` and ``dgesv``, as one table.
 
-    A read-only numpy array of the four routines' addresses, in
+    A read-only numpy array of the five routines' addresses, in
     :data:`BLAS_CDEF`'s order, resolved once per process; a kernel receives
     it as ``ffi.from_buffer("Blas *", native.blas())``.  These are the
-    routines numpy's ``np.dot``, ``@`` and ``np.linalg.lstsq`` call, so a
-    kernel that calls them with numpy's layouts gets numpy's bits, on
-    whichever kernels OpenBLAS picked for this CPU.  Raises
+    routines numpy's ``np.dot``, ``@``, ``np.linalg.lstsq`` and
+    ``np.linalg.inv`` call, so a kernel that calls them with numpy's layouts
+    gets numpy's bits, on whichever kernels OpenBLAS picked for this CPU.  Raises
     :class:`KernelUnavailable` when cffi is missing or numpy does not export
     them.  The addresses stay valid: numpy's own import keeps its
     extension modules loaded.

@@ -9,6 +9,7 @@ contract.
 
 import json
 import subprocess
+import sys
 import textwrap
 from dataclasses import dataclass
 
@@ -525,27 +526,56 @@ class TestTablesGate:
 class TestTrstlpGate:
     load_check_perf = TestUnpairedBaselines.load_check_perf
 
-    def test_gates_each_shape_against_the_checked_in_floor(self):
+    def measured(self, solve_speedup: float = 30.0, solve_identical: bool = True) -> dict:
+        return {
+            "identical": True,
+            "shapes": [
+                {"workload": "headline", "shape": "10x22", "speedup": 60.0},
+                {"workload": "serve-stream", "shape": "20x42", "speedup": 50.0},
+            ],
+            "solve_identical": solve_identical,
+            "solves": [
+                {"workload": "headline", "variables": 10, "speedup": solve_speedup},
+                {"workload": "serve-stream", "variables": 20, "speedup": solve_speedup},
+            ],
+        }
+
+    def baseline(self):
         from pathlib import Path
 
         root = Path(__file__).resolve().parent.parent
         mod = self.load_check_perf()
-        baseline = mod.load_kernel_baseline(root / "results" / "BENCH_trstlp.json")
+        return mod, mod.load_trstlp_baseline(root / "results" / "BENCH_trstlp.json")
+
+    def test_gates_each_shape_against_the_checked_in_floor(self):
+        mod, baseline = self.baseline()
         assert baseline["identical"] and baseline["gated_speedup"] == 5.0
+        assert baseline["solve_identical"] and baseline["gated_solve_speedup"] > 1.5
         assert baseline["kernel"] == "c"
-        measured = {
-            "identical": True,
-            "shapes": [
-                {"workload": "headline", "shape": "10x22", "speedup": 60.0},
-                {"workload": "serve-stream", "shape": "20x42", "speedup": 1.01},
-            ],
-        }
+        measured = self.measured()
+        measured["shapes"][1]["speedup"] = 1.01
         rows, ok = mod.compare_trstlp(baseline, measured)
         assert [row[0] for row in rows] == [
             "trstlp/identity", "trstlp/headline 10x22", "trstlp/serve-stream 20x42",
+            "trstlp/solve/identity", "trstlp/solve/headline 10 vars",
+            "trstlp/solve/serve-stream 20 vars",
         ]
-        # A kernel that fell back to pyprima times pyprima against itself.
+        # A step that fell back to pyprima times pyprima against itself.
         assert not ok and rows[2][-1].startswith("REGRESSED")
+        assert all(row[-1] == "ok" for i, row in enumerate(rows) if i != 2)
+
+    def test_a_diverged_solve_fails_even_when_it_is_fast(self):
+        mod, baseline = self.baseline()
+        rows, ok = mod.compare_trstlp(baseline, self.measured(solve_speedup=50.0, solve_identical=False))
+        assert not ok
+        assert rows[3][0] == "trstlp/solve/identity" and rows[3][-1].startswith("REGRESSED")
+        assert [row[-1] for row in rows[4:]] == ["ok", "ok"]
+
+    def test_a_fallen_back_driver_reads_about_1x_and_fails(self):
+        mod, baseline = self.baseline()
+        rows, ok = mod.compare_trstlp(baseline, self.measured(solve_speedup=1.02))
+        assert not ok and rows[3][-1] == "ok"
+        assert all(row[-1].startswith("REGRESSED") for row in rows[4:])
 
 
 # -------------------------------------------------- run_checks umbrella
@@ -592,3 +622,26 @@ class TestRunChecks:
         assert "serve" in smoke.argv
         assert "--check" in smoke.argv
         assert any("serve_replay.json" in arg for arg in smoke.argv)
+
+    def test_portability_reruns_every_pin_under_every_emulation(self):
+        mod = self.load_run_checks()
+        assert all(not s.env and s.gating for s in mod.build_steps())
+        steps = mod.build_steps(skip_perf=True, skip_tests=True, portability=True)
+        assert steps[0].name == "lint" and steps[0].gating
+        report = steps[1:]
+        pins = mod.portability_pins(sys.executable or "python")
+        assert len(report) == len(mod.EMULATIONS) * len(pins) == 30
+        assert not any(s.gating for s in report)
+        for (emulation, env), block in zip(
+            mod.EMULATIONS, [report[i : i + len(pins)] for i in range(0, len(report), len(pins))]
+        ):
+            assert [s.env for s in block] == [env] * len(pins)
+            assert [s.argv for s in block] == [argv for _, argv in pins]
+            assert all(s.name.startswith(f"portability {emulation}: ") for s in block)
+        settings = {key: value for _, env in mod.EMULATIONS for key, value in env}
+        assert set(settings) == {"OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES", "GLIBC_TUNABLES"}
+        names = " ".join(" ".join(argv) for _, argv in pins)
+        for target in ("test_backend_differential.py", "TestCobylaDigestPins",
+                       "TestTrainedForecasterPins", "test_trstlp_kernel.py",
+                       "test_nhits_kernel.py", "benchmarks.e2e"):
+            assert target in names

@@ -1,14 +1,19 @@
-"""COBYLA's compiled trust-region step must be pyprima's, bit for bit.
+"""COBYLA on the compiled driver must be scipy's COBYLA, bit for bit.
 
-The kernel (``core/trstlp.c``, :mod:`repro.core.trstlp`) is checked byte
-for byte against ``scipy._lib.pyprima.cobyla.trustregion.trstlp`` on random
-inputs and on every input of two real Faro solves; whole COBYLA solves with
-and without it must evaluate the same points and return the same
-allocation.  Its installation as pyprima's ``cobylb.trstlp`` and its loader
-are tested the way ``tests/test_queueing_vectorized.py`` tests the table
-kernel's.
+The kernel (``core/trstlp.c``, :mod:`repro.core.trstlp`) runs pyprima's
+whole ``cobylb`` driver and its trust-region step in C.  The step is
+checked byte for byte against
+``scipy._lib.pyprima.cobyla.trustregion.trstlp`` on random inputs and on
+every input of two real Faro solves; the simplex updates against pyprima's
+on crafted simplices; and whole solves against
+``scipy.optimize.minimize(method="COBYLA")`` on a seeded random corpus and
+on every solve of a paper run: the same points evaluated in the same
+order, the same ``x``, ``fun`` and number of ``fun`` calls.  Its loader is
+tested the way ``tests/test_queueing_vectorized.py`` tests the table
+kernel's, with mutants the load-time check must refuse.
 """
 
+import dataclasses
 import functools
 import importlib.util
 import shutil
@@ -17,7 +22,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.optimize
-from scipy._lib.pyprima.cobyla import cobylb, trustregion
+from scipy._lib.pyprima.cobyla import cobylb, trustregion, update
 from scipy._lib.pyprima.common import linalg
 
 from repro import api, native
@@ -38,9 +43,9 @@ def compiled():
     """The kernel; skip where it cannot be built, fail where it can but did not load."""
     if shutil.which("cc") is None or importlib.util.find_spec("cffi") is None:
         pytest.skip("needs a C compiler (cc) and cffi")
-    run = trstlp.kernel()
-    assert run is not None
-    return run
+    loaded = trstlp.kernel()
+    assert loaded is not None
+    return loaded
 
 
 def refuse(A, b, delta, g):
@@ -87,10 +92,10 @@ def random_inputs(rng):
     return A, b, float(10.0 ** rng.uniform(-8, 3)), g
 
 
-def assert_same_step(run, A, b, delta, g):
+def assert_same_step(compiled, A, b, delta, g):
     with np.errstate(all="ignore"):
         expected = trustregion.trstlp(A, b, delta, g)
-    got = run(A, b, delta, g, reference=refuse)
+    got = compiled.trstlp(A, b, delta, g, reference=refuse)
     assert got.tobytes() == expected.tobytes(), (A.shape, delta)
 
 
@@ -131,7 +136,8 @@ class TestKernelMatchesPyprima:
     def test_every_step_of_the_paper_so_cluster(self, compiled, monkeypatch, policy, shape):
         """``headline`` solves the SO cluster with faro-fairsum and
         ``serve-stream`` with faro-penaltyfairsum: every step their first
-        solves take is the kernel's step too."""
+        solves take is the kernel's step too.  The driver is forced off, so
+        scipy's COBYLA runs and hands its steps to the recorder."""
         shapes = []
 
         def compare(A, b, delta, g):
@@ -149,6 +155,7 @@ class TestKernelMatchesPyprima:
             predictor_profile="fast",
         )
         monkeypatch.setattr(cobylb, "trstlp", compare)
+        monkeypatch.setattr(trstlp, "kernel", lambda: None)
         api.run(spec)
         assert len(shapes) > 100 and set(shapes) == {shape}
 
@@ -171,7 +178,7 @@ def faro_problem(jobs: int, objective: str, binding: bool) -> AllocationProblem:
 
 
 class TestWholeSolve:
-    """A COBYLA solve on the kernel is the solve on pyprima's own step."""
+    """``solve_allocation`` on the driver is ``solve_allocation`` on scipy's COBYLA."""
 
     @pytest.mark.parametrize(
         "jobs, objective, binding, warm, maxiter",
@@ -217,27 +224,149 @@ class TestWholeSolve:
         assert (fast.nfev, fast.post_nfev) == (reference.nfev, reference.post_nfev)
 
 
-class TestInstallation:
-    """The kernel is pyprima's trstlp only inside ``solve_allocation``."""
+def random_problem(rng, drops: bool, binding: bool, jobs: int | None = None) -> AllocationProblem:
+    """1-20 jobs of drawn load, with or without the drop axis, and a
+    replica budget that binds or leaves room."""
+    jobs = int(rng.integers(1, 21)) if jobs is None else jobs
+    specs = [
+        OptimizationJob(
+            name=f"j{i}",
+            proc_time=float(rng.uniform(0.05, 0.3)),
+            slo=SLO(float(rng.uniform(0.3, 1.2))),
+            rates=tuple(np.maximum(rng.normal(base, base * 0.3, 60), 0.0)),
+            min_replicas=int(rng.integers(1, 3)),
+        )
+        for i, base in enumerate(rng.uniform(2.0, 40.0, jobs))
+    ]
+    objective = rng.choice(["penaltysum", "penaltyfairsum"] if drops else ["sum", "fair", "fairsum"])
+    replicas = int(rng.uniform(1.2, 2.0) * 2 * jobs) if binding else 12 * jobs
+    return AllocationProblem(specs, ClusterCapacity.of_replicas(replicas), make_objective(objective))
 
-    def test_installed_during_a_solve_and_removed_after(self, compiled, small_problem):
-        seen = []
-        evaluate = small_problem.evaluate
 
-        def spying(replicas, drops):
-            seen.append(cobylb.trstlp)
-            return evaluate(replicas, drops)
+def solve_both(compiled, problem, x0, maxiter):
+    """One COBYLA solve on the driver, then on scipy's ``minimize``.
 
-        small_problem.evaluate = spying
-        solve_allocation(small_problem)
-        assert compiled in seen
-        assert cobylb.trstlp is trustregion.trstlp
+    Each side gives every call it made, in order (``"f"`` or ``"c"`` with
+    the point's bytes), ``x``'s bytes, ``fun`` and the warnings it raised.
+    """
+    fun, _ = optimizer._negative_objective(problem)
+    slacks, size = optimizer._constraint_functions(problem)
 
-    def test_removed_after_an_objective_raises(self, compiled, small_problem):
+    def run(solve):
+        calls = []
+
+        def recording_fun(z):
+            calls.append(("f", z.tobytes()))
+            return fun(z)
+
+        def recording_slacks(z):
+            calls.append(("c", z.tobytes()))
+            return slacks(z)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            x, f = solve(recording_fun, recording_slacks)
+        said = [(w.category, str(w.message)) for w in caught]
+        return calls, np.asarray(x, dtype=float).tobytes(), float(f), said
+
+    def reference(f, c):
+        result = scipy.optimize.minimize(
+            f, x0, method="COBYLA", constraints=[{"type": "ineq", "fun": c}],
+            options={"maxiter": maxiter, "rhobeg": 2.0},
+        )
+        return result.x, result.fun
+
+    return (
+        run(lambda f, c: compiled.minimize(f, c, x0, size, rhobeg=2.0, maxiter=maxiter)),
+        run(reference),
+    )
+
+
+class TestWholeSolveCorpus:
+    """The driver against ``scipy.optimize.minimize(method="COBYLA")``."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_corpus_matches_scipy(self, compiled, seed):
+        """2-40 variables; the drop axis, a binding budget and a warm start
+        each on or off by seed; ``maxiter`` now and then below ``n + 2``."""
+        rng = np.random.default_rng(100 + seed)
+        drops, binding, warm = seed % 2, (seed // 2) % 2, (seed // 4) % 2
+        for _ in range(2):
+            problem = random_problem(rng, bool(drops), bool(binding))
+            n = problem.num_jobs * (2 if drops else 1)
+            if warm:
+                with warnings.catch_warnings():
+                    # scipy's MAXFUN warning when n + 2 > 30
+                    warnings.simplefilter("ignore", UserWarning)
+                    start = solve_allocation(problem, maxiter=30)
+                x0 = optimizer.warm_start_vector(problem, start)
+            else:
+                x0 = optimizer._default_start(problem)
+            maxiter = int(rng.choice([n + 1, 2 * n + 8, 150]))
+            ours, theirs = solve_both(compiled, problem, x0, maxiter)
+            assert ours == theirs, (seed, n, maxiter)
+            assert sum(kind == "f" for kind, _ in ours[0]) > n
+
+    @pytest.mark.parametrize("binding", [False, True])
+    def test_forty_variables_match_scipy(self, compiled, binding):
+        """The largest Faro shape: 20 jobs along the drop axis."""
+        rng = np.random.default_rng(7)
+        problem = random_problem(rng, True, binding, jobs=20)
+        ours, theirs = solve_both(compiled, problem, optimizer._default_start(problem), 150)
+        assert ours == theirs
+
+    @pytest.mark.parametrize("policy", ["faro-fairsum", "faro-penaltyfairsum"])
+    def test_every_solve_of_a_paper_so_run(self, compiled, monkeypatch, policy):
+        """Every solve of a five-minute SO run, each on both sides."""
+        checked = []
+
+        def both(fun, slacks, x0, m, *, rhobeg, maxiter):
+            def run(solve):
+                calls = []
+
+                def recording(z):
+                    calls.append(z.tobytes())
+                    return fun(z)
+
+                x, f = solve(recording)
+                return calls, np.asarray(x, dtype=float), float(f)
+
+            def reference(f):
+                result = scipy.optimize.minimize(
+                    f, x0, method="COBYLA", constraints=[{"type": "ineq", "fun": slacks}],
+                    options={"maxiter": maxiter, "rhobeg": rhobeg},
+                )
+                return result.x, result.fun
+
+            ours = run(lambda f: compiled.minimize(
+                f, slacks, x0, m, rhobeg=rhobeg, maxiter=maxiter
+            ))
+            theirs = run(reference)
+            assert ours[0] == theirs[0] and ours[2] == theirs[2]
+            assert ours[1].tobytes() == theirs[1].tobytes()
+            checked.append(len(ours[0]))
+            return ours[1], ours[2]
+
+        monkeypatch.setattr(
+            trstlp, "kernel", lambda: dataclasses.replace(compiled, minimize=both)
+        )
+        spec = api.ExperimentSpec.compare(
+            "so-solves",
+            [api.ScenarioSpec(kind="paper", params={"size": "SO", "duration_minutes": 5})],
+            [policy],
+            simulator="request",
+            trials=1,
+            seed=0,
+            predictor_profile="fast",
+        )
+        api.run(spec)
+        assert checked and min(checked) > 10
+
+    def test_an_objective_that_raises_propagates(self, compiled, small_problem):
         calls = []
 
         def failing(replicas, drops):
-            calls.append(cobylb.trstlp)
+            calls.append(1)
             if len(calls) == 8:
                 raise RuntimeError("objective failed mid-solve")
             return 0.0
@@ -245,17 +374,91 @@ class TestInstallation:
         small_problem.evaluate = failing
         with pytest.raises(RuntimeError, match="mid-solve"):
             solve_allocation(small_problem)
-        assert compiled in calls
-        assert cobylb.trstlp is trustregion.trstlp
+        assert len(calls) == 8
+
+
+def damaged_simplex(rng, n: int, m: int, damage: float):
+    """``conmat, cval, fval, sim, simi`` whose ``simi`` is off the inverse
+    by ``damage``, and a vertex better than the pole."""
+    sim = np.hstack([np.eye(n) + 0.3 * rng.standard_normal((n, n)), rng.standard_normal((n, 1))])
+    simi = np.linalg.inv(sim[:, :n]) + damage * rng.standard_normal((n, n))
+    conmat = rng.standard_normal((m, n + 1))
+    cval = np.maximum(rng.standard_normal(n + 1), 0.0)
+    fval = rng.standard_normal(n + 1)
+    fval[int(rng.integers(0, n))] = fval.min() - 1.0
+    return conmat, cval, fval, sim, simi
+
+
+class TestSimplexUpdates:
+    """updatepole and updatexfc against pyprima's, on simplices no e2e
+    solve reaches: a damaged ``simi`` that takes the ``inv`` branch,
+    replacing the pole itself, and singular and near-singular vertices."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("damage", [0.0, 0.2, 5.0])
+    def test_updates_match_pyprima(self, compiled, seed, damage):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(1, 30)), int(rng.integers(1, 12))
+        for jdrop in (None, int(rng.integers(0, n)), n):
+            arrays = damaged_simplex(rng, n, m, damage)
+            d = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 1)
+            if rng.random() < 0.3:
+                d = -arrays[3][:, 0] * (1 + 1e-14)  # a near-singular vertex
+            constr, f, cstrv = rng.standard_normal(m), float(rng.standard_normal()), 0.5
+            ours = [a.copy() for a in arrays]
+            with np.errstate(all="ignore"):
+                if jdrop is None:
+                    *theirs, info = update.updatepole(1.3, *arrays)
+                    got = compiled.updatepole(1.3, *ours)
+                else:
+                    sim, simi, fval, conmat, cval, info = update.updatexfc(
+                        jdrop, constr, 1.3, cstrv, d, f, *arrays
+                    )
+                    theirs = [conmat, cval, fval, sim, simi]
+                    got = compiled.updatexfc(jdrop, constr, 1.3, cstrv, d, f, *ours)
+            assert got == info
+            for expected, actual in zip(theirs, ours):
+                assert np.asarray(expected).tobytes() == actual.tobytes(), (n, jdrop, damage)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_findpole_matches_pyprima_with_nan_merits(self, compiled, seed):
+        """Python's ``min`` in ``findpole`` skips a NaN after the first merit."""
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            n = int(rng.integers(1, 12))
+            cval = np.maximum(rng.standard_normal(n + 1), 0.0)
+            fval = rng.standard_normal(n + 1)
+            for values in (cval, fval):
+                values[rng.random(n + 1) < 0.2] = np.nan
+            cpen = float(rng.uniform(0.0, 3.0))
+            with np.errstate(all="ignore"):
+                expected = update.findpole(cpen, cval, fval)
+            assert compiled.findpole(cpen, cval, fval) == expected
+
+    def test_a_singular_simplex_raises_like_numpy(self, compiled):
+        rng = np.random.default_rng(1)
+        conmat, cval, fval, sim, simi = damaged_simplex(rng, 4, 3, 1.0)
+        sim[:, 1] = sim[:, 0]
+        ours = [a.copy() for a in (conmat, cval, fval, sim, simi)]
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            update.updatepole(1.0, conmat, cval, fval, sim, simi)
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            compiled.updatepole(1.0, *ours)
+
+
+class TestInstallation:
+    """The driver runs only inside ``solve_allocation``."""
 
     def test_direct_scipy_callers_never_reach_the_kernel(self, compiled, monkeypatch):
         calls = []
 
         def counting(*args, **kwargs):
-            calls.append(args[0].shape)
-            return compiled(*args, **kwargs)
+            calls.append(len(args))
+            return compiled.minimize(*args, **kwargs)
 
-        monkeypatch.setattr(trstlp, "kernel", lambda: counting)
+        monkeypatch.setattr(
+            trstlp, "kernel", lambda: dataclasses.replace(compiled, minimize=counting)
+        )
         result = scipy.optimize.minimize(
             lambda x: (x[0] - 1.0) ** 2 + (x[1] + 0.5) ** 2,
             np.zeros(2),
@@ -265,21 +468,39 @@ class TestInstallation:
         assert result.nfev > 0 and not calls
         assert cobylb.trstlp is trustregion.trstlp
 
-    def test_left_alone_when_pyprima_was_already_replaced(self, compiled, monkeypatch, small_problem):
-        calls = []
 
-        def wrapper(A, b, delta, g):
-            calls.append(A.shape)
-            return trustregion.trstlp(A, b, delta, g)
-
-        monkeypatch.setattr(cobylb, "trstlp", wrapper)
-        solve_allocation(small_problem)
-        assert calls and cobylb.trstlp is wrapper
+MUTANTS = {
+    # Python's min(phi) in findpole, which skips a NaN after the first
+    # entry, replaced by a NaN-propagating minimum.
+    "findpole-fmin": (
+        "phimin = py_min_of(phi, n + 1);",
+        "phimin = phi[0];\n    for (int64_t j = 1; j <= n; j++)\n"
+        "        phimin = np_minimum(phimin, phi[j]);",
+        "pyprima's simplex updates",
+    ),
+    # numpy sums simi over axis 0 row by row; a pairwise sum down each
+    # column rounds differently from eight rows on.
+    "pairwise-column-sums": (
+        "np_sum_rows(S->simi, n, n, n, s->colsum);",
+        "for (int64_t j = 0; j < n; j++) {\n"
+        "            for (int64_t i = 0; i < n; i++)\n"
+        "                s->tmp_m[i] = S->simi[i * n + j];\n"
+        "            s->colsum[j] = np_sum(s->tmp_m, n);\n"
+        "        }",
+        "pyprima's simplex updates",
+    ),
+    # scipy's ScalarFunction does not call fun again at its last point.
+    "no-last-point-cache": (
+        "s->pending = same ? NEED_C : NEED_F | NEED_C;",
+        "s->pending = NEED_F | NEED_C;",
+        "scipy's COBYLA",
+    ),
+}
 
 
 class TestKernelLoading:
-    """The kernel loads where it can; where it cannot, pyprima's own trstlp
-    runs with one warning and identical results."""
+    """The kernel loads where it can; where it cannot, scipy's COBYLA runs
+    with one warning and identical results."""
 
     def test_kernel_loads_where_it_can_be_built(self, compiled):
         assert native.kernels()["trstlp"] == "c"
@@ -298,7 +519,7 @@ class TestKernelLoading:
         messages = [str(w.message) for w in caught if w.category is RuntimeWarning]
         assert len(messages) == 1
         assert "cc failed to compile trstlp.c" in messages[0]
-        assert "COBYLA runs scipy's trstlp" in messages[0]
+        assert "COBYLA runs scipy's minimize" in messages[0]
         for per_policy in report.stats.values():
             for result in per_policy["faro-fairsum"].results:
                 assert result.metadata["kernels"]["trstlp"] == "python"
@@ -318,6 +539,22 @@ class TestKernelLoading:
         trstlp.kernel.cache_clear()
         try:
             with pytest.warns(RuntimeWarning, match="disagrees with pyprima's trstlp"):
+                assert trstlp.kernel() is None
+            assert native.kernels()["trstlp"] == "python"
+        finally:
+            trstlp.kernel.cache_clear()
+
+    @pytest.mark.parametrize("name", sorted(MUTANTS))
+    def test_driver_mutant_is_refused(self, compiled, tmp_path, monkeypatch, name):
+        original, replacement, part = MUTANTS[name]
+        source = trstlp.SOURCE.read_text()
+        assert source.count(original) >= 1
+        mutant = tmp_path / "trstlp.c"
+        mutant.write_text(source.replace(original, replacement))
+        monkeypatch.setattr(trstlp, "SOURCE", mutant)
+        trstlp.kernel.cache_clear()
+        try:
+            with pytest.warns(RuntimeWarning, match=f"disagrees with {part}"):
                 assert trstlp.kernel() is None
             assert native.kernels()["trstlp"] == "python"
         finally:

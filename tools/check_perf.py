@@ -53,13 +53,18 @@ Eight benches run in-process and compare against checked-in baselines:
   loops (unconditional) and keep the gated speedup over them at each e2e
   workload's table shape.  Like the training gate, it gates only a ratio
   taken within one process;
-- the trust-region step bench (``benchmarks/bench_cobyla_trstlp.py`` vs
-  ``results/BENCH_trstlp.json``): the compiled ``trstlp`` kernel
-  (``core/trstlp.c``) must return steps byte-identical to scipy's pyprima
-  ``trstlp`` on every input a Faro-shaped COBYLA solve hands it
-  (unconditional) and keep the gated speedup over it at each e2e
-  workload's shape, again as a ratio taken within one process.  A kernel
-  that silently fell back to pyprima reads about 1x and fails.
+- the COBYLA bench (``benchmarks/bench_cobyla_trstlp.py`` vs
+  ``results/BENCH_trstlp.json``), in two parts at each e2e workload's
+  shape.  The compiled trust-region step (``core/trstlp.c``) must return
+  steps byte-identical to scipy's pyprima ``trstlp`` on every input a
+  Faro-shaped COBYLA solve hands it (unconditional) and keep the gated
+  speedup over it.  The compiled driver must make the same calls as
+  ``scipy.optimize.minimize(method="COBYLA")`` on a whole Faro solve --
+  the same points in the same order, the same ``x``, ``fun`` and number of
+  ``fun`` calls (unconditional: a diverged solve fails however fast it
+  is) -- and keep the gated whole-solve speedup over it.  Both are ratios
+  taken within one process; a kernel that silently fell back to scipy
+  reads about 1x and fails.
 
 Run next to the tier-1 verify command:
 
@@ -608,7 +613,7 @@ def compare_forecast(baseline: dict, measured: dict) -> tuple[list[tuple], bool]
 
 
 def load_kernel_baseline(path: Path) -> dict:
-    """A compiled-kernel baseline (``BENCH_tables.json``, ``BENCH_trstlp.json``)."""
+    """A compiled-kernel baseline (``BENCH_tables.json``)."""
     return load_forecast_baseline(path, keys=("shapes", "identical", "gated_speedup"))
 
 
@@ -663,13 +668,28 @@ def compare_tables(baseline: dict, measured: dict) -> tuple[list[tuple], bool]:
     )
 
 
+def load_trstlp_baseline(path: Path) -> dict:
+    """The COBYLA bench's baseline: the step's keys and the whole solve's."""
+    return load_forecast_baseline(
+        path, keys=("shapes", "identical", "gated_speedup", "solves", "gated_solve_speedup")
+    )
+
+
 def compare_trstlp(baseline: dict, measured: dict) -> tuple[list[tuple], bool]:
-    """Gate rows for the trust-region step bench (:func:`_compare_kernel`)."""
-    return _compare_kernel(
+    """Gate rows for the COBYLA bench (:func:`_compare_kernel`): the step
+    against pyprima's ``trstlp``, then the whole solve against scipy's."""
+    rows, ok = _compare_kernel(
         "trstlp", "pyprima",
         lambda shape: f"{shape['workload']} {shape['shape']}",
         baseline, measured,
     )
+    solve_rows, solve_ok = _compare_kernel(
+        "trstlp/solve", "scipy",
+        lambda solve: f"{solve['workload']} {solve['variables']} vars",
+        {"gated_speedup": baseline["gated_solve_speedup"]},
+        {"identical": measured.get("solve_identical"), "shapes": measured.get("solves")},
+    )
+    return rows + solve_rows, ok and solve_ok
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -824,7 +844,7 @@ def main(argv: list[str] | None = None) -> int:
             hetero_baseline = load_hetero_baseline(args.hetero_baseline)
         forecast_baseline = load_forecast_baseline(forecast_baseline_path)
         tables_baseline = load_kernel_baseline(tables_baseline_path)
-        trstlp_baseline = load_kernel_baseline(trstlp_baseline_path)
+        trstlp_baseline = load_trstlp_baseline(trstlp_baseline_path)
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: cannot read baseline: {exc}", file=sys.stderr)
         return 2
@@ -985,7 +1005,7 @@ def main(argv: list[str] | None = None) -> int:
 
     from benchmarks.bench_cobyla_trstlp import run_trstlp_bench
 
-    print(f"\nrunning trust-region step bench (baseline: {trstlp_baseline_path}) ...")
+    print(f"\nrunning COBYLA bench (baseline: {trstlp_baseline_path}) ...")
     trstlp_measured = run_trstlp_bench()
     trstlp_rows, trstlp_ok = compare_trstlp(trstlp_baseline, trstlp_measured)
     ok = ok and trstlp_ok
@@ -994,7 +1014,7 @@ def main(argv: list[str] | None = None) -> int:
         format_table(
             ["point", "metric", "baseline", "measured", "verdict"],
             trstlp_rows,
-            title="== COBYLA trust-region step kernel perf gate ==",
+            title="== COBYLA kernel perf gate (step and whole solve) ==",
         )
     )
 
