@@ -1085,10 +1085,11 @@ def _solve_scipy(
     """COBYLA (paper §5: initial variable change ``rhobeg`` of 2) or SLSQP.
 
     COBYLA runs on the compiled driver of :mod:`repro.core.trstlp` when it
-    loads: the same solve as scipy's ``minimize(method="COBYLA")``, bit for
-    bit, with Python left only to evaluate ``fun`` and the slacks at each
-    point the driver hands back.  Otherwise, and for SLSQP, scipy's
-    ``minimize`` runs.
+    loads (it ports scipy 1.17's COBYLA and loads under no other release):
+    the same solve as scipy's ``minimize(method="COBYLA")``, bit for bit,
+    with Python left only to evaluate ``fun`` and the slacks at each point
+    the driver hands back.  Otherwise, and for SLSQP, scipy's ``minimize``
+    runs.
     """
     fun, counter = _negative_objective(problem)
     slacks, size = _constraint_functions(problem)

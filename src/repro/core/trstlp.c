@@ -1285,17 +1285,16 @@ static double fcratio(const Driver *s, const Simplex *S)
 }
 
 /* getcpen: raise cpen until the predicted merit reduction is positive, on
- * a copy of the simplex.  *reuse says the copy, g, A and the step it
- * leaves are exactly what cobylb computes next: the loop stopped on its
- * first pass without changing cpen. */
-static int getcpen(Driver *s, int *reuse)
+ * a copy of the simplex.  Its steps go to d_cpen, not d: after damaging
+ * rounding in the next updatepole, the last-step check reads the d of the
+ * iteration before. */
+static int getcpen(Driver *s)
 {
     const int64_t n = s->n, m = s->m, cols = n + 1;
     Simplex *S = &s->copy;
     double cpen = s->cpen;
     int info, status;
 
-    *reuse = 0;
     memcpy(S->sim, s->main.sim, (size_t)(n * cols) * sizeof(double));
     memcpy(S->simi, s->main.simi, (size_t)(n * n) * sizeof(double));
     memcpy(S->fval, s->main.fval, (size_t)cols * sizeof(double));
@@ -1314,10 +1313,8 @@ static int getcpen(Driver *s, int *reuse)
             return status;
         preref = -np_dot(s->blas, n, s->d_cpen, 1, s->g, 1);
         prerec = S->cval[n] - linear_violation(s, S, s->A, s->d_cpen, 1.0);
-        if (!(prerec > 0 && preref < 0)) {
-            *reuse = iter == 0;
+        if (!(prerec > 0 && preref < 0))
             break;
-        }
         cpen = py_max(cpen, py_min(-2 * preref / prerec, REALMAX));
         if (findpole(s->phi, n, cpen, S->cval, S->fval) == n)
             break;
@@ -1702,12 +1699,17 @@ static int finish(Driver *s, double cweight)
     return 0;
 }
 
+/* Run the solve up to the next point to evaluate (returns NEED_F and/or
+ * NEED_C), to its end (0) or to a failure (< 0).  Each call is a new frame
+ * that jumps to the label of the last return: whatever must outlive a
+ * return lives in the Driver, and no local is read after a label before
+ * it is set again. */
 int cobyla_resume(Driver *s)
 {
     const int64_t n = s->n, m = s->m, cols = n + 1;
     Simplex *const S = &s->main;
     const double rhobeg = s->rhobeg;
-    int code, status, subinfo, reuse;
+    int code, status, subinfo;
 
     switch (s->where) {
     case START:
@@ -1851,37 +1853,24 @@ at_x0_moderated:
     s->info = MAXTR_REACHED;
     for (s->tr = 0; s->tr < s->maxtr; s->tr++) {
         int improve_geo, reduce_rho, bad_trstep;
-        status = getcpen(s, &reuse);
+        status = getcpen(s);
         if (status != OK)
             return fail(s, status);
-        if (reuse) {
-            /* updatepole, models and trstlp on the main simplex would
-             * repeat getcpen's first pass exactly: take its results. */
-            memcpy(S->sim, s->copy.sim, (size_t)(n * cols) * sizeof(double));
-            memcpy(S->simi, s->copy.simi, (size_t)(n * n) * sizeof(double));
-            memcpy(S->fval, s->copy.fval, (size_t)cols * sizeof(double));
-            memcpy(S->cval, s->copy.cval, (size_t)cols * sizeof(double));
-            memcpy(S->conmat, s->copy.conmat, (size_t)(m * cols) * sizeof(double));
-            memcpy(s->d, s->d_cpen, (size_t)n * sizeof(double));
-        } else {
-            status = updatepole(s, S, s->cpen, &subinfo);
-            if (status != OK)
-                return fail(s, status);
-            if (subinfo == DAMAGING_ROUNDING) {
-                s->info = subinfo;
-                break;
-            }
+        status = updatepole(s, S, s->cpen, &subinfo);
+        if (status != OK)
+            return fail(s, status);
+        if (subinfo == DAMAGING_ROUNDING) {
+            s->info = subinfo;
+            break;
         }
         vertex_distsq(s, S->sim, s->tmp_n);
         s->adequate_geo = 1;
         for (int64_t j = 0; j < n; j++)
             s->adequate_geo = s->adequate_geo && s->tmp_n[j] <= 4 * (s->delta * s->delta);
-        if (!reuse) {
-            models(s, S, s->g, s->A);
-            status = step(s, S, s->g, s->A, s->d);
-            if (status != OK)
-                return fail(s, status);
-        }
+        models(s, S, s->g, s->A);
+        status = step(s, S, s->g, s->A, s->d);
+        if (status != OK)
+            return fail(s, status);
         s->has_d = 1;
         s->dnorm = py_min(s->delta, np_norm(s->blas, s->d, n));
         s->shortd = s->dnorm <= 0.1 * s->rho;
@@ -1977,9 +1966,10 @@ at_x0_moderated:
                     break;
                 }
             }
-        }
-
-        if (reduce_rho) {
+        } else if (reduce_rho) {
+            /* pyprima never sets improve_geo and reduce_rho together, so
+             * this is its "if reduce_rho"; the else also keeps a resume at
+             * at_geometry, a new call, off this call's unset reduce_rho. */
             if (s->rho <= s->rhoend) {
                 s->info = SMALL_TR_RADIUS;
                 break;

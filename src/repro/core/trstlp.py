@@ -22,14 +22,17 @@ scipy's bits.
   driver.  :func:`repro.core.optimizer.solve_allocation` solves every
   ``method="cobyla"`` problem through it; no other caller of
   ``scipy.optimize.minimize`` sees it.
-- :meth:`Kernel.trstlp` is pyprima's ``trstlp(A, b, delta, g)`` alone.
+- :meth:`Kernel.trstlp` is pyprima's ``trstlp(A, b, delta, g)`` alone,
+  for the checks.
 
-The first such solve of a process calls :func:`kernel`, which loads the
-kernel through :func:`repro.native.load` and checks it once against
-pyprima (the step on a fixed corpus, the simplex updates, one whole solve
-against scipy's).  When it cannot load, COBYLA runs scipy's own
-``minimize``, which gives the same bits.  Every cffi object lives in this
-module.
+The driver ports one scipy release (:data:`PORTED_SCIPY`): under any other
+the kernel does not load, since a driver that tracks scipy's COBYLA only
+as far as its checks reach could drift from it unseen.  The first such
+solve of a process calls :func:`kernel`, which loads the kernel through
+:func:`repro.native.load` and checks it once against pyprima (the step on
+a fixed corpus, the simplex updates, one whole solve against scipy's).
+When it cannot load, COBYLA runs scipy's own ``minimize``, which gives the
+same bits.  Every cffi object lives in this module.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import numpy as np
 
 from repro import native
 
-__all__ = ["Kernel", "kernel"]
+__all__ = ["PORTED_SCIPY", "Kernel", "kernel"]
 
 SOURCE = Path(__file__).with_name("trstlp.c")
 
@@ -66,6 +69,10 @@ int cobyla_updatexfc(const Blas *blas, int64_t n, int64_t m, int64_t jdrop,
                      const double *d, double f, double *conmat, double *cval,
                      double *fval, double *sim, double *simi, int *info);
 """
+
+#: The scipy release whose ``minimize(method="COBYLA")`` the driver ports:
+#: its ``_minimize_cobyla``, ``ScalarFunction`` and pyprima's ``cobylb``.
+PORTED_SCIPY = "1.17"
 
 #: ``cobyla_resume``'s requests: evaluate ``fun``, the constraints, or both.
 _NEED_F, _NEED_C = 1, 2
@@ -93,13 +100,17 @@ def _failure(code: int) -> Exception:
     return MemoryError("the COBYLA driver ran out of memory")
 
 
+#: The driver's code for each failure of the C ``trstlp``.
+_STEP_FAILURES = {1: -2, 2: -1, 3: -3}
+
+
 @dataclass(frozen=True)
 class Kernel:
     """The loaded kernel's entry points (see the module docstring)."""
 
     #: ``minimize(fun, slacks, x0, m, rhobeg=..., maxiter=...) -> (x, f)``
     minimize: Callable
-    #: ``trstlp(A, b, delta, g, reference=...) -> d``
+    #: ``trstlp(A, b, delta, g) -> d``
     trstlp: Callable
     #: ``findpole``, ``updatepole`` and ``updatexfc`` alone, for the checks.
     findpole: Callable
@@ -151,8 +162,13 @@ def _options(n: int, m: int, rhobeg: float, maxfun: int) -> tuple[np.ndarray, in
 
 def _bind(ffi, library) -> Kernel:
     """The kernel's entry points, on numpy's BLAS."""
+    import scipy
+
+    if scipy.__version__.split(".")[:2] != PORTED_SCIPY.split("."):
+        raise native.KernelUnavailable(
+            f"the driver ports scipy {PORTED_SCIPY}'s COBYLA, this is scipy {scipy.__version__}"
+        )
     try:
-        from scipy._lib.pyprima.cobyla import trustregion
         from scipy._lib.pyprima.common import consts, linalg
     except ImportError as exc:
         raise native.KernelUnavailable(f"scipy's COBYLA is not pyprima: {exc}") from exc
@@ -198,28 +214,20 @@ def _bind(ffi, library) -> Kernel:
             raise _failure(code)
         return x, float(f[0])
 
-    def run(A, b, delta, g, reference=trustregion.trstlp):
-        """pyprima's ``trstlp``.  Inputs of other shapes, and inputs on which
-        the reference raises, go to ``reference``."""
+    def run(A, b, delta, g):
+        """pyprima's ``trstlp`` for ``A`` of n >= 1 rows and m columns, ``b``
+        of m and ``g`` of n; it raises where pyprima's would."""
         matrix = np.ascontiguousarray(A, dtype=float)
-        rhs = np.ascontiguousarray(b, dtype=float)
-        gradient = np.ascontiguousarray(g, dtype=float)
-        if (
-            matrix.ndim != 2
-            or matrix.shape[0] < 1
-            or rhs.shape != matrix.shape[1:]
-            or gradient.shape != matrix.shape[:1]
-        ):
-            return reference(A, b, delta, g)
         num_vars, m = matrix.shape
         d = np.empty(num_vars)
         status = lib.trstlp(
             table, num_vars, m, from_buffer(doubles, matrix),
-            from_buffer(doubles, rhs), float(delta),
-            from_buffer(doubles, gradient), from_buffer(doubles, d),
+            from_buffer(doubles, np.ascontiguousarray(b, dtype=float)), float(delta),
+            from_buffer(doubles, np.ascontiguousarray(g, dtype=float)),
+            from_buffer(doubles, d),
         )
         if status:
-            return reference(A, b, delta, g)
+            raise _failure(_STEP_FAILURES[status])
         return d
 
     def findpole(cpen, cval, fval):
@@ -261,10 +269,6 @@ def _bind(ffi, library) -> Kernel:
     return Kernel(minimize, run, findpole, updatepole, updatexfc)
 
 
-def _refuse(A, b, delta, g):
-    raise native.KernelUnavailable("the load-time check reached a failure path")
-
-
 def _self_check(compiled: Kernel) -> None:
     """Raise unless the kernel gives pyprima's and scipy's bytes.
 
@@ -273,24 +277,30 @@ def _self_check(compiled: Kernel) -> None:
     simplices (NaN merits, twelve variables so numpy's row-by-row sums
     differ from pairwise ones); and one small whole solve against scipy's
     ``minimize``, on the evaluated points, ``x``, ``f`` and the number of
-    ``fun`` calls.
+    ``fun`` calls.  None of them makes pyprima raise, so a kernel that
+    raises there disagrees too.
     """
+    for matches, reference in (
+        (_steps_match, "pyprima's trstlp"),
+        (_updates_match, "pyprima's simplex updates"),
+        (_solve_matches, "scipy's COBYLA"),
+    ):
+        try:
+            agrees = matches(compiled)
+        except (AssertionError, MemoryError, NameError, ValueError):
+            agrees = False
+        if not agrees:
+            raise native.KernelUnavailable(f"the load-time check disagrees with {reference}")
+
+
+def _steps_match(compiled: Kernel) -> bool:
+    """``trstlp`` on :func:`_corpus` against pyprima's, byte for byte."""
     from scipy._lib.pyprima.cobyla import trustregion
 
-    for A, b, delta, g in _corpus():
-        got = compiled.trstlp(A, b, delta, g, reference=_refuse)
-        if got.tobytes() != trustregion.trstlp(A, b, delta, g).tobytes():
-            raise native.KernelUnavailable(
-                "the load-time check disagrees with pyprima's trstlp"
-            )
-    if not _updates_match(compiled):
-        raise native.KernelUnavailable(
-            "the load-time check disagrees with pyprima's simplex updates"
-        )
-    if not _solve_matches(compiled):
-        raise native.KernelUnavailable(
-            "the load-time check disagrees with scipy's COBYLA"
-        )
+    return all(
+        compiled.trstlp(*case).tobytes() == trustregion.trstlp(*case).tobytes()
+        for case in _corpus()
+    )
 
 
 def _corpus() -> Iterator[tuple[np.ndarray, np.ndarray, float, np.ndarray]]:

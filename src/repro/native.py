@@ -8,9 +8,9 @@ Four hot paths run as C kernels next to their Python reference:
   builds the Erlang-C and M/D/c latency tables exactly as their numpy
   loops do;
 - ``trstlp`` (:mod:`repro.core.trstlp`, ``core/trstlp.c``) runs a whole
-  COBYLA solve exactly as scipy's ``minimize(method="COBYLA")`` (pyprima's
-  ``cobylb`` driver and its trust-region step ``trstlp``) runs it, handing
-  each point back to Python to evaluate;
+  COBYLA solve exactly as scipy 1.17's ``minimize(method="COBYLA")``
+  (pyprima's ``cobylb`` driver and its trust-region step ``trstlp``) runs
+  it, handing each point back to Python to evaluate;
 - ``nhits`` (:mod:`repro.forecast.nhits`, ``forecast/nhits.c``) runs a
   stacked N-HiTS training step exactly as the autodiff tape does.
 

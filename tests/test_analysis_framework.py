@@ -526,13 +526,11 @@ class TestTablesGate:
 class TestTrstlpGate:
     load_check_perf = TestUnpairedBaselines.load_check_perf
 
-    def measured(self, solve_speedup: float = 30.0, solve_identical: bool = True) -> dict:
+    def measured(
+        self, solve_speedup: float = 30.0, solve_identical: bool = True, identical: bool = True
+    ) -> dict:
         return {
-            "identical": True,
-            "shapes": [
-                {"workload": "headline", "shape": "10x22", "speedup": 60.0},
-                {"workload": "serve-stream", "shape": "20x42", "speedup": 50.0},
-            ],
+            "identical": identical,
             "solve_identical": solve_identical,
             "solves": [
                 {"workload": "headline", "variables": 10, "speedup": solve_speedup},
@@ -549,33 +547,40 @@ class TestTrstlpGate:
 
     def test_gates_each_shape_against_the_checked_in_floor(self):
         mod, baseline = self.baseline()
-        assert baseline["identical"] and baseline["gated_speedup"] == 5.0
-        assert baseline["solve_identical"] and baseline["gated_solve_speedup"] > 1.5
+        assert baseline["identical"] and baseline["solve_identical"]
+        assert baseline["gated_solve_speedup"] > 1.5 and "gated_speedup" not in baseline
         assert baseline["kernel"] == "c"
+        assert all(
+            solve["speedup"] >= baseline["gated_solve_speedup"] for solve in baseline["solves"]
+        )
         measured = self.measured()
-        measured["shapes"][1]["speedup"] = 1.01
+        measured["solves"][1]["speedup"] = 1.01
         rows, ok = mod.compare_trstlp(baseline, measured)
         assert [row[0] for row in rows] == [
-            "trstlp/identity", "trstlp/headline 10x22", "trstlp/serve-stream 20x42",
-            "trstlp/solve/identity", "trstlp/solve/headline 10 vars",
+            "trstlp/identity", "trstlp/solve/identity", "trstlp/solve/headline 10 vars",
             "trstlp/solve/serve-stream 20 vars",
         ]
-        # A step that fell back to pyprima times pyprima against itself.
-        assert not ok and rows[2][-1].startswith("REGRESSED")
-        assert all(row[-1] == "ok" for i, row in enumerate(rows) if i != 2)
+        assert not ok and rows[3][-1].startswith("REGRESSED")
+        assert all(row[-1] == "ok" for row in rows[:3])
 
     def test_a_diverged_solve_fails_even_when_it_is_fast(self):
         mod, baseline = self.baseline()
         rows, ok = mod.compare_trstlp(baseline, self.measured(solve_speedup=50.0, solve_identical=False))
         assert not ok
-        assert rows[3][0] == "trstlp/solve/identity" and rows[3][-1].startswith("REGRESSED")
-        assert [row[-1] for row in rows[4:]] == ["ok", "ok"]
+        assert rows[1][0] == "trstlp/solve/identity" and rows[1][-1].startswith("REGRESSED")
+        assert [row[-1] for row in (rows[0], *rows[2:])] == ["ok", "ok", "ok"]
+
+    def test_a_diverged_step_fails_even_when_the_solve_is_fast(self):
+        mod, baseline = self.baseline()
+        rows, ok = mod.compare_trstlp(baseline, self.measured(solve_speedup=50.0, identical=False))
+        assert not ok and rows[0][-1].startswith("REGRESSED")
+        assert all(row[-1] == "ok" for row in rows[1:])
 
     def test_a_fallen_back_driver_reads_about_1x_and_fails(self):
         mod, baseline = self.baseline()
         rows, ok = mod.compare_trstlp(baseline, self.measured(solve_speedup=1.02))
-        assert not ok and rows[3][-1] == "ok"
-        assert all(row[-1].startswith("REGRESSED") for row in rows[4:])
+        assert not ok and rows[1][-1] == "ok"
+        assert all(row[-1].startswith("REGRESSED") for row in rows[2:])
 
 
 # -------------------------------------------------- run_checks umbrella

@@ -17,6 +17,7 @@ import dataclasses
 import functools
 import importlib.util
 import shutil
+import subprocess
 import warnings
 
 import numpy as np
@@ -43,13 +44,11 @@ def compiled():
     """The kernel; skip where it cannot be built, fail where it can but did not load."""
     if shutil.which("cc") is None or importlib.util.find_spec("cffi") is None:
         pytest.skip("needs a C compiler (cc) and cffi")
+    if scipy.__version__.split(".")[:2] != trstlp.PORTED_SCIPY.split("."):
+        pytest.skip(f"the driver ports scipy {trstlp.PORTED_SCIPY}'s COBYLA")
     loaded = trstlp.kernel()
     assert loaded is not None
     return loaded
-
-
-def refuse(A, b, delta, g):
-    raise AssertionError("the kernel handed these inputs back to pyprima")
 
 
 def random_inputs(rng):
@@ -95,7 +94,7 @@ def random_inputs(rng):
 def assert_same_step(compiled, A, b, delta, g):
     with np.errstate(all="ignore"):
         expected = trustregion.trstlp(A, b, delta, g)
-    got = compiled.trstlp(A, b, delta, g, reference=refuse)
+    got = compiled.trstlp(A, b, delta, g)
     assert got.tobytes() == expected.tobytes(), (A.shape, delta)
 
 
@@ -479,13 +478,14 @@ MUTANTS = {
         "pyprima's simplex updates",
     ),
     # numpy sums simi over axis 0 row by row; a pairwise sum down each
-    # column rounds differently from eight rows on.
+    # column rounds differently from eight rows on.  (distsq holds n + 1
+    # and is free inside updatepole and updatexfc.)
     "pairwise-column-sums": (
         "np_sum_rows(S->simi, n, n, n, s->colsum);",
         "for (int64_t j = 0; j < n; j++) {\n"
         "            for (int64_t i = 0; i < n; i++)\n"
-        "                s->tmp_m[i] = S->simi[i * n + j];\n"
-        "            s->colsum[j] = np_sum(s->tmp_m, n);\n"
+        "                s->distsq[i] = S->simi[i * n + j];\n"
+        "            s->colsum[j] = np_sum(s->distsq, n);\n"
         "        }",
         "pyprima's simplex updates",
     ),
@@ -493,6 +493,13 @@ MUTANTS = {
     "no-last-point-cache": (
         "s->pending = same ? NEED_C : NEED_F | NEED_C;",
         "s->pending = NEED_F | NEED_C;",
+        "scipy's COBYLA",
+    ),
+    # A driver that raises where scipy does not (here LinAlgError from the
+    # first inverse) is refused at load, not raised from the first solve.
+    "inverse-fails": (
+        "if (info != 0)\n        return FAIL_SINGULAR;",
+        "if (info == 0)\n        return FAIL_SINGULAR;",
         "scipy's COBYLA",
     ),
 }
@@ -559,6 +566,27 @@ class TestKernelLoading:
             assert native.kernels()["trstlp"] == "python"
         finally:
             trstlp.kernel.cache_clear()
+
+    def test_another_scipy_release_is_refused(self, compiled, monkeypatch):
+        """The driver ports one scipy's COBYLA; under another, scipy's runs."""
+        monkeypatch.setattr(scipy, "__version__", "1.18.0")
+        trstlp.kernel.cache_clear()
+        try:
+            with pytest.warns(RuntimeWarning, match="ports scipy 1.17's COBYLA, this is scipy 1.18.0"):
+                assert trstlp.kernel() is None
+            assert native.kernels()["trstlp"] == "python"
+        finally:
+            trstlp.kernel.cache_clear()
+
+    def test_source_compiles_without_uninitialized_warnings(self, compiled, tmp_path):
+        """Each resume of the driver is a new C frame that jumps to a label;
+        a local read there before it is set again would be undefined."""
+        flags = ["-Wall", "-Werror=uninitialized", "-Werror=maybe-uninitialized"]
+        result = subprocess.run(
+            ["cc", *native.CFLAGS, *flags, "-o", str(tmp_path / "trstlp.so"), str(trstlp.SOURCE)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0 and "warning" not in result.stderr, result.stderr
 
     def test_naive_pyprima_math_is_refused(self, compiled, monkeypatch):
         monkeypatch.setattr(linalg, "USE_NAIVE_MATH", True)

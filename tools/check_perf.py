@@ -54,17 +54,17 @@ Eight benches run in-process and compare against checked-in baselines:
   workload's table shape.  Like the training gate, it gates only a ratio
   taken within one process;
 - the COBYLA bench (``benchmarks/bench_cobyla_trstlp.py`` vs
-  ``results/BENCH_trstlp.json``), in two parts at each e2e workload's
-  shape.  The compiled trust-region step (``core/trstlp.c``) must return
-  steps byte-identical to scipy's pyprima ``trstlp`` on every input a
-  Faro-shaped COBYLA solve hands it (unconditional) and keep the gated
-  speedup over it.  The compiled driver must make the same calls as
+  ``results/BENCH_trstlp.json``), at each e2e workload's shape.  The
+  compiled driver (``core/trstlp.c``) must make the same calls as
   ``scipy.optimize.minimize(method="COBYLA")`` on a whole Faro solve --
   the same points in the same order, the same ``x``, ``fun`` and number of
   ``fun`` calls (unconditional: a diverged solve fails however fast it
-  is) -- and keep the gated whole-solve speedup over it.  Both are ratios
-  taken within one process; a kernel that silently fell back to scipy
-  reads about 1x and fails.
+  is) -- and keep the gated whole-solve speedup over it, a ratio taken
+  within one process; a kernel that silently fell back to scipy reads
+  about 1x and fails.  Its trust-region step must also return steps
+  byte-identical to scipy's pyprima ``trstlp`` on every input a Faro
+  solve hands it (unconditional); the step's speed is gated only through
+  the whole solve's.
 
 Run next to the tier-1 verify command:
 
@@ -669,27 +669,30 @@ def compare_tables(baseline: dict, measured: dict) -> tuple[list[tuple], bool]:
 
 
 def load_trstlp_baseline(path: Path) -> dict:
-    """The COBYLA bench's baseline: the step's keys and the whole solve's."""
+    """The COBYLA bench's baseline: the identities and the whole solve's floor."""
     return load_forecast_baseline(
-        path, keys=("shapes", "identical", "gated_speedup", "solves", "gated_solve_speedup")
+        path, keys=("identical", "solve_identical", "solves", "gated_solve_speedup")
     )
 
 
 def compare_trstlp(baseline: dict, measured: dict) -> tuple[list[tuple], bool]:
-    """Gate rows for the COBYLA bench (:func:`_compare_kernel`): the step
-    against pyprima's ``trstlp``, then the whole solve against scipy's."""
-    rows, ok = _compare_kernel(
-        "trstlp", "pyprima",
-        lambda shape: f"{shape['workload']} {shape['shape']}",
-        baseline, measured,
+    """Gate rows for the COBYLA bench: the step's bytes against pyprima's
+    ``trstlp``, then the whole solve against scipy's (:func:`_compare_kernel`)."""
+    identical = bool(measured.get("identical"))
+    step = (
+        "trstlp/identity",
+        "bytes",
+        "== pyprima",
+        "== pyprima" if identical else "DIVERGED",
+        "ok" if identical else "REGRESSED (the kernel changed its output)",
     )
-    solve_rows, solve_ok = _compare_kernel(
+    rows, ok = _compare_kernel(
         "trstlp/solve", "scipy",
         lambda solve: f"{solve['workload']} {solve['variables']} vars",
         {"gated_speedup": baseline["gated_solve_speedup"]},
         {"identical": measured.get("solve_identical"), "shapes": measured.get("solves")},
     )
-    return rows + solve_rows, ok and solve_ok
+    return [step, *rows], identical and ok
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -1014,7 +1017,7 @@ def main(argv: list[str] | None = None) -> int:
         format_table(
             ["point", "metric", "baseline", "measured", "verdict"],
             trstlp_rows,
-            title="== COBYLA kernel perf gate (step and whole solve) ==",
+            title="== COBYLA kernel perf gate (whole solve and step) ==",
         )
     )
 
