@@ -1,16 +1,23 @@
-"""Predictor training: the compiled step, stacking, and one ``fit`` per job.
+"""Predictor training: the compiled step, stacking, threads, and one ``fit`` per job.
 
 The training contract, pinned for the perf gate (``tools/check_perf.py``
 vs ``results/BENCH_forecast.json``):
 
 - every way of training a scenario's N-HiTS forecasters leaves every job
   **bit-identical** (weights and loss history): one ``fit`` per job and
-  stacked models (:meth:`NHiTSForecaster.fit_many`), each on the autodiff
-  tape (the compiled kernel forced to ``None``) and on the kernel;
-- stacking pays on the tape: one ``fit_many`` call beats one ``fit`` call
-  per job by at least ``gated_speedup`` (``speedup``);
-- the kernel pays: ``fit_many`` on the kernel beats ``fit_many`` on the
-  tape by at least ``gated_kernel_speedup`` (``kernel_speedup``).
+  stacked models, each on the autodiff tape (the compiled kernel forced to
+  ``None``) and on the kernel, and :meth:`NHiTSForecaster.fit_many` as
+  shipped, its stacks on a thread pool;
+- stacking pays on the tape: the stacks, trained one after another, beat
+  one ``fit`` call per job by at least ``gated_speedup`` (``speedup``);
+- the kernel pays: the stacks on the kernel beat the same stacks on the
+  tape, both one after another, by at least ``gated_kernel_speedup``
+  (``kernel_speedup``);
+- the threads pay: ``fit_many`` as shipped beats its stacks trained one
+  after another on the kernel by at least ``gated_thread_speedup``
+  (``thread_speedup``), gated only where the baseline and the run both
+  have at least two cores (``cpu_count``, the cores this process may run
+  on).
 
 The kernel's own stacked/per-job ratio (``kernel_stacking``) is recorded
 but not gated: on the kernel the matrix products, which stacking does not
@@ -21,7 +28,6 @@ cancel out host drift; no absolute wall-clock is gated.
 
 import contextlib
 import json
-import os
 import time
 
 from benchmarks.conftest import BENCH_PROFILE, RESULTS_DIR, write_result
@@ -39,11 +45,16 @@ BENCH_REPEATS = 3
 #: Speedup the perf gate demands from stacked training on the tape.
 GATED_SPEEDUP = 1.5
 
-#: Speedup the perf gate demands from the kernel over the tape, both stacked.
-#: About 2.2-2.7x is measured on a 2-vCPU host: the BLAS calls, the loss
-#: head on the tape and Adam's divisions take about 1.1 of a step's 1.4 ms
-#: on the kernel and are the same work on the tape.
-GATED_KERNEL_SPEEDUP = 2.0
+#: Speedup the perf gate demands from the kernel over the tape, both stacked
+#: and trained one stack after another.  Five fresh runs on a 2-vCPU host
+#: read 3.3-4.0x (2.2-2.7x while the loss head ran on the tape).
+GATED_KERNEL_SPEEDUP = 2.5
+
+#: Speedup the perf gate demands from ``fit_many``'s thread pool over its
+#: stacks trained one after another, both on the kernel, on two or more
+#: cores.  Five fresh runs on a 2-vCPU host read 1.54-1.83x for the bench's
+#: two stacks; a pool that trained its stacks one at a time would read ~1x.
+GATED_THREAD_SPEEDUP = 1.2
 
 
 def _training_jobs() -> tuple[list[NHiTSConfig], list]:
@@ -91,12 +102,19 @@ def _per_job(forecasters, series) -> None:
         forecaster.fit(values)
 
 
+def _stacks_in_turn(forecasters, series) -> None:
+    """``fit_many``'s stacks, trained one after another on this thread."""
+    for stack in nhits._stacks(forecasters, series):
+        nhits._fit_stack(*stack)
+
+
 #: The timed sides: (name, training call, on the tape).
 _SIDES = (
     ("per_job_s", _per_job, True),
-    ("stacked_s", NHiTSForecaster.fit_many, True),
+    ("stacked_s", _stacks_in_turn, True),
     ("kernel_per_job_s", _per_job, False),
-    ("kernel_s", NHiTSForecaster.fit_many, False),
+    ("kernel_s", _stacks_in_turn, False),
+    ("threaded_s", NHiTSForecaster.fit_many, False),
 )
 
 
@@ -116,15 +134,17 @@ def run_forecast_bench() -> dict:
     return {
         "jobs": BENCH_JOBS,
         "repeats": BENCH_REPEATS,
-        "cpu_count": os.cpu_count(),
+        "cpu_count": nhits._cores(),
         "kernel": native.kernels()["nhits"],
         **best,
         "speedup": best["per_job_s"] / best["stacked_s"],
         "kernel_speedup": best["stacked_s"] / best["kernel_s"],
         "kernel_stacking": best["kernel_per_job_s"] / best["kernel_s"],
+        "thread_speedup": best["kernel_s"] / best["threaded_s"],
         "identical": identical,
         "gated_speedup": GATED_SPEEDUP,
         "gated_kernel_speedup": GATED_KERNEL_SPEEDUP,
+        "gated_thread_speedup": GATED_THREAD_SPEEDUP,
     }
 
 
@@ -132,7 +152,7 @@ def test_forecast_train_bench(benchmark):
     data = benchmark.pedantic(run_forecast_bench, rounds=1, iterations=1)
 
     text = format_table(
-        ["jobs", "path", "fit per job", "fit_many", "stacking", "identical"],
+        ["jobs", "path", "fit per job", "stacks in turn", "stacking", "fit_many", "identical"],
         [
             [
                 data["jobs"],
@@ -140,6 +160,7 @@ def test_forecast_train_bench(benchmark):
                 f"{data['per_job_s']:.2f}s",
                 f"{data['stacked_s']:.2f}s",
                 f"{data['speedup']:.2f}x",
+                "-",
                 data["identical"],
             ],
             [
@@ -148,6 +169,8 @@ def test_forecast_train_bench(benchmark):
                 f"{data['kernel_per_job_s']:.2f}s",
                 f"{data['kernel_s']:.2f}s",
                 f"{data['kernel_stacking']:.2f}x",
+                f"{data['threaded_s']:.2f}s ({data['thread_speedup']:.2f}x on "
+                f"{data['cpu_count']} cores)",
                 data["identical"],
             ],
         ],
@@ -160,3 +183,5 @@ def test_forecast_train_bench(benchmark):
     assert data["identical"]
     assert data["speedup"] >= GATED_SPEEDUP
     assert data["kernel_speedup"] >= GATED_KERNEL_SPEEDUP
+    if data["cpu_count"] >= 2:
+        assert data["thread_speedup"] >= GATED_THREAD_SPEEDUP

@@ -41,12 +41,13 @@ class StandardScaler:
 
 
 def sliding_windows(
-    series: np.ndarray, input_size: int, horizon: int
+    series: np.ndarray, input_size: int, horizon: int, rows: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """All (input, target) windows of a 1-D series.
+    """All (input, target) windows of a 1-D series, or only those at ``rows``.
 
     Returns ``X`` of shape (n, input_size) and ``Y`` of shape (n, horizon),
-    each one C-contiguous copy of a strided view of ``series``.
+    each one C-contiguous copy of a strided view of ``series`` (n windows,
+    or ``len(rows)``, in ``rows``' order).
     """
     series = np.asarray(series, dtype=float)
     if series.ndim != 1:
@@ -57,9 +58,11 @@ def sliding_windows(
             f"series of length {series.shape[0]} too short for "
             f"input {input_size} + horizon {horizon}"
         )
-    inputs = sliding_window_view(series[: n + input_size - 1], input_size).copy()
-    targets = sliding_window_view(series[input_size:], horizon).copy()
-    return inputs, targets
+    inputs = sliding_window_view(series[: n + input_size - 1], input_size)
+    targets = sliding_window_view(series[input_size:], horizon)
+    if rows is None:
+        return inputs.copy(), targets.copy()
+    return inputs[rows], targets[rows]
 
 
 class Forecaster(ABC):

@@ -1,26 +1,40 @@
-/* Compiled stacked training step of N-HiTS for repro.forecast.nhits.
+/* Compiled stacked training step and forward pass of N-HiTS for
+ * repro.forecast.nhits.
  *
  * A stacked model holds J jobs' parameters with a leading job axis (see
- * _fit_stack in nhits.py).  One training step is
+ * _fit_stack in nhits.py).  One training step is two calls, with numpy's
+ * transcendentals between them:
  *
- *   nhits_forward   every block's average pooling, MLP (matmul, bias,
- *                   ReLU as z * (z > 0)) and interpolation, up to the
- *                   summed forecast mu and the summed sigma knots;
- *   (numpy)         the loss head on the autodiff tape, which returns the
- *                   gradients of the per-job losses at mu and sigma_sum;
- *   nhits_backward  the whole backward pass, into the gradient buffer;
- *   nhits_update    each job's gradient clipping, then Adam.
+ *   nhits_step_forward   each job's minibatch rows, read in place from its
+ *                        stacked windows by its permutation; every block's
+ *                        average pooling, MLP (matmul, bias, ReLU as
+ *                        z * (z > 0)) and interpolation, up to the summed
+ *                        forecast mu and the summed sigma knots;
+ *   (numpy)              softplus, log(var) and exp(-sigma_sum), whose bits
+ *                        numpy's own loops pick by CPU, with the exact
+ *                        sigma floor add and var = sigma * sigma between;
+ *   nhits_step_backward  the loss head (each job's mean loss and the
+ *                        gradients losses.sum().backward() leaves at mu and
+ *                        sigma_sum), the whole backward pass, each job's
+ *                        gradient clipping, then Adam.
+ *
+ * nhits_forward alone is inference: one job's forward pass on one window.
  *
  * All state is numpy memory the caller owns: parameters, gradients and
  * Adam's moments as one flat buffer each (parameter by parameter in
  * network.parameters() order, each (J, in, out) or (J, 1, out)), the
- * interpolation matrices, and a workspace holding the activations.
+ * interpolation matrices, the stacked windows, the head's buffers, and a
+ * workspace holding the activations.
  *
  * Bit for bit with the tape, not just close.  Every product of matrices
  * is the BLAS call numpy's matmul makes for that operand layout, through
  * the table of numpy's own bundled routines (repro.native.blas): gemm,
  * gemv for one-row batches and one-column operands, a dot product or
- * numpy's plain loop where its matmul takes them.  Sums are numpy's: a
+ * numpy's plain loop where its matmul takes them.  Every operand that is a
+ * fresh numpy array on the tape starts 16 bytes aligned here too (each
+ * parameter, matrix and workspace region at an even offset from a numpy
+ * allocation), since some BLAS kernels (OpenBLAS's Prescott ddot) sum in
+ * an order set by their operands' alignment.  Sums are numpy's: a
  * reduction starts at 0.0, runs numpy's pairwise order along a contiguous
  * axis and left to right along a strided one.  Everything else is
  * elementwise + - * / and sqrt, which round the same everywhere as long as
@@ -56,6 +70,9 @@ typedef struct {
 
 enum { ROW_MAJOR = 101, COL_MAJOR = 102, NO_TRANS = 111, TRANS = 112 };
 
+/* The losses of nhits.py's _loss, as Model.loss names them. */
+enum { NLL = 0, MSE = 1, MAE = 2 };
+
 /* numpy's pairwise summation blocks at this many elements. */
 #define PW_BLOCKSIZE 128
 
@@ -81,6 +98,9 @@ static inline pair root(pair x)
     return (pair){sqrt(x[0]), sqrt(x[1])};
 #endif
 }
+
+/* n doubles rounded up to 16 bytes: where the next aligned buffer starts. */
+static inline int64_t padded(int64_t n) { return n + (n & 1); }
 
 /* row[c] = row[c] + add[c] over n values. */
 static void add_into(double *row, const double *add, int64_t n)
@@ -287,7 +307,7 @@ static int64_t fan_out(const Net *net, int64_t i, int64_t l)
 }
 
 /* Offset of layer l of block i's weight in the flat parameter buffer; its
- * bias follows the weight. */
+ * bias follows the weight, from the next even offset. */
 static int64_t weight_at(const Net *net, int64_t i, int64_t l)
 {
     int64_t offset = 0;
@@ -295,20 +315,26 @@ static int64_t weight_at(const Net *net, int64_t i, int64_t l)
         for (int64_t bl = 0; bl <= net->depth; bl++) {
             if (bi == i && bl == l)
                 return offset;
-            offset += net->jobs * (fan_in(net, bi, bl) + 1) * fan_out(net, bi, bl);
+            offset += padded(net->jobs * fan_in(net, bi, bl) * fan_out(net, bi, bl))
+                      + padded(net->jobs * fan_out(net, bi, bl));
         }
     return offset;
 }
 
+static int64_t bias_at(const Net *net, int64_t i, int64_t l)
+{
+    return weight_at(net, i, l) + padded(net->jobs * fan_in(net, i, l) * fan_out(net, i, l));
+}
+
 /* Offset of block i's backcast matrix (input x backcast knots, C order) in
  * the interpolation buffer; its forecast matrix (horizon x forecast knots)
- * follows. */
+ * follows, from the next even offset. */
 static int64_t interp_at(const Net *net, int64_t i)
 {
     int64_t offset = 0;
     for (int64_t bi = 0; bi < i; bi++)
-        offset += net->input * backcast_of(net, bi)
-                  + net->horizon * forecast_of(net, bi);
+        offset += padded(net->input * backcast_of(net, bi))
+                  + padded(net->horizon * forecast_of(net, bi));
     return offset;
 }
 
@@ -317,6 +343,7 @@ typedef struct {
     double *pooled;          /* per block: pooled input, then depth ReLU outputs */
     double *residual, *grad_residual, *vector, *theta, *grad_theta, *knots;
     double *layer[2];        /* gradients of one layer's output and input */
+    double *mu, *grad_mu, *grad_sigma, *terms;  /* the loss head's */
 } Work;
 
 static int64_t max_theta(const Net *net)
@@ -328,8 +355,16 @@ static int64_t max_theta(const Net *net)
     return widest;
 }
 
-/* Lay out the workspace of a step of `rows` rows per job: the pooled
- * inputs and ReLU outputs of every block, then the scratch of one block.
+/* Doubles block i keeps from the forward pass to the backward pass: its
+ * pooled input, then one ReLU output per hidden layer, each aligned. */
+static int64_t kept_of(const Net *net, int64_t rows, int64_t i)
+{
+    const int64_t stride = net->jobs * rows;
+    return padded(stride * backcast_of(net, i)) + net->depth * padded(stride * net->hidden);
+}
+
+/* Lay out the workspace of a step of `rows` rows per job: what every block
+ * keeps, then the scratch of one block, then the loss head's buffers.
  * Fills w when base is given; returns the size in doubles. */
 static int64_t work_of(const Net *net, int64_t rows, double *base, Work *w)
 {
@@ -337,29 +372,39 @@ static int64_t work_of(const Net *net, int64_t rows, double *base, Work *w)
     const int64_t wide = theta > net->hidden ? theta : net->hidden;
     const int64_t series = net->input > net->horizon ? net->input : net->horizon;
     double **region[] = {&w->residual, &w->grad_residual, &w->vector, &w->knots,
-                         &w->theta, &w->grad_theta, &w->layer[0], &w->layer[1]};
-    const int64_t width[] = {net->input, net->input, series, series,
-                             theta, theta, wide, wide};
+                         &w->theta, &w->grad_theta, &w->layer[0], &w->layer[1],
+                         &w->mu, &w->grad_mu, &w->grad_sigma, &w->terms};
+    const int64_t width[] = {net->input, net->input, series, series, theta, theta,
+                             wide, wide, net->horizon, net->horizon, net->horizon,
+                             net->horizon};
     int64_t at = 0;
 
     for (int64_t i = 0; i < net->blocks; i++)
-        at += stride * (backcast_of(net, i) + net->depth * net->hidden);
+        at += kept_of(net, rows, i);
     w->pooled = base;
-    for (int r = 0; r < 8; r++) {
+    for (int r = 0; r < 12; r++) {
         if (base != NULL)
             *region[r] = base + at;
-        at += stride * width[r];
+        at += padded(stride * width[r]);
     }
     return at;
 }
 
-/* Block i's pooled input; its ReLU outputs follow, one per hidden layer. */
+/* Block i's pooled input. */
 static double *pooled_of(const Net *net, const Work *w, int64_t rows, int64_t i)
 {
     double *at = w->pooled;
     for (int64_t bi = 0; bi < i; bi++)
-        at += net->jobs * rows * (backcast_of(net, bi) + net->depth * net->hidden);
+        at += kept_of(net, rows, bi);
     return at;
+}
+
+/* Block i's ReLU output of hidden layer l, given its pooled input. */
+static double *relu_of(const Net *net, double *pooled, int64_t rows, int64_t i,
+                       int64_t l)
+{
+    const int64_t stride = net->jobs * rows;
+    return pooled + padded(stride * backcast_of(net, i)) + l * padded(stride * net->hidden);
 }
 
 int64_t nhits_workspace(const int64_t *shape, int64_t rows)
@@ -380,11 +425,25 @@ static void into_slice(double *dst, int64_t cols, int64_t offset,
             dst[r * cols + offset + c] = 0.0 + src[r * width + c];
 }
 
+/* Row `row` (job-major) of a step's rows: row r of job j is window
+ * order[j][start + r] of that job's `windows` rows of `width` values. */
+static const double *window_of(const double *stacked, const int64_t *order,
+                               int64_t windows, int64_t start, int64_t rows,
+                               int64_t width, int64_t row)
+{
+    const int64_t j = row / rows, r = row % rows;
+    return stacked + (j * windows + order[j * windows + start + r]) * width;
+}
+
 /* ------------------------------------------------------------- forward */
 
+/* The forward pass on `rows` rows per job, each read in place from the
+ * stacked windows by its job's order; writes mu and, for a probabilistic
+ * net, sigma_sum (J x rows x horizon each). */
 void nhits_forward(const Blas *blas, const int64_t *shape, int64_t rows,
-                   const double *params, const double *interp, const double *x,
-                   double *work, double *mu, double *sigma_sum)
+                   const double *params, const double *interp,
+                   const double *inputs, const int64_t *order, int64_t windows,
+                   int64_t start, double *work, double *mu, double *sigma_sum)
 {
     const Net net = net_of(shape);
     const int64_t J = net.jobs, B = rows, L = net.input, H = net.horizon;
@@ -395,23 +454,27 @@ void nhits_forward(const Blas *blas, const int64_t *shape, int64_t rows,
     for (int64_t i = 0; i < net.blocks; i++) {
         const int64_t k = kernel_of(&net, i), kb = backcast_of(&net, i);
         const int64_t kf = forecast_of(&net, i), width = theta_of(&net, i);
-        const double *residual = i == 0 ? x : w.residual;
         const double *backcast_m = interp + interp_at(&net, i);
-        const double *forecast_m = backcast_m + L * kb;
+        const double *forecast_m = backcast_m + padded(L * kb);
         double *pooled = pooled_of(&net, &w, B, i);
         const double inv_k = 1.0 / (double)k;
 
         /* avg_pool1d: reshape(..., kb, k).sum(-1) * (1.0 / k); below 8
          * values numpy's pairwise sum adds left to right from 0.0. */
-        for (int64_t c = 0; c < J * B * kb; c++) {
-            const double *cell = residual + c * k;
-            double sum = 0.0;
-            if (k < 8)
-                for (int64_t s = 0; s < k; s++)
-                    sum += cell[s];
-            else
-                sum = pairwise(cell, k, 0);
-            pooled[c] = (0.0 + sum) * inv_k;
+        for (int64_t row = 0; row < J * B; row++) {
+            const double *in = i == 0
+                ? window_of(inputs, order, windows, start, B, L, row)
+                : w.residual + row * L;
+            for (int64_t q = 0; q < kb; q++) {
+                const double *cell = in + q * k;
+                double sum = 0.0;
+                if (k < 8)
+                    for (int64_t s = 0; s < k; s++)
+                        sum += cell[s];
+                else
+                    sum = pairwise(cell, k, 0);
+                pooled[row * kb + q] = (0.0 + sum) * inv_k;
+            }
         }
 
         /* the MLP: x @ W + b, ReLU between layers */
@@ -419,8 +482,8 @@ void nhits_forward(const Blas *blas, const int64_t *shape, int64_t rows,
         for (int64_t l = 0; l <= net.depth; l++) {
             const int64_t in = fan_in(&net, i, l), out = fan_out(&net, i, l);
             const double *weight = params + weight_at(&net, i, l);
-            const double *bias = weight + J * in * out;
-            double *z = l == net.depth ? w.theta : pooled + J * B * (kb + l * net.hidden);
+            const double *bias = params + bias_at(&net, i, l);
+            double *z = l == net.depth ? w.theta : relu_of(&net, pooled, B, i, l);
 
             stacked_matmul(blas, J, B, in, out, input, B * in, in, 1, weight,
                            in * out, out, 1, z);
@@ -433,8 +496,13 @@ void nhits_forward(const Blas *blas, const int64_t *shape, int64_t rows,
         if (i < net.blocks - 1) {
             stacked_matmul(blas, J, B, kb, L, w.theta, B * width, width, 1,
                            backcast_m, 0, 1, kb, w.vector);
-            for (int64_t c = 0; c < J * B * L; c++)
-                w.residual[c] = residual[c] - w.vector[c];
+            for (int64_t row = 0; row < J * B; row++) {
+                const double *in = i == 0
+                    ? window_of(inputs, order, windows, start, B, L, row)
+                    : w.residual + row * L;
+                for (int64_t c = 0; c < L; c++)
+                    w.residual[row * L + c] = in[c] - w.vector[row * L + c];
+            }
         }
         stacked_matmul(blas, J, B, kf, H, w.theta + kb, B * width, width, 1,
                        forecast_m, 0, 1, kf, i == 0 ? mu : w.vector);
@@ -472,28 +540,28 @@ static void bias_gradient(const double *dz, int64_t J, int64_t B, int64_t out,
     }
 }
 
-void nhits_backward(const Blas *blas, const int64_t *shape, int64_t rows,
-                    const double *params, const double *interp, double *work,
-                    const double *grad_mu, const double *grad_sigma,
-                    double *grads)
+/* The backward pass from the gradients at mu and (NULL: none reached it)
+ * sigma_sum, into the gradient buffer. */
+static void backward(const Blas *blas, const Net *net, int64_t rows,
+                     const double *params, const double *interp, const Work *wp,
+                     const double *grad_mu, const double *grad_sigma,
+                     double *grads)
 {
-    const Net net = net_of(shape);
-    const int64_t J = net.jobs, B = rows, L = net.input, H = net.horizon;
-    Work w;
+    const int64_t J = net->jobs, B = rows, L = net->input, H = net->horizon;
+    const Work w = *wp;
 
-    work_of(&net, rows, work, &w);
-    for (int64_t i = net.blocks - 1; i >= 0; i--) {
-        const int64_t k = kernel_of(&net, i), kb = backcast_of(&net, i);
-        const int64_t kf = forecast_of(&net, i), width = theta_of(&net, i);
-        const double *backcast_m = interp + interp_at(&net, i);
-        const double *forecast_m = backcast_m + L * kb;
-        double *pooled = pooled_of(&net, &w, B, i);
+    for (int64_t i = net->blocks - 1; i >= 0; i--) {
+        const int64_t k = kernel_of(net, i), kb = backcast_of(net, i);
+        const int64_t kf = forecast_of(net, i), width = theta_of(net, i);
+        const double *backcast_m = interp + interp_at(net, i);
+        const double *forecast_m = backcast_m + padded(L * kb);
+        double *pooled = pooled_of(net, &w, B, i);
         double *dz = w.grad_theta;
 
         /* theta's gradient: zeros but for the knot slices a loss reaches;
          * the last block's backcast feeds nothing. */
         memset(dz, 0, (size_t)(J * B * width) * sizeof(double));
-        if (i < net.blocks - 1) {
+        if (i < net->blocks - 1) {
             /* residual - backcast: the backcast's gradient is -G */
             for (int64_t c = 0; c < J * B * L; c++)
                 w.vector[c] = -w.grad_residual[c];
@@ -511,17 +579,17 @@ void nhits_backward(const Blas *blas, const int64_t *shape, int64_t rows,
         }
 
         /* the MLP, last layer first */
-        for (int64_t l = net.depth; l >= 0; l--) {
-            const int64_t in = fan_in(&net, i, l), out = fan_out(&net, i, l);
-            const int64_t at = weight_at(&net, i, l);
-            const double *input = l == 0 ? pooled : pooled + J * B * (kb + (l - 1) * net.hidden);
+        for (int64_t l = net->depth; l >= 0; l--) {
+            const int64_t in = fan_in(net, i, l), out = fan_out(net, i, l);
+            const int64_t at = weight_at(net, i, l);
+            const double *input = l == 0 ? pooled : relu_of(net, pooled, B, i, l - 1);
             double *da = dz == w.layer[0] ? w.layer[1] : w.layer[0];
 
-            if (l < net.depth) {
+            if (l < net->depth) {
                 /* ReLU: grad * (z > 0); the output is positive exactly where z is */
-                mask_positive(dz, pooled + J * B * (kb + l * net.hidden), J * B * out);
+                mask_positive(dz, relu_of(net, pooled, B, i, l), J * B * out);
             }
-            bias_gradient(dz, J, B, out, grads + at + J * in * out);
+            bias_gradient(dz, J, B, out, grads + bias_at(net, i, l));
             /* x.swapaxes(-1, -2) @ grad */
             stacked_matmul(blas, J, in, B, out, input, B * in, 1, in, dz,
                            B * out, out, 1, grads + at);
@@ -541,7 +609,7 @@ void nhits_backward(const Blas *blas, const int64_t *shape, int64_t rows,
             const double spread = dz[c] * inv_k;
             double *cell = w.grad_residual + c * k;
             for (int64_t s = 0; s < k; s++)
-                cell[s] = i < net.blocks - 1 ? spread + cell[s] : spread;
+                cell[s] = i < net->blocks - 1 ? spread + cell[s] : spread;
         }
     }
 }
@@ -551,7 +619,8 @@ void nhits_backward(const Blas *blas, const int64_t *shape, int64_t rows,
 /* Each job's gradients scaled to norm at most clip_norm (the squared norm
  * summed parameter by parameter, each a numpy sum over the job's block),
  * then one Adam step over every parameter, moments in place.  The scalars
- * are Adam's, computed by the caller as Adam computes them. */
+ * are Adam's, computed by the caller as Adam computes them; the padding
+ * between parameters stays zero. */
 void nhits_update(const int64_t *shape, double *params, double *grads,
                   double *m, double *v, double clip_norm, double lr,
                   double beta1, double beta2, double one_minus_beta1,
@@ -559,36 +628,29 @@ void nhits_update(const int64_t *shape, double *params, double *grads,
                   double correction2, double eps)
 {
     const Net net = net_of(shape);
-    const int64_t J = net.jobs;
-    int64_t total = 0;
+    const int64_t J = net.jobs, total = weight_at(&net, net.blocks, 0);
 
     for (int64_t j = 0; j < J; j++) {
         double sum = 0.0, norm;
-        int64_t at = 0;
         for (int64_t i = 0; i < net.blocks; i++)
             for (int64_t l = 0; l <= net.depth; l++) {
                 const int64_t in = fan_in(&net, i, l), out = fan_out(&net, i, l);
-                sum += 0.0 + pairwise(grads + at + j * in * out, in * out, 1);
-                at += J * in * out;
-                sum += 0.0 + pairwise(grads + at + j * out, out, 1);
-                at += J * out;
+                sum += 0.0 + pairwise(grads + weight_at(&net, i, l) + j * in * out,
+                                      in * out, 1);
+                sum += 0.0 + pairwise(grads + bias_at(&net, i, l) + j * out, out, 1);
             }
-        total = at;
         norm = pow(sum, 0.5);
         if (norm > clip_norm && norm > 0) {
             const double scale = clip_norm / norm;
-            at = 0;
             for (int64_t i = 0; i < net.blocks; i++)
                 for (int64_t l = 0; l <= net.depth; l++) {
                     const int64_t in = fan_in(&net, i, l), out = fan_out(&net, i, l);
-                    double *grad = grads + at + j * in * out;
+                    double *grad = grads + weight_at(&net, i, l) + j * in * out;
                     for (int64_t c = 0; c < in * out; c++)
                         grad[c] *= scale;
-                    at += J * in * out;
-                    grad = grads + at + j * out;
+                    grad = grads + bias_at(&net, i, l) + j * out;
                     for (int64_t c = 0; c < out; c++)
                         grad[c] *= scale;
-                    at += J * out;
                 }
         }
     }
@@ -613,4 +675,104 @@ void nhits_update(const int64_t *shape, double *params, double *grads,
         const double v_hat = v[c] / correction2;
         params[c] -= lr * m_hat / (sqrt(v_hat) + eps);
     }
+}
+
+/* ------------------------------------------------------ a training step */
+
+/* A stacked model's training state: numpy memory nhits.py owns, set once
+ * per model.  sigma_sum is written here and read by numpy; sigma, var,
+ * log_var and exp_neg (exp(-sigma_sum)) are numpy's, read here. */
+typedef struct {
+    const Blas *blas;
+    const int64_t *shape;
+    const double *interp;
+    const double *inputs;    /* J x windows x input_size */
+    const double *targets;   /* J x windows x horizon */
+    int64_t windows;
+    int64_t loss;            /* NLL, MSE or MAE */
+    double *params, *grads, *m, *v, *work;
+    double *sigma_sum;
+    const double *sigma, *var, *log_var, *exp_neg;
+    double *losses;          /* J */
+    double clip_norm, lr, beta1, beta2, one_minus_beta1, one_minus_beta2, eps;
+} Model;
+
+void nhits_step_forward(const Model *model, const int64_t *order,
+                        int64_t start, int64_t rows)
+{
+    const Net net = net_of(model->shape);
+    Work w;
+
+    work_of(&net, rows, model->work, &w);
+    nhits_forward(model->blas, model->shape, rows, model->params, model->interp,
+                  model->inputs, order, model->windows, start, model->work,
+                  w.mu, model->sigma_sum);
+}
+
+/* np.sign: 1, -1, or the value itself (0 for either zero, NaN for NaN). */
+static inline double sign_of(double x)
+{
+    return x > 0 ? 1.0 : x < 0 ? -1.0 : x == 0 ? 0.0 : x;
+}
+
+/* The loss head of nhits.py's _loss on the tape, element by element in the
+ * tape's operations: each job's loss, the mean over its rows and horizon
+ * (a pairwise sum times 1.0 / count), into model->losses, and the
+ * gradients losses.sum().backward() leaves at mu and sigma_sum.  Where a
+ * node's gradient arrives by two paths the tape adds them in its order:
+ * diff * diff gives g * diff twice, and var takes log's share before
+ * (var * 2.0)'s. */
+static void loss_head(const Model *model, const Net *net, const Work *w,
+                      const int64_t *order, int64_t start, int64_t rows)
+{
+    const int64_t H = net->horizon, cells = rows * H;
+    const double scale = 1.0 / (double)cells;
+
+    for (int64_t j = 0; j < net->jobs; j++) {
+        for (int64_t r = 0; r < rows; r++) {
+            const int64_t row = j * rows + r;
+            const double *target = window_of(model->targets, order, model->windows,
+                                             start, rows, H, row);
+            for (int64_t h = 0; h < H; h++) {
+                const int64_t c = row * H + h;
+                const double diff = w->mu[c] - target[h];
+                if (model->loss == MSE) {
+                    const double grad = scale * diff;
+                    w->terms[c] = diff * diff;
+                    w->grad_mu[c] = grad + grad;
+                } else if (model->loss == MAE) {
+                    w->terms[c] = fabs(diff);
+                    w->grad_mu[c] = scale * sign_of(diff);
+                } else {
+                    const double var = model->var[c], sigma = model->sigma[c];
+                    const double square = diff * diff, twice = var * 2.0;
+                    const double grad_square = scale / twice;
+                    const double grad_twice = -scale * square / (twice * twice);
+                    const double grad_var = scale * 0.5 / var + grad_twice * 2.0;
+                    const double grad_sigma = grad_var * sigma + grad_var * sigma;
+                    w->terms[c] = model->log_var[c] * 0.5 + square / twice;
+                    w->grad_mu[c] = grad_square * diff + grad_square * diff;
+                    w->grad_sigma[c] = grad_sigma / (1.0 + model->exp_neg[c]);
+                }
+            }
+        }
+        model->losses[j] = (0.0 + pairwise(w->terms + j * cells, cells, 0)) * scale;
+    }
+}
+
+void nhits_step_backward(const Model *model, const int64_t *order,
+                         int64_t start, int64_t rows, double correction1,
+                         double correction2)
+{
+    const Net net = net_of(model->shape);
+    Work w;
+
+    work_of(&net, rows, model->work, &w);
+    loss_head(model, &net, &w, order, start, rows);
+    backward(model->blas, &net, rows, model->params, model->interp, &w,
+             w.grad_mu, model->loss == NLL ? w.grad_sigma : NULL, model->grads);
+    nhits_update(model->shape, model->params, model->grads, model->m, model->v,
+                 model->clip_norm, model->lr, model->beta1, model->beta2,
+                 model->one_minus_beta1, model->one_minus_beta2, correction1,
+                 correction2, model->eps);
 }

@@ -413,8 +413,11 @@ class TestUnpairedBaselines:
 class TestForecastGate:
     BASELINE = {
         "speedup": 2.0, "identical": True, "gated_speedup": 1.5,
-        "gated_kernel_speedup": 2.0,
+        "gated_kernel_speedup": 2.0, "gated_thread_speedup": 1.2, "cpu_count": 2,
     }
+
+    #: A run on two cores whose thread pool scales.
+    THREADED = {"cpu_count": 2, "thread_speedup": 1.6}
 
     load_check_perf = TestUnpairedBaselines.load_check_perf
 
@@ -423,32 +426,57 @@ class TestForecastGate:
         return [row[-1] for row in rows], ok
 
     def test_identical_and_fast_passes(self):
-        measured = {"speedup": 1.6, "kernel_speedup": 3.4, "identical": True}
-        assert self.verdicts(measured) == (["ok", "ok", "ok"], True)
+        measured = {"speedup": 1.6, "kernel_speedup": 3.4, "identical": True, **self.THREADED}
+        assert self.verdicts(measured) == (["ok", "ok", "ok", "ok"], True)
 
     def test_diverged_weights_fail_even_when_fast(self):
         verdicts, ok = self.verdicts(
-            {"speedup": 3.0, "kernel_speedup": 3.4, "identical": False}
+            {"speedup": 3.0, "kernel_speedup": 3.4, "identical": False, **self.THREADED}
         )
         assert not ok and verdicts[0].startswith("REGRESSED")
 
     def test_lost_speedup_fails(self):
         verdicts, ok = self.verdicts(
-            {"speedup": 1.2, "kernel_speedup": 3.4, "identical": True}
+            {"speedup": 1.2, "kernel_speedup": 3.4, "identical": True, **self.THREADED}
         )
         assert not ok and verdicts[1].startswith("REGRESSED")
 
     def test_fallen_back_kernel_fails_its_row(self):
         # A kernel that fell back to the tape times the tape against itself.
         verdicts, ok = self.verdicts(
-            {"speedup": 2.3, "kernel_speedup": 1.02, "identical": True}
+            {"speedup": 2.3, "kernel_speedup": 1.02, "identical": True, **self.THREADED}
         )
         assert not ok
         assert verdicts[:2] == ["ok", "ok"] and verdicts[2].startswith("REGRESSED")
 
     def test_unmeasured_kernel_fails_its_row(self):
-        verdicts, ok = self.verdicts({"speedup": 2.3, "identical": True})
+        verdicts, ok = self.verdicts({"speedup": 2.3, "identical": True, **self.THREADED})
         assert not ok and verdicts[2].startswith("REGRESSED")
+
+    def test_scaling_threads_pass_their_row(self):
+        verdicts, ok = self.verdicts(
+            {"speedup": 2.3, "kernel_speedup": 3.4, "identical": True,
+             "cpu_count": 4, "thread_speedup": 1.3}
+        )
+        assert ok and verdicts[3] == "ok"
+
+    def test_serial_pool_fails_its_row(self):
+        # A pool whose stacks run one after another times the same work twice.
+        verdicts, ok = self.verdicts(
+            {"speedup": 2.3, "kernel_speedup": 3.4, "identical": True,
+             "cpu_count": 2, "thread_speedup": 1.01}
+        )
+        assert not ok
+        assert verdicts[:3] == ["ok", "ok", "ok"] and verdicts[3].startswith("REGRESSED")
+
+    @pytest.mark.parametrize("baseline_cores, run_cores", [(2, 1), (1, 2)])
+    def test_threads_row_skipped_below_two_cores(self, baseline_cores, run_cores):
+        rows, ok = self.load_check_perf().compare_forecast(
+            {**self.BASELINE, "cpu_count": baseline_cores},
+            {"speedup": 2.3, "kernel_speedup": 3.4, "identical": True,
+             "cpu_count": run_cores, "thread_speedup": 1.0},
+        )
+        assert ok and rows[3][-1] == "SKIPPED (needs >= 2 cores, have 1)"
 
     def test_checked_in_baseline_loads(self):
         from pathlib import Path
@@ -457,8 +485,9 @@ class TestForecastGate:
         mod = self.load_check_perf()
         baseline = mod.load_forecast_baseline(root / "results" / "BENCH_forecast.json")
         assert baseline["identical"] and baseline["gated_speedup"] == 1.5
-        assert baseline["gated_kernel_speedup"] == 2.0
-        assert baseline["kernel"] == "c"
+        assert baseline["gated_kernel_speedup"] == 2.5
+        assert baseline["gated_thread_speedup"] == 1.2
+        assert baseline["kernel"] == "c" and baseline["cpu_count"] >= 1
 
     def test_baseline_missing_keys_rejected(self, tmp_path):
         path = tmp_path / "BENCH_forecast.json"
@@ -470,6 +499,14 @@ class TestForecastGate:
         path = tmp_path / "BENCH_forecast.json"
         path.write_text('{"speedup": 2.0, "identical": true, "gated_speedup": 1.5}')
         with pytest.raises(ValueError, match="gated_kernel_speedup"):
+            self.load_check_perf().load_forecast_baseline(path)
+
+    def test_baseline_without_the_thread_floor_rejected(self, tmp_path):
+        path = tmp_path / "BENCH_forecast.json"
+        path.write_text(
+            '{"speedup": 2.0, "identical": true, "gated_speedup": 1.5, "gated_kernel_speedup": 2.0}'
+        )
+        with pytest.raises(ValueError, match="gated_thread_speedup"):
             self.load_check_perf().load_forecast_baseline(path)
 
 

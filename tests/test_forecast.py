@@ -7,6 +7,7 @@ before jobs were stacked, and pinned end to end through
 """
 
 import hashlib
+import threading
 
 import numpy as np
 import pytest
@@ -366,13 +367,17 @@ def assert_fit_many_matches_oracle(configs, series):
     return clipped
 
 
-def spy_stacks(monkeypatch):
-    """Record the job count of every stacked model ``fit_many`` trains."""
+def spy_stacks(monkeypatch, threads=None):
+    """Record the job count of every stacked model ``fit_many`` trains (in
+    the order the pool starts them) and, into ``threads``, the thread that
+    trained each."""
     sizes = []
     fit_stack = nhits._fit_stack
 
     def recording(stack, series):
         sizes.append(len(stack))
+        if threads is not None:
+            threads.append(threading.current_thread())
         fit_stack(stack, series)
 
     monkeypatch.setattr(nhits, "_fit_stack", recording)
@@ -391,7 +396,7 @@ class TestStackedTraining:
         series = [sine_series(length, period=30 + j, seed=j) for j in range(jobs)]
         assert_fit_many_matches_oracle(configs, series)
         expected = [4] * (jobs // 4) + ([jobs % 4] if jobs % 4 else [])
-        assert sizes == expected
+        assert sorted(sizes) == sorted(expected)
 
     def test_mixed_lengths_and_configs_split_into_stacks(self, monkeypatch):
         sizes = spy_stacks(monkeypatch)
@@ -404,6 +409,34 @@ class TestStackedTraining:
         # nll at 90 windows: 5 jobs; nll at 65: 2; nll at 77: 1;
         # mse at 77 (88), 90 (200) and 65 (76): 1 each.
         assert sorted(sizes) == [1, 1, 1, 1, 1, 2, 4]
+
+    def test_stacks_train_concurrently_off_the_calling_thread(self, monkeypatch):
+        threads = []
+        sizes = spy_stacks(monkeypatch, threads)
+        # nll at 90 windows: 4 jobs; nll at 65: 3; nll at 77, mse at 77
+        # and mse at 90: 1 each.
+        lengths = [200, 76, 300, 200, 88, 76, 200, 76, 88, 200]
+        losses = ["nll"] * 8 + ["mse"] * 2
+        configs = [small_config(loss, seed=j) for j, loss in enumerate(losses)]
+        series = [sine_series(n, period=25 + j, seed=j) for j, n in enumerate(lengths)]
+        assert_fit_many_matches_oracle(configs, series)
+        assert sorted(sizes) == [1, 1, 1, 3, 4]
+        assert threading.current_thread() not in threads
+        assert all(t.name.startswith("nhits-fit") for t in threads)
+        # One thread per core, up to one per stack; one on the tape.
+        width = min(len(sizes), nhits._cores()) if nhits.kernel() else 1
+        assert len(set(threads)) <= width
+
+    def test_a_failing_stack_raises_and_leaves_no_thread(self):
+        before = threading.active_count()
+        configs = [small_config("nll", seed=j) for j in range(6)]
+        series = [sine_series(200, seed=j) for j in range(5)] + [np.arange(10.0)]
+        forecasters = [NHiTSForecaster(config) for config in configs]
+        with pytest.raises(ValueError, match="too short"):
+            NHiTSForecaster.fit_many(forecasters, series)
+        assert threading.active_count() == before
+        # The stacks that could train still did.
+        assert all(f._fitted for f in forecasters[:4])
 
     def test_clip_fires_for_some_jobs_of_a_stack(self):
         rng = np.random.default_rng(2)
@@ -528,5 +561,5 @@ class TestTrainedForecasterPins:
         ).build()
         profile = PredictorProfile(epochs=3, max_windows=200, hidden=16)
         forecasters = train_predictors(scenario, profile, seed=0)
-        assert sizes == [4, 4, 1]
+        assert sorted(sizes) == [1, 4, 4]
         assert forecaster_digest(forecasters) == PER_JOB_TRAINING_DIGESTS["large-scale-9"]

@@ -4,17 +4,23 @@ The kernel (``forecast/nhits.c``, :func:`repro.forecast.nhits.kernel`) is
 checked against :class:`~repro.forecast.nhits._TapeStep` step by step on
 drawn architectures (parameters, gradients, Adam's moments and losses
 after every step) and on whole fits against ``oracle_fit``, the per-job
-loop of ``tests/test_forecast.py``.  The stacked-training tests and the
-trained-forecaster pins of that file run on the kernel there (wherever it
-loads) and on the tape here.  Its loader is tested the way
-``tests/test_trstlp_kernel.py`` tests COBYLA's.
+loop of ``tests/test_forecast.py``; its forward pass is checked against
+the tape's on the same architectures and on fitted forecasters.  The
+stacked-training tests and the trained-forecaster pins of that file run on
+the kernel there (wherever it loads) and on the tape here.  Its loader is
+tested the way ``tests/test_trstlp_kernel.py`` tests COBYLA's.
 """
 
 import functools
 import importlib.util
+import os
+import platform
 import shutil
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,12 +36,12 @@ from tests.test_forecast import assert_fit_many_matches_oracle, sine_series
 
 @pytest.fixture(scope="module")
 def compiled():
-    """The step factory; skip where it cannot be built, fail where it can but did not load."""
+    """The loaded kernel; skip where it cannot be built, fail where it can but did not load."""
     if shutil.which("cc") is None or importlib.util.find_spec("cffi") is None:
         pytest.skip("needs a C compiler (cc) and cffi")
-    factory = nhits.kernel()
-    assert factory is not None
-    return factory
+    loaded = nhits.kernel()
+    assert loaded is not None
+    return loaded
 
 
 def step_state(step) -> list[tuple[str, int, bytes]]:
@@ -80,22 +86,26 @@ def architectures(draw):
     )
 
 
-def run_both(factory, cfg, jobs, batches, seed, spread=1.0):
-    """Step the tape and the kernel side by side; the steps on which some
+def run_both(compiled, cfg, jobs, batches, seed, spread=1.0):
+    """Step the tape and the kernel side by side, each batch's rows taken
+    by a shuffled order from one set of windows; the steps on which some
     but not every job clipped."""
     rng = np.random.default_rng(seed)
     forecasters = [NHiTSForecaster(replace(cfg, seed=s)) for s in range(jobs)]
-    tape = _TapeStep(_stacked_network(forecasters), forecasters[0]._loss, cfg.lr)
-    kernel = factory(_stacked_network(forecasters), forecasters[0]._loss, cfg.lr)
+    windows = sum(batches)
+    inputs = rng.standard_normal((jobs, windows, cfg.input_size))
     # The last job's targets sit far off, so its gradient is the one to clip.
-    scale = np.ones(jobs)
-    scale[-1] = spread
+    targets = rng.standard_normal((jobs, windows, cfg.horizon))
+    targets[-1] *= spread
+    order = np.stack([rng.permutation(windows) for _ in range(jobs)])
+    tape = _TapeStep(_stacked_network(forecasters), inputs, targets)
+    kernel = compiled.step(_stacked_network(forecasters), inputs, targets)
     mixed = 0
+    start = 0
     for rows in batches:
-        x = rng.standard_normal((jobs, rows, cfg.input_size))
-        y = rng.standard_normal((jobs, rows, cfg.horizon)) * scale[:, None, None]
-        expected = tape(x, y)
-        got = kernel(x, y)
+        expected = tape(order, start, rows)
+        got = kernel(order, start, rows)
+        start += rows
         assert got.tobytes() == expected.tobytes(), rows
         state, want = step_state(kernel), step_state(tape)
         bad = [(kind, k) for (kind, k, a), (_, _, b) in zip(state, want) if a != b]
@@ -137,8 +147,9 @@ class TestStepMatchesTape:
                           probabilistic=False, loss="mse")
         jobs = 500
         forecasters = [NHiTSForecaster(replace(cfg, seed=s)) for s in range(jobs)]
-        tape = _TapeStep(_stacked_network(forecasters), forecasters[0]._loss, cfg.lr)
-        kernel = compiled(_stacked_network(forecasters), forecasters[0]._loss, cfg.lr)
+        windows = np.zeros((jobs, 1, 1))
+        tape = _TapeStep(_stacked_network(forecasters), windows, windows)
+        kernel = compiled.step(_stacked_network(forecasters), windows, windows)
         picked = 0
         for _ in range(40):
             grads = [rng.uniform(-4.0, 4.0, p.shape) for p in tape.network.parameters()]
@@ -153,6 +164,85 @@ class TestStepMatchesTape:
             kernel.update()
             assert step_state(kernel) == step_state(tape)
         assert picked > 0
+
+
+    @pytest.mark.skipif(
+        platform.machine().lower() not in ("x86_64", "amd64"),
+        reason="OPENBLAS_CORETYPE names x86-64 cores",
+    )
+    def test_one_row_batches_under_openblas_prescott(self, compiled):
+        # OpenBLAS's Prescott ddot sums in an order set by its operands'
+        # alignment, so a one-row batch (whose products are dot products)
+        # matches the tape only if every buffer is aligned as numpy's are.
+        recipe = (
+            "from repro import native\n"
+            "from repro.forecast.nhits import NHiTSConfig\n"
+            "from repro.forecast import nhits\n"
+            "from tests.test_nhits_kernel import run_both\n"
+            "cfg = NHiTSConfig(input_size=1, horizon=1, kernels=(1, 1), hidden=14, depth=1)\n"
+            "for seed in range(6):\n"
+            "    run_both(nhits.kernel(), cfg, 1, [1, 1, 1], seed)\n"
+            "print(native.host()['openblas_core'])\n"
+        )
+        root = Path(__file__).resolve().parent.parent
+        path = os.pathsep.join(filter(None, [str(root / "src"), str(root), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott", "PYTHONPATH": path}
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", recipe],
+            cwd=root, env=env, capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert result.stdout.strip() != native.host()["openblas_core"]
+
+
+class TestForwardMatchesTape:
+    """Inference: the compiled forward pass on one window, against the tape's."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=architectures(), seed=st.integers(0, 2**16))
+    def test_drawn_architectures(self, compiled, cfg, seed):
+        rng = np.random.default_rng(seed)
+        network = NHiTSForecaster(replace(cfg, seed=seed)).network
+        for window in rng.standard_normal((3, cfg.input_size)) * [[1.0], [5.0], [0.01]]:
+            assert_same_forward(compiled, network, window)
+
+    def test_fitted_fast_profile_forecasters(self, compiled):
+        from repro.experiments.policies import PredictorProfile
+
+        profile = PredictorProfile.fast()
+        forecasters = [NHiTSForecaster(replace(profile.config(j), epochs=2)) for j in range(3)]
+        series = [sine_series(400, period=30 + 7 * j, seed=j) for j in range(3)]
+        NHiTSForecaster.fit_many(forecasters, series)
+        for forecaster, values in zip(forecasters, series):
+            for end in (16, 100, 400):
+                window = forecaster._prepare_history(values[:end])
+                assert_same_forward(compiled, forecaster.network, window)
+
+    def test_forecasts_are_the_tapes(self, compiled, monkeypatch):
+        forecaster = NHiTSForecaster(test_forecast.small_config("mse"))
+        forecaster.fit(sine_series(200, seed=3))
+        history = sine_series(60, seed=4)
+
+        def outputs():
+            return [
+                forecaster.predict(history, 12).tobytes(),
+                b"".join(a.tobytes() for a in forecaster.predict_distribution(history, 5)),
+                forecaster.sample_paths(history, 6, 8, rng=np.random.default_rng(1)).tobytes(),
+            ]
+
+        compiled_outputs = outputs()
+        monkeypatch.setattr(nhits, "kernel", lambda: None)
+        assert outputs() == compiled_outputs
+
+
+def assert_same_forward(compiled, network, window):
+    got = compiled.forward(network, window)
+    expected = nhits._tape_forward(network, window)
+    assert got[0].tobytes() == expected[0].tobytes()
+    if expected[1] is None:
+        assert got[1] is None
+    else:
+        assert got[1].tobytes() == expected[1].tobytes()
 
 
 class TestWholeFits:
@@ -221,6 +311,7 @@ class TestKernelLoading:
         broken.write_text("this is not C\n")
         monkeypatch.setattr(nhits, "SOURCE", broken)
         monkeypatch.setattr(test_forecast.policies, "_PREDICTOR_CACHE", {})
+        sizes = test_forecast.spy_stacks(monkeypatch)
         nhits.kernel.cache_clear()
         try:
             with warnings.catch_warnings(record=True) as caught:
@@ -229,6 +320,7 @@ class TestKernelLoading:
             assert native.kernels()["nhits"] == "python"
         finally:
             nhits.kernel.cache_clear()
+        assert sorted(sizes) == [2, 4, 4]  # three stacks, trained on the pool
         messages = [str(w.message) for w in caught if w.category is RuntimeWarning]
         assert len(messages) == 1
         assert "cc failed to compile nhits.c" in messages[0]
@@ -251,6 +343,37 @@ class TestKernelLoading:
             with pytest.warns(RuntimeWarning, match="disagrees with the autodiff tape"):
                 assert nhits.kernel() is None
             assert native.kernels()["nhits"] == "python"
+        finally:
+            nhits.kernel.cache_clear()
+
+    @pytest.mark.parametrize(
+        "plain, mutant",
+        [
+            # each job's mean summed left to right, not in numpy's pairwise order
+            ("(0.0 + pairwise(w->terms + j * cells, cells, 0))",
+             "(0.0 + left_to_right(w->terms + j * cells, cells))"),
+            # the division's gradient -g * a / b**2 reassociated
+            ("-scale * square / (twice * twice)", "-scale * (square / (twice * twice))"),
+        ],
+    )
+    def test_kernel_with_a_reordered_loss_head_is_refused(
+        self, compiled, tmp_path, monkeypatch, plain, mutant
+    ):
+        source = nhits.SOURCE.read_text()
+        assert source.count(plain) == 1
+        helper = (
+            "static double left_to_right(const double *a, int64_t n)\n"
+            "{\n    double sum = 0.0;\n    for (int64_t i = 0; i < n; i++)\n"
+            "        sum += a[i];\n    return sum;\n}\n\n"
+        )
+        anchor = "/* The loss head of nhits.py's _loss"
+        mutated = tmp_path / "nhits.c"
+        mutated.write_text(source.replace(plain, mutant).replace(anchor, helper + anchor))
+        monkeypatch.setattr(nhits, "SOURCE", mutated)
+        nhits.kernel.cache_clear()
+        try:
+            with pytest.warns(RuntimeWarning, match="disagrees with the autodiff tape"):
+                assert nhits.kernel() is None
         finally:
             nhits.kernel.cache_clear()
 

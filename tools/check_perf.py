@@ -43,10 +43,14 @@ Eight benches run in-process and compare against checked-in baselines:
   ``results/BENCH_forecast.json``): N-HiTS training must leave every job
   bit-identical whether it runs one ``fit`` per job or stacked
   (``NHiTSForecaster.fit_many``), on the autodiff tape or on the compiled
-  kernel (``forecast/nhits.c``) -- unconditional.  Stacking must keep its
-  gated speedup on the tape, and the kernel its gated speedup over the
-  tape (a kernel that fell back to the tape reads about 1x and fails).
-  All sides are timed in one process, so only ratios are gated;
+  kernel (``forecast/nhits.c``), its stacks one after another or on
+  ``fit_many``'s thread pool -- unconditional.  Stacking must keep its
+  gated speedup on the tape, the kernel its gated speedup over the tape
+  (a kernel that fell back to the tape reads about 1x and fails), and the
+  pool its gated speedup over the same stacks in turn where the baseline
+  and the run both have two cores or more (a pool that runs serially
+  reads about 1x and fails; on one core the row is SKIPPED).  All sides
+  are timed in one process, so only ratios are gated;
 - the latency-table bench (``benchmarks/bench_queueing_tables.py`` vs
   ``results/BENCH_tables.json``): the compiled table kernel
   (``queueing/erlang.c``) must build tables byte-identical to the numpy
@@ -559,7 +563,8 @@ def compare_hetero(baseline: dict, measured: dict) -> tuple[list[tuple], bool]:
 
 
 def load_forecast_baseline(
-    path: Path, keys=("speedup", "identical", "gated_speedup", "gated_kernel_speedup")
+    path: Path,
+    keys=("speedup", "identical", "gated_speedup", "gated_kernel_speedup", "gated_thread_speedup"),
 ) -> dict:
     """A ratio-gate baseline: one JSON object holding at least ``keys``."""
     data = json.loads(path.read_text())
@@ -578,7 +583,10 @@ def compare_forecast(baseline: dict, measured: dict) -> tuple[list[tuple], bool]
     identity is absolute, and each speedup is a ratio of two timings taken
     in one process, which host drift moves together.  ``forecast/stacked``
     is stacking on the tape (``speedup``); ``forecast/kernel`` is the
-    compiled step against the tape, both stacked (``kernel_speedup``).
+    compiled step against the tape, both stacked (``kernel_speedup``);
+    ``forecast/threads`` is ``fit_many``'s thread pool against its stacks in
+    turn (``thread_speedup``), gated only when the baseline's and the run's
+    ``cpu_count`` are both at least 2.
     """
     identical = bool(measured.get("identical"))
     rows = [
@@ -609,6 +617,16 @@ def compare_forecast(baseline: dict, measured: dict) -> tuple[list[tuple], bool]
                 "ok" if fast else f"REGRESSED (lost {lost})",
             )
         )
+    cores = min(baseline.get("cpu_count", 1), measured.get("cpu_count", 1))
+    required = baseline["gated_thread_speedup"]
+    speedup = measured.get("thread_speedup", 0.0)
+    if cores >= 2:
+        fast = speedup >= required
+        ok = ok and fast
+        verdict = "ok" if fast else "REGRESSED (lost the training threads' speedup)"
+    else:
+        verdict = f"SKIPPED (needs >= 2 cores, have {cores})"
+    rows.append(("forecast/threads", "speedup", f">= {required:.1f}x", f"{speedup:.2f}x", verdict))
     return rows, ok
 
 
