@@ -30,7 +30,6 @@ from repro.core.optimizer import (
     solve_allocation,
 )
 from repro.core.utility import SLO, inverse_utility, step_utility
-from repro.admission import AdmissionController, AdmissionRequest
 from repro.cluster import (
     RESNET18,
     RESNET34,
@@ -75,8 +74,6 @@ __all__ = [
     "ReactiveConfig",
     "DecentralizedFaro",
     "RebalanceConfig",
-    "AdmissionController",
-    "AdmissionRequest",
     "ModelProfile",
     "RESNET18",
     "RESNET34",

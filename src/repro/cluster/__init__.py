@@ -17,11 +17,11 @@ package reproduces that stack's *behaviour* for simulation:
 - :mod:`repro.cluster.kubernetes` -- resource-quota admission control.
 - :mod:`repro.cluster.metrics` -- the metrics collector feeding autoscalers
   (arrival rates, processing times, latency percentiles, violations).
-- :mod:`repro.cluster.rayserve` -- the cluster facade tying it together.
-- :mod:`repro.cluster.placement` -- replica-to-node placement (the K8s
-  scheduler stand-in) with binpack/spread strategies.
-- :mod:`repro.cluster.batching` -- adaptive request batching at the router
-  (§7 orthogonal techniques).
+- :mod:`repro.cluster.rayserve` -- the per-job routers and collectors the
+  request-level simulation drives.
+
+Replica-to-node placement is left to the Kubernetes scheduler (§1), as in
+the paper; the simulation places nothing.
 """
 
 from repro.cluster.models import ModelProfile, RESNET18, RESNET34
@@ -30,14 +30,6 @@ from repro.cluster.router import JobRouter, RouterTotals
 from repro.cluster.kubernetes import ResourceQuota
 from repro.cluster.metrics import MetricsCollector, MinuteStats
 from repro.cluster.rayserve import RayServeCluster
-from repro.cluster.placement import Node, Placement, PlacementEngine, PodSpec
-from repro.cluster.batching import (
-    AdaptiveBatcher,
-    BatchingJobRouter,
-    BatchProfile,
-    CompletedRequest,
-)
-from repro.cluster.telemetry import render_cluster_metrics, render_result_metrics
 
 __all__ = [
     "ModelProfile",
@@ -50,14 +42,4 @@ __all__ = [
     "MetricsCollector",
     "MinuteStats",
     "RayServeCluster",
-    "Node",
-    "PodSpec",
-    "Placement",
-    "PlacementEngine",
-    "BatchProfile",
-    "CompletedRequest",
-    "BatchingJobRouter",
-    "AdaptiveBatcher",
-    "render_cluster_metrics",
-    "render_result_metrics",
 ]

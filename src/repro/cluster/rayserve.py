@@ -1,34 +1,35 @@
-"""Cluster facade: all jobs' routers + quota + metrics behind one API.
+"""Cluster facade: all jobs' routers and metrics behind one API.
 
 Mirrors the paper's deployment shape (§5): one Ray cluster (router +
 replica pool) per inference job, all sharing a Kubernetes resource quota.
-The autoscaler talks to this facade exactly like Faro talks to Ray Serve:
-it reads per-job observations and applies :class:`ScalingDecision`s
-(replica targets via the Serve API, drop directives via the router).
+The request-level simulation (:class:`repro.sim.simulation.HybridSimulation`)
+drives this facade: it offers arrival chunks, reads per-job observations
+and reconciles failed pods here, and it owns the quota, admitting each
+:class:`~repro.policy.ScalingDecision` before scaling the routers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.cluster.job import InferenceJobSpec
-from repro.cluster.kubernetes import ResourceQuota
 from repro.cluster.metrics import MetricsCollector
 from repro.cluster.router import JobRouter
-from repro.policy import JobObservation, ScalingDecision
+from repro.policy import JobObservation
 
 __all__ = ["RayServeCluster"]
 
 
 class RayServeCluster:
-    """All jobs of one experiment plus shared admission control."""
+    """Each request-level job's router and metrics collector, by job name.
+
+    ``targets`` holds each job's replica target; the simulation that owns
+    the cluster sets it when it admits a scaling decision.
+    """
 
     def __init__(
         self,
         jobs: list[InferenceJobSpec],
-        quota: ResourceQuota,
         initial_replicas: dict[str, int] | None = None,
         queue_threshold: int = 50,
         cold_start_range: tuple[float, float] = (50.0, 70.0),
@@ -44,7 +45,6 @@ class RayServeCluster:
         if len(set(names)) != len(names):
             raise ValueError("job names must be unique")
         self.jobs = {job.name: job for job in jobs}
-        self.quota = quota
         self.history_minutes = history_minutes
         # Construction knobs are kept so jobs can attach mid-run
         # (:meth:`add_job`, hybrid fidelity promotion) with the same
@@ -123,25 +123,15 @@ class RayServeCluster:
 
     # ------------------------------------------------------------ serving
 
-    def offer(self, job_name: str, arrival: float) -> float:
-        """Route one request; records the outcome and returns its latency."""
-        router = self.routers[job_name]
-        latency = router.offer(arrival)
-        self.metrics[job_name].record(arrival, latency)
-        return latency
-
     def offer_chunk(self, job_name: str, chunk: "np.ndarray") -> None:
         """Route one chunk of arrivals (nondecreasing times) and record
         every outcome.
 
-        Bit-identical to calling :meth:`offer` per arrival in order (see
-        :meth:`JobRouter.offer_many`), but one compiled kernel call routes
-        and records the whole chunk.
+        Bit-identical to ``JobRouter.offer`` then ``MetricsCollector.record``
+        per arrival in order (see :meth:`JobRouter.offer_many`), but one
+        compiled kernel call routes and records the whole chunk.
         """
         self.routers[job_name].offer_many(chunk, self.metrics[job_name])
-
-    def total_replicas(self) -> int:
-        return sum(router.replica_count for router in self.routers.values())
 
     # ------------------------------------------------------------ control
 
@@ -181,23 +171,3 @@ class RayServeCluster:
                 router.scale_to(self.targets[name], now)
                 recreated[name] = deficit
         return recreated
-
-    def apply(self, decision: ScalingDecision, now: float) -> dict[str, int]:
-        """Admit a scaling decision through the quota and apply it.
-
-        Returns the admitted per-job replica targets.
-        """
-        current = {name: self.targets[name] for name in self.jobs}
-        cpu_per = {name: job.model.cpu_per_replica for name, job in self.jobs.items()}
-        mem_per = {name: job.model.mem_per_replica for name, job in self.jobs.items()}
-        admitted = self.quota.admit(current, decision.replicas, cpu_per, mem_per)
-        for name, target in admitted.items():
-            floor = self.jobs[name].min_replicas
-            target = max(target, floor)
-            if target != self.routers[name].replica_count:
-                self.routers[name].scale_to(target, now)
-            self.targets[name] = target
-        for name, rate in decision.drop_rates.items():
-            if name in self.routers:
-                self.routers[name].drop_rate = float(rate)
-        return admitted

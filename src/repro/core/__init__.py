@@ -42,7 +42,6 @@ from repro.core.batched_solver import PGDOptions, solve_pgd
 from repro.core.hierarchical import solve_hierarchical
 from repro.core.autoscaler import FaroAutoscaler, FaroConfig
 from repro.core.hybrid import HybridAutoscaler, ReactiveConfig
-from repro.core.pipelines import PipelineSpec, pipeline_latency, split_pipeline
 
 __all__ = [
     "step_utility",
@@ -73,7 +72,4 @@ __all__ = [
     "FaroConfig",
     "HybridAutoscaler",
     "ReactiveConfig",
-    "PipelineSpec",
-    "split_pipeline",
-    "pipeline_latency",
 ]

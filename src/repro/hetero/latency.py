@@ -19,29 +19,20 @@ for SLO planning.
 from __future__ import annotations
 
 import math
-from typing import Protocol
 
 from repro.core.latency import MDC, LatencyModel
+from repro.hetero.types import ReplicaType
 
-__all__ = ["HasSpeedup", "mixed_pool_stats", "mixed_pool_latency"]
-
-
-class HasSpeedup(Protocol):
-    """Anything with a service-rate multiplier: replica types, VM instances."""
-
-    name: str
-    speedup: float
+__all__ = ["mixed_pool_stats", "mixed_pool_latency"]
 
 
 def mixed_pool_stats(
-    counts: dict[HasSpeedup, int], reference_proc_time: float
+    counts: dict[ReplicaType, int], reference_proc_time: float
 ) -> tuple[int, float]:
     """Effective ``(server_count, proc_time)`` of a mixed pool.
 
-    Accepts any key type exposing ``speedup`` (cluster
-    :class:`~repro.hetero.types.ReplicaType`, cloud
-    :class:`~repro.cloud.instances.InstanceType`).  Returns ``(0, inf)``
-    for an empty pool.
+    ``counts`` maps each :class:`~repro.hetero.types.ReplicaType` to its
+    replica count.  Returns ``(0, inf)`` for an empty pool.
     """
     if reference_proc_time <= 0:
         raise ValueError(f"processing time must be positive, got {reference_proc_time}")
@@ -61,7 +52,7 @@ def mixed_pool_latency(
     quantile: float,
     lam: float,
     reference_proc_time: float,
-    counts: dict[HasSpeedup, int],
+    counts: dict[ReplicaType, int],
     model: LatencyModel = MDC,
 ) -> float:
     """``quantile`` latency of a job served by a mixed replica pool.

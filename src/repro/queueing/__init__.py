@@ -12,8 +12,6 @@ the M/M/c waiting time (Tijms 2006).  This package provides:
   Cosmetatos correction.
 - :mod:`repro.queueing.ggc` -- G/G/c (Allen-Cunneen) and M/G/c
   approximations for the paper's §7 "Beyond ML Inference" adaptation path.
-- :mod:`repro.queueing.batch` -- batch-service approximations backing the
-  adaptive request batching extension (§7 orthogonal techniques).
 """
 
 from repro.queueing.mmc import (
@@ -30,13 +28,6 @@ from repro.queueing.mdc import (
     mdc_latency_percentile,
     mdc_wait_percentile,
 )
-from repro.queueing.batch import (
-    batch_formation_wait,
-    batch_service_time,
-    batch_throughput,
-    batched_latency_percentile,
-    optimal_batch_size,
-)
 from repro.queueing.ggc import (
     ggc_latency_percentile,
     ggc_mean_wait,
@@ -45,13 +36,6 @@ from repro.queueing.ggc import (
     mgc_mean_wait,
     mgc_wait_percentile,
     variability_factor,
-)
-from repro.queueing.simulate import (
-    QueueSample,
-    sample_ggc_queue,
-    sample_mdc_queue,
-    sample_mmc_queue,
-    simulate_queue_waits,
 )
 
 __all__ = [
@@ -72,14 +56,4 @@ __all__ = [
     "ggc_latency_percentile",
     "mgc_mean_wait",
     "mgc_wait_percentile",
-    "batch_service_time",
-    "batch_throughput",
-    "batch_formation_wait",
-    "batched_latency_percentile",
-    "optimal_batch_size",
-    "simulate_queue_waits",
-    "QueueSample",
-    "sample_mdc_queue",
-    "sample_mmc_queue",
-    "sample_ggc_queue",
 ]

@@ -226,7 +226,6 @@ class HybridSimulation(SimHarness):
             }
             self.cluster = RayServeCluster(
                 self.request_jobs,
-                self.quota,
                 initial_replicas=self.initial_replicas,
                 queue_threshold=self.config.queue_threshold,
                 cold_start_range=self.config.cold_start_range,

@@ -1,14 +1,13 @@
 """Exact discrete-event simulation of multi-server FCFS queues.
 
-The analytic estimators in this package are approximations -- the half-wait
-rule for M/D/c (Tijms 2006), Allen-Cunneen for G/G/c -- and the paper leans
-on them precisely *because* they are fast enough for an optimizer's inner
-loop.  This module provides the ground truth they approximate: an exact
-G/G/c FCFS simulation (the c-server Lindley recursion, implemented with a
-server-availability heap).  The validation test-suite drives it with
-matched arrival/service processes and bounds each approximation's error;
-users can do the same for their own service-time distributions before
-trusting a latency model in production planning.
+The analytic estimators in :mod:`repro.queueing` are approximations -- the
+half-wait rule for M/D/c (Tijms 2006), Allen-Cunneen for G/G/c -- and the
+paper leans on them precisely *because* they are fast enough for an
+optimizer's inner loop.  This module provides the ground truth they
+approximate: an exact G/G/c FCFS simulation (the c-server Lindley
+recursion, implemented with a server-availability heap).
+``test_queueing_validation.py`` drives it with matched arrival/service
+processes and bounds each approximation's error.
 """
 
 from __future__ import annotations

@@ -21,9 +21,6 @@ EXAMPLES = [
     ("declarative_experiment.py", "Declarative experiment"),
     ("composed_scenario.py", "Declarative scenario composition"),
     ("heterogeneous_cluster.py", "Heterogeneous allocation"),
-    ("budget_cloud.py", "Budget-limited cloud"),
-    ("admission_control.py", "Admission control"),
-    ("pipeline_slo.py", "Pipeline SLO splitting"),
     ("fault_tolerance.py", "Fault tolerance"),
     ("decentralized_faro.py", "Decentralized Faro"),
 ]

@@ -97,13 +97,9 @@ class TestRouterFailReplica:
 class TestReconcile:
     def _cluster(self):
         jobs = [InferenceJobSpec.with_default_slo("a", RESNET34)]
-        cluster = RayServeCluster(
-            jobs,
-            ResourceQuota.of_replicas(8),
-            initial_replicas={"a": 4},
-            cold_start_range=(30.0, 30.0),
+        return RayServeCluster(
+            jobs, initial_replicas={"a": 4}, cold_start_range=(30.0, 30.0)
         )
-        return cluster
 
     def test_recreates_failed_pods(self):
         cluster = self._cluster()

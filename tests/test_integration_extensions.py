@@ -1,28 +1,17 @@
-"""Integration tests tying the §7 extension subsystems to the core loop.
-
-Each test exercises a realistic composition rather than one module:
-decentralized control inside the request-level simulator, admission
-control feeding a simulated deployment that must then actually meet its
-SLOs, and node placement tracking an autoscaled run's replica timeline.
-"""
+"""Integration test tying a §7 extension to the core loop: decentralized
+control inside the request-level simulator."""
 
 import numpy as np
-import pytest
 
-from repro.admission import AdmissionController, AdmissionRequest
 from repro.cluster import RESNET34, InferenceJobSpec, ResourceQuota
-from repro.cluster.placement import Node, PlacementEngine
 from repro.core.autoscaler import FaroConfig, JobSpec
 from repro.core.decentralized import DecentralizedFaro
-from repro.core.utility import SLO
 from repro.sim import Simulation, SimulationConfig
 from repro.traces import standard_job_mix
 
-SLO_720 = SLO(target=0.72, percentile=99.0)
 
-
-def small_mix(num_jobs, minutes, rate_hi=500.0, seed=0):
-    mix = standard_job_mix(num_jobs=num_jobs, days=2, rate_hi=rate_hi, seed=seed)
+def small_mix(num_jobs, minutes):
+    mix = standard_job_mix(num_jobs=num_jobs, days=2, rate_hi=500.0, seed=0)
     jobs = [InferenceJobSpec.with_default_slo(t.name, RESNET34) for t in mix]
     traces = {t.name: t.eval[:minutes] for t in mix}
     return jobs, traces
@@ -48,95 +37,3 @@ class TestDecentralizedInRequestSimulator:
         # The quota is shared: per-minute replica totals never exceed it.
         totals = np.sum([series.replicas for series in result.jobs.values()], axis=0)
         assert int(totals.max()) <= total
-
-
-class TestAdmissionThenDeployment:
-    def test_admitted_set_meets_slos_in_simulation(self):
-        # Admit jobs by the guarantee-style capacity policy, then actually
-        # run the admitted set: violations must stay low.
-        # Per-job requirements over this window are 3+2+2+3+2+2 replicas in
-        # admission order; capacity 10 admits the first four and rejects two.
-        minutes, capacity = 20, 10
-        jobs, traces = small_mix(6, minutes, rate_hi=600.0, seed=2)
-        controller = AdmissionController(capacity_replicas=capacity)
-        admitted = []
-        for job in jobs:
-            peak_rate = float(np.max(traces[job.name])) / 60.0
-            decision = controller.admit(
-                AdmissionRequest(
-                    name=job.name,
-                    slo=job.slo,
-                    proc_time=job.model.proc_time,
-                    planning_rate=peak_rate,
-                )
-            )
-            if decision.admitted:
-                admitted.append(job)
-        assert 1 <= len(admitted) < len(jobs)  # the capacity gate must bite
-        # Deploy the admitted set at the planner's requirement per job.
-        initial = {
-            job.name: controller._required(controller.jobs[job.name])
-            for job in admitted
-        }
-        from repro.baselines.fairshare import FairSharePolicy
-
-        class FrozenPolicy(FairSharePolicy):
-            """Hold the admission-planned allocation for the whole run."""
-
-            def __init__(self, targets):
-                super().__init__(total_replicas=sum(targets.values()))
-                self._targets = dict(targets)
-
-            def tick(self, now, observations):
-                from repro.policy import ScalingDecision
-
-                return ScalingDecision(replicas=dict(self._targets))
-
-        simulation = Simulation(
-            admitted,
-            {job.name: traces[job.name] for job in admitted},
-            FrozenPolicy(initial),
-            ResourceQuota.of_replicas(capacity),
-            config=SimulationConfig(duration_minutes=minutes, seed=0,
-                                    cold_start_range=(0.0, 0.0)),
-            initial_replicas=initial,
-        )
-        result = simulation.run()
-        assert result.cluster_slo_violation_rate < 0.05
-
-    def test_rejected_job_would_have_overloaded(self):
-        controller = AdmissionController(capacity_replicas=8)
-        controller.admit(AdmissionRequest("a", SLO_720, 0.18, planning_rate=25.0))
-        decision = controller.evaluate(
-            AdmissionRequest("b", SLO_720, 0.18, planning_rate=25.0)
-        )
-        assert not decision.admitted
-        assert decision.cluster_required > 8
-
-
-class TestPlacementTracksAutoscaledRun:
-    def test_replica_timeline_always_placeable(self):
-        # Drive the placement engine with a real autoscaled run's replica
-        # timeline: on a right-sized node pool every target must place.
-        minutes, total = 15, 12
-        jobs, traces = small_mix(3, minutes)
-        from repro.baselines.aiad import AIADPolicy
-
-        simulation = Simulation(
-            jobs, traces,
-            AIADPolicy(slos={j.name: j.slo.target for j in jobs}),
-            ResourceQuota.of_replicas(total),
-            config=SimulationConfig(duration_minutes=minutes, seed=0),
-        )
-        result = simulation.run()
-        engine = PlacementEngine(
-            [Node("vm-0", cpus=total / 2, mem=total), Node("vm-1", cpus=total / 2, mem=total)]
-        )
-        for minute in range(minutes):
-            for name, series in result.jobs.items():
-                target = int(series.replicas[minute])
-                placed, _ = engine.scale_job(name, target)
-                assert len(engine.pods_of(name)) == target
-        used = sum(node.cpus_used for node in engine.nodes.values())
-        final_targets = sum(int(s.replicas[-1]) for s in result.jobs.values())
-        assert used == pytest.approx(final_targets)

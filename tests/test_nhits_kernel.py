@@ -299,10 +299,12 @@ class TestKernelLoading:
     def test_load_time_check_is_quick(self, compiled):
         import time
 
+        # CPU time, not the wall clock: other processes on a busy host
+        # stretch the wall time of the same work.
         def seconds():
-            started = time.perf_counter()
+            started = time.process_time()
             nhits._self_check(compiled)
-            return time.perf_counter() - started
+            return time.process_time() - started
 
         assert min(seconds() for _ in range(3)) < 0.05
 

@@ -14,7 +14,7 @@ import pytest
 from repro.queueing.ggc import ggc_mean_wait
 from repro.queueing.mdc import mdc_mean_wait, mdc_wait_percentile
 from repro.queueing.mmc import mmc_mean_wait, mmc_wait_percentile
-from repro.queueing.simulate import (
+from tests.queue_oracle import (
     QueueSample,
     sample_ggc_queue,
     sample_mdc_queue,

@@ -1,28 +1,23 @@
-"""RayServeCluster facade tests."""
+"""RayServeCluster facade tests.
 
-import math
+Quota admission of scaling decisions is the simulation's
+(``TestApply`` in ``test_sim_backends.py``).
+"""
 
 import numpy as np
 import pytest
 
 from repro.cluster.job import InferenceJobSpec
-from repro.cluster.kubernetes import ResourceQuota
 from repro.cluster.models import RESNET18, RESNET34
 from repro.cluster.rayserve import RayServeCluster
-from repro.policy import ScalingDecision
 
 
-def make_cluster(replicas=8, jobs=None, **kwargs):
+def make_cluster(jobs=None, **kwargs):
     jobs = jobs or [
         InferenceJobSpec.with_default_slo("a", RESNET34),
         InferenceJobSpec.with_default_slo("b", RESNET18),
     ]
-    return RayServeCluster(
-        jobs,
-        ResourceQuota.of_replicas(replicas),
-        cold_start_range=(0.0, 0.0),
-        **kwargs,
-    )
+    return RayServeCluster(jobs, cold_start_range=(0.0, 0.0), **kwargs)
 
 
 class TestConstruction:
@@ -36,7 +31,8 @@ class TestConstruction:
 
     def test_initial_replicas_default_to_minimum(self):
         cluster = make_cluster()
-        assert cluster.total_replicas() == 2
+        assert cluster.targets == {"a": 1, "b": 1}
+        assert [router.replica_count for router in cluster.routers.values()] == [1, 1]
 
     def test_explicit_initial_replicas(self):
         cluster = make_cluster(initial_replicas={"a": 3})
@@ -46,40 +42,16 @@ class TestConstruction:
 class TestServing:
     def test_offer_records_metrics(self):
         cluster = make_cluster()
-        latency = cluster.offer("a", 1.0)
-        assert latency == pytest.approx(RESNET34.proc_time, rel=0.2)
-        assert cluster.metrics["a"].minute_stats(0).arrivals == 1
+        cluster.offer_chunk("a", np.array([1.0]))
+        stats = cluster.metrics["a"].minute_stats(0)
+        assert stats.arrivals == 1
+        assert stats.latency_p == pytest.approx(RESNET34.proc_time, rel=0.2)
 
     def test_observations_shape(self):
         cluster = make_cluster()
-        for t in np.linspace(0, 59, 30):
-            cluster.offer("a", float(t))
+        cluster.offer_chunk("a", np.linspace(0, 59, 30))
         obs = cluster.observations(60.0)
         assert set(obs) == {"a", "b"}
         assert obs["a"].arrival_rate == pytest.approx(0.5)
         assert obs["a"].current_replicas == 1
         assert len(obs["a"].rate_history) == 15
-
-
-class TestApply:
-    def test_scale_decision_applied(self):
-        cluster = make_cluster(replicas=10)
-        admitted = cluster.apply(ScalingDecision(replicas={"a": 4}), now=0.0)
-        assert admitted["a"] == 4
-        assert cluster.routers["a"].replica_count == 4
-
-    def test_quota_clips(self):
-        cluster = make_cluster(replicas=4)
-        admitted = cluster.apply(ScalingDecision(replicas={"a": 10, "b": 10}), now=0.0)
-        assert admitted["a"] + admitted["b"] <= 4
-
-    def test_min_replicas_floor(self):
-        cluster = make_cluster(replicas=8)
-        admitted = cluster.apply(ScalingDecision(replicas={"a": 0}), now=0.0)
-        assert admitted["a"] == 0  # quota admits 0...
-        assert cluster.targets["a"] == 1  # ...but the job floor holds
-
-    def test_drop_rate_directive(self):
-        cluster = make_cluster()
-        cluster.apply(ScalingDecision(drop_rates={"a": 0.4}), now=0.0)
-        assert cluster.routers["a"].drop_rate == 0.4

@@ -3,7 +3,8 @@
 Covers the pluggable-simulation seam: the :class:`SimBackendRegistry`
 behaves like the policy registry (case-insensitive names, aliases, loud
 unknown-option failures), the request and flow backends are presets of the
-hybrid harness with no dynamics of their own, batch offers are
+hybrid harness with no dynamics of their own (both admit a policy's
+decisions through its one ``apply``), batch offers are
 bit-identical to per-request offers, the event-driven replica lifecycle
 reproduces the list-based bookkeeping it replaced, and the flow simulator
 now honours ``SimulationConfig.faults`` (which it previously ignored
@@ -21,9 +22,10 @@ from repro.cluster import dispatch
 from repro.cluster.job import InferenceJobSpec
 from repro.cluster.kubernetes import ResourceQuota
 from repro.cluster.metrics import MetricsCollector
-from repro.cluster.models import RESNET34, ModelProfile
+from repro.cluster.models import RESNET18, RESNET34, ModelProfile
 from repro.cluster.router import JobRouter
 from repro.core.utility import SLO
+from repro.policy import ScalingDecision
 from repro.sim import (
     FlowSimulation,
     HybridBackendOptions,
@@ -166,6 +168,57 @@ class TestSimulationConfigValidation:
     def test_unknown_fault_process_rejected(self):
         with pytest.raises(ValueError, match="fault process"):
             FaultConfig(process="psychic")
+
+
+# ------------------------------------------------------ decision admission
+
+
+def _two_job_sim(preset, quota):
+    """Jobs ``a`` (ResNet34) and ``b`` (ResNet18) under a ``quota``-replica
+    quota and no policy: the tests apply decisions themselves."""
+    jobs = [
+        InferenceJobSpec.with_default_slo("a", RESNET34),
+        InferenceJobSpec.with_default_slo("b", RESNET18),
+    ]
+    traces = {job.name: np.full(2, 60.0) for job in jobs}
+    config = SimulationConfig(duration_minutes=2, cold_start_range=(0.0, 0.0))
+    return preset(jobs, traces, None, ResourceQuota.of_replicas(quota), config=config)
+
+
+def _applied(sim, name):
+    """``(target, replicas, drop rate)`` of one job, at either fidelity."""
+    if sim.cluster is not None:
+        router = sim.cluster.routers[name]
+        return sim.cluster.targets[name], router.replica_count, router.drop_rate
+    flow = sim.state[name]
+    return flow.target, flow.existing, flow.drop_rate
+
+
+@pytest.mark.parametrize("preset", [Simulation, FlowSimulation], ids=["request", "flow"])
+class TestApply:
+    """``HybridSimulation.apply``, the one path from a policy's decision to
+    replicas: quota admission, the ``min_replicas`` floor, drop directives."""
+
+    def test_scale_decision_applied(self, preset):
+        sim = _two_job_sim(preset, quota=10)
+        sim.apply(ScalingDecision(replicas={"a": 4}), now=0.0)
+        assert _applied(sim, "a")[:2] == (4, 4)
+
+    def test_quota_clips(self, preset):
+        sim = _two_job_sim(preset, quota=4)
+        sim.apply(ScalingDecision(replicas={"a": 10, "b": 10}), now=0.0)
+        assert _applied(sim, "a")[0] + _applied(sim, "b")[0] == 4
+
+    def test_min_replicas_floor(self, preset):
+        sim = _two_job_sim(preset, quota=8)
+        sim.apply(ScalingDecision(replicas={"a": 0}), now=0.0)
+        # The quota admits 0; the job's floor of one replica holds.
+        assert _applied(sim, "a")[:2] == (1, 1)
+
+    def test_drop_rate_directive(self, preset):
+        sim = _two_job_sim(preset, quota=8)
+        sim.apply(ScalingDecision(drop_rates={"a": 0.4}), now=0.0)
+        assert _applied(sim, "a")[2] == 0.4
 
 
 # ------------------------------------------------------ vectorized routing
