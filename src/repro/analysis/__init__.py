@@ -4,11 +4,12 @@ Every PR preserves one contract -- simulations are bit-exact and
 seed-stable under refactor -- but digest pins and differential suites
 only catch a violation *after* an expensive run.  This package rejects
 the whole bug class statically: a pluggable AST-analysis framework
-(mirroring the policy/backend/source/transform registry idiom) whose
-built-in passes flag unseeded RNG, wall-clock reads in sim paths,
-hash-ordered iteration on merge/output paths, frozen-spec mutation,
-registry-contract gaps, spawn-unsafe callables, and perf-gate drift
-before a single simulation ticks.
+(its passes are a :class:`repro.registry.Registry` catalog, like policies,
+backends, scenario kinds and trace sources/transforms) whose built-in
+passes flag unseeded RNG, wall-clock reads in sim paths, hash-ordered
+iteration on merge/output paths, frozen-spec mutation, registry-contract
+gaps, spawn-unsafe callables, and perf-gate drift before a single
+simulation ticks.
 
 Entry points:
 

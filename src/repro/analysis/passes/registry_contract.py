@@ -1,13 +1,15 @@
 """Pass ``registry-contract``: every registry entry is documented and typed.
 
 The control plane's registries (policies, sim backends, trace sources,
-trace transforms, scenario kinds, analysis passes) all share one
-contract: an entry resolves by name, documents itself, and validates its
-options through a typed dataclass whose defaults survive a
-dict -> JSON -> dict round trip (spec files are the source of truth, so a
-default that JSON cannot represent is a landmine).  This pass enforces
-the statically checkable half of that contract at every
-``register_*`` call site:
+trace transforms, scenario kinds, analysis passes) are all
+:class:`repro.registry.Registry` catalogs, with one contract: an entry
+resolves by name, documents itself, and validates its options through a
+typed dataclass whose defaults survive a dict -> JSON -> dict round trip
+(spec files are the source of truth, so a default that JSON cannot
+represent is a landmine).  The shared class enforces the runtime half
+(names, aliases, ``config_type`` is a dataclass, unknown option keys);
+this pass enforces the statically checkable half at every ``register_*``
+call site, built-in and plugin alike:
 
 - the call passes a non-empty literal ``description=`` (or the decorated
   object carries a docstring) -- registry listings must never show blank

@@ -2,10 +2,10 @@
 
 Every rule the linter can run -- the built-in determinism and contract
 passes, user plugins -- is registered here under a stable pass id together
-with a *typed* options dataclass and the checker callable, exactly
-mirroring how :class:`repro.api.PolicyRegistry` treats autoscaling
-policies and :class:`repro.sim.SimBackendRegistry` treats simulators: one
-lookup does resolution, option validation, and execution.
+with a *typed* options dataclass and the checker callable.
+:class:`AnalysisPassRegistry` is a :class:`repro.registry.Registry`, the
+catalog class the policy, backend, scenario and trace registries share:
+one lookup does resolution, option validation, and execution.
 
 Registering a pass::
 
@@ -33,8 +33,10 @@ id is also the token the inline suppression syntax names:
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields, is_dataclass
-from typing import Any, Callable, Iterator, Mapping
+from dataclasses import dataclass
+from typing import Any, Callable, ClassVar, Mapping
+
+from repro.registry import Entry, Registry
 
 __all__ = [
     "AnalysisPassInfo",
@@ -50,140 +52,29 @@ PassFn = Callable[[Any, Any], Any]
 _SCOPES = ("file", "project")
 
 
-@dataclass(frozen=True)
-class AnalysisPassInfo:
+@dataclass(frozen=True, kw_only=True)
+class AnalysisPassInfo(Entry):
     """One registered pass: id, scope, options schema, checker."""
 
-    name: str
-    description: str
+    noun: ClassVar[str] = "analysis pass"
+
     fn: PassFn
     scope: str = "file"
-    config_type: type | None = None
 
-    def option_fields(self) -> list[tuple[str, Any]]:
-        """(field name, default) pairs of the options schema, for docs/CLI."""
-        if self.config_type is None:
-            return []
-        out = []
-        for f in fields(self.config_type):
-            if f.default is not MISSING:
-                default = f.default
-            elif f.default_factory is not MISSING:  # type: ignore[misc]
-                default = f.default_factory()  # type: ignore[misc]
-            else:
-                default = None
-            out.append((f.name, default))
-        return out
-
-
-class AnalysisPassRegistry:
-    """Pass id -> :class:`AnalysisPassInfo`, case-insensitive, registration order."""
-
-    def __init__(self) -> None:
-        self._entries: dict[str, AnalysisPassInfo] = {}
-
-    # ------------------------------------------------------------ register
-
-    def register(
-        self,
-        name: str,
-        *,
-        description: str = "",
-        scope: str = "file",
-        config_type: type | None = None,
-    ) -> Callable[[PassFn], PassFn]:
-        """Decorator registering a checker callable as pass ``name``."""
-
-        def decorator(fn: PassFn) -> PassFn:
-            self.add(
-                AnalysisPassInfo(
-                    name=name,
-                    description=description,
-                    fn=fn,
-                    scope=scope,
-                    config_type=config_type,
-                )
-            )
-            return fn
-
-        return decorator
-
-    def add(self, info: AnalysisPassInfo) -> None:
-        """Register ``info``; rejects duplicates and malformed ids."""
-        if not info.name or info.name != info.name.strip():
-            raise ValueError(f"invalid pass id {info.name!r}")
-        if info.scope not in _SCOPES:
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.scope not in _SCOPES:
             raise ValueError(
-                f"pass {info.name!r} has unknown scope {info.scope!r}; "
+                f"pass {self.name!r} has unknown scope {self.scope!r}; "
                 f"expected one of {_SCOPES}"
             )
-        if info.config_type is not None and not is_dataclass(info.config_type):
-            raise TypeError(
-                f"config_type for {info.name!r} must be a dataclass, "
-                f"got {info.config_type!r}"
-            )
-        key = info.name.lower()
-        if key in self._entries:
-            raise ValueError(f"pass id {key!r} is already registered")
-        self._entries[key] = info
 
-    def unregister(self, name: str) -> None:
-        """Remove a pass (plugins/tests); unknown ids raise ValueError."""
-        info = self.get(name)
-        del self._entries[info.name.lower()]
 
-    # ------------------------------------------------------------- lookup
+class AnalysisPassRegistry(Registry[AnalysisPassInfo]):
+    """Pass id -> :class:`AnalysisPassInfo`, case-insensitive, registration
+    order; ``names(scope=...)`` lists one scope's passes."""
 
-    def get(self, name: str) -> AnalysisPassInfo:
-        info = self._entries.get(str(name).lower())
-        if info is None:
-            known = ", ".join(sorted(self._entries))
-            raise ValueError(f"unknown analysis pass {name!r}; registered: {known}")
-        return info
-
-    def __contains__(self, name: object) -> bool:
-        return str(name).lower() in self._entries
-
-    def __iter__(self) -> Iterator[AnalysisPassInfo]:
-        return iter(self._entries.values())
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def names(self, scope: str | None = None) -> tuple[str, ...]:
-        return tuple(
-            info.name for info in self if scope is None or info.scope == scope
-        )
-
-    def infos(self, scope: str | None = None) -> tuple[AnalysisPassInfo, ...]:
-        return tuple(info for info in self if scope is None or info.scope == scope)
-
-    # -------------------------------------------------------------- build
-
-    def parse_options(self, name: str, options: Mapping[str, Any] | Any = None):
-        """Validate ``options`` against the pass's config type.
-
-        Accepts a mapping, an already-constructed config instance, or
-        ``None``; unknown keys raise ``ValueError`` so typos fail loudly.
-        """
-        info = self.get(name)
-        if info.config_type is None:
-            if options:
-                raise ValueError(
-                    f"pass {info.name!r} accepts no options, got {dict(options)!r}"
-                )
-            return None
-        if isinstance(options, info.config_type):
-            return options
-        data = dict(options or {})
-        known = {f.name for f in fields(info.config_type)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown option(s) {sorted(unknown)} for pass {info.name!r}; "
-                f"accepted: {sorted(known)}"
-            )
-        return info.config_type(**data)
+    entry_type = AnalysisPassInfo
 
     def run(
         self,

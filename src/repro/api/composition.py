@@ -1,8 +1,8 @@
 """Declarative scenario composition: typed Trace/Job/Cluster specs.
 
 Scenarios used to be born imperatively: three opaque factories with the
-paper's traces hardwired.  This module makes workload birth declarative,
-mirroring the policy/backend registries:
+paper's traces hardwired.  This module makes workload birth declarative
+from named registry entries, as policies and backends are:
 
 - :class:`TraceSpec` -- one job's arrival process as a *pipeline*: a
   registered trace source (:mod:`repro.traces.generators`) plus an ordered
@@ -49,11 +49,8 @@ from repro.experiments.scenarios import (
     paper_scenario,
 )
 from repro.hetero.types import DeviceClass, DeviceFleet
-from repro.traces.generators import (
-    check_unknown_params,
-    get_trace_source_registry,
-    signature_params,
-)
+from repro.registry import check_unknown_params, signature_params
+from repro.traces.generators import get_trace_source_registry
 from repro.traces.library import standard_mix_source
 from repro.traces.transforms import get_trace_transform_registry
 

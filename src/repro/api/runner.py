@@ -248,9 +248,6 @@ def build_trial_simulation(
     streaming horizon; left at their defaults, the scenario's own traces
     and duration apply.
     """
-    backend_registry = get_backend_registry()
-    backend = backend_registry.get(simulator)
-    parsed_options = backend_registry.parse_options(simulator, backend_options)
     if duration_minutes is _UNSET:
         duration_minutes = scenario.duration_minutes
     config = SimulationConfig(
@@ -266,14 +263,15 @@ def build_trial_simulation(
     backend_kwargs: dict[str, Any] = {}
     if scenario.devices is not None:
         backend_kwargs["devices"] = scenario.devices
-    return backend.cls(
+    return get_backend_registry().create(
+        simulator,
         scenario.jobs,
         eval_traces if eval_traces is not None else scenario.eval_traces,
         policy,
         quota,
         config=config,
         history_prefix=scenario.history_prefix or None,
-        options=parsed_options,
+        options=backend_options,
         **backend_kwargs,
     )
 

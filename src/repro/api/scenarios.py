@@ -22,14 +22,14 @@ Kinds may also carry two optional hooks:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, Mapping
 
 from repro.experiments.scenarios import (
     large_scale_scenario,
     mixed_model_scenario,
     paper_scenario,
 )
-from repro.traces.generators import check_unknown_params, signature_params
+from repro.registry import ParamEntry, Registry, signature_params
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.spec import ScenarioSpec
@@ -46,111 +46,25 @@ __all__ = [
 ScenarioFactory = Callable[..., "Scenario"]
 
 
-@dataclass(frozen=True)
-class ScenarioInfo:
-    """One registered scenario kind."""
+@dataclass(frozen=True, kw_only=True)
+class ScenarioInfo(ParamEntry):
+    """One registered scenario kind; ``fn`` is its factory."""
 
-    name: str
-    description: str
-    factory: ScenarioFactory
-    #: Optional deep-validation hook run at spec load time (cheap; must not
-    #: generate traces).
-    validate: Callable[[Mapping[str, Any]], None] | None = None
+    noun: ClassVar[str] = "scenario kind"
+
     #: Optional lowering hook: this kind's params -> equivalent params of
     #: the ``custom`` kind.  ``None`` means the kind cannot lower.
     lower: Callable[[Mapping[str, Any]], dict[str, Any]] | None = None
 
-    def param_names(self) -> tuple[str, ...]:
-        """Keyword parameters the factory accepts (for validation/CLI)."""
-        names, _, _ = signature_params(self.factory)
-        return names
-
     def param_defaults(self) -> dict[str, Any]:
-        _, defaults, _ = signature_params(self.factory)
-        return defaults
-
-    def accepts_any_params(self) -> bool:
-        """True when the factory takes ``**kwargs`` (VAR_KEYWORD).
-
-        Such factories accept arbitrary parameter names, so name-level
-        validation must defer to the factory itself instead of rejecting
-        everything as unknown.
-        """
-        _, _, accepts_kwargs = signature_params(self.factory)
-        return accepts_kwargs
-
-    def check_param_names(self, params: Mapping[str, Any]) -> None:
-        """Reject unknown parameter names (honouring ``**kwargs`` factories)."""
-        if not self.accepts_any_params():
-            check_unknown_params(
-                params, self.param_names(), f"scenario kind {self.name!r}"
-            )
-
-    def check_params(self, params: Mapping[str, Any]) -> None:
-        """Validate parameters without building: names, then the deep hook."""
-        self.check_param_names(params)
-        if self.validate is not None:
-            try:
-                self.validate(dict(params))
-            except TypeError as exc:
-                # Wrong-typed JSON values surface as contextual load-time
-                # errors, never bare TypeError tracebacks.
-                raise ValueError(
-                    f"invalid parameters for scenario kind {self.name!r}: {exc}"
-                ) from exc
+        """Defaults of the factory's keyword parameters (for the CLI)."""
+        return signature_params(self.fn)[1]
 
 
-class ScenarioRegistry:
-    """Name -> :class:`ScenarioInfo`, case-insensitive, registration order."""
+class ScenarioRegistry(Registry[ScenarioInfo]):
+    """Kind -> :class:`ScenarioInfo`, case-insensitive, registration order."""
 
-    def __init__(self) -> None:
-        self._entries: dict[str, ScenarioInfo] = {}
-
-    def register(
-        self,
-        name: str,
-        *,
-        description: str = "",
-        validate: Callable[[Mapping[str, Any]], None] | None = None,
-        lower: Callable[[Mapping[str, Any]], dict[str, Any]] | None = None,
-    ) -> Callable[[ScenarioFactory], ScenarioFactory]:
-        def decorator(factory: ScenarioFactory) -> ScenarioFactory:
-            key = name.lower()
-            if key in self._entries:
-                raise ValueError(f"scenario kind {name!r} is already registered")
-            self._entries[key] = ScenarioInfo(
-                name=name,
-                description=description,
-                factory=factory,
-                validate=validate,
-                lower=lower,
-            )
-            return factory
-
-        return decorator
-
-    def unregister(self, name: str) -> None:
-        self.get(name)
-        del self._entries[name.lower()]
-
-    def get(self, name: str) -> ScenarioInfo:
-        info = self._entries.get(str(name).lower())
-        if info is None:
-            known = ", ".join(sorted(self._entries))
-            raise ValueError(f"unknown scenario kind {name!r}; registered: {known}")
-        return info
-
-    def __contains__(self, name: object) -> bool:
-        return str(name).lower() in self._entries
-
-    def __iter__(self) -> Iterator[ScenarioInfo]:
-        return iter(self._entries.values())
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(info.name for info in self)
+    entry_type = ScenarioInfo
 
     def build(self, kind: str, params: Mapping[str, Any] | None = None) -> "Scenario":
         """Build a scenario of ``kind``; unknown parameters raise ValueError.
@@ -165,7 +79,7 @@ class ScenarioRegistry:
         info = self.get(kind)
         params = dict(params or {})
         info.check_param_names(params)
-        return info.factory(**params)
+        return info.fn(**params)
 
 
 _DEFAULT_SCENARIOS = ScenarioRegistry()

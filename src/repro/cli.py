@@ -439,20 +439,28 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 # -------------------------------------------------- policies / scenarios
 
 
-def _cmd_policies(args: argparse.Namespace) -> int:
-    from repro import api
+def _cmd_catalog(
+    args: argparse.Namespace,
+    registry,
+    noun: str,
+    plural: str,
+    column: str,
+    options_key: str,
+) -> int:
+    """``list``/``show`` over one registry, its entries' ``column`` field
+    shown beside each name (``--kind`` filters on it where given)."""
     from repro.experiments.report import format_table
 
-    registry = api.get_registry()
     if args.action == "list":
-        infos = registry.infos(kind=args.kind or None)
+        value = getattr(args, "kind", None) or None
+        infos = registry.infos(**{column: value})
         if not infos:
-            print(f"no policies registered for kind {args.kind!r}", file=sys.stderr)
+            print(f"no {plural} registered for {column} {value!r}", file=sys.stderr)
             return 2
         rows = [
             [
                 info.name,
-                info.kind,
+                getattr(info, column) or "-",
                 ",".join(info.aliases) or "-",
                 info.description,
             ]
@@ -460,79 +468,52 @@ def _cmd_policies(args: argparse.Namespace) -> int:
         ]
         print(
             format_table(
-                ["policy", "kind", "aliases", "description"],
+                [noun, column, "aliases", "description"],
                 rows,
-                title=f"Registered policies ({len(infos)})",
+                title=f"Registered {plural} ({len(infos)})",
             )
         )
         return 0
     # action == "show"
     if not args.name:
-        print("error: show requires a policy name", file=sys.stderr)
+        print(f"error: show requires a {noun} name", file=sys.stderr)
         return 2
     try:
         info = registry.get(args.name)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"{info.name} (kind={info.kind})")
+    print(f"{info.name} ({column}={getattr(info, column) or '-'})")
     print(f"  {info.description}")
     if info.aliases:
         print(f"  aliases: {', '.join(info.aliases)}")
     options = info.option_fields()
     if options:
-        print("  options (spec-file 'options' keys):")
+        print(f"  options (spec-file {options_key!r} keys):")
         for field_name, default in options:
             print(f"    {field_name} = {default!r}")
     else:
         print("  options: none")
     return 0
+
+
+def _cmd_policies(args: argparse.Namespace) -> int:
+    from repro import api
+
+    return _cmd_catalog(args, api.get_registry(), "policy", "policies", "kind", "options")
 
 
 def _cmd_backends(args: argparse.Namespace) -> int:
-    from repro.experiments.report import format_table
     from repro.sim import get_backend_registry
 
-    registry = get_backend_registry()
-    if args.action == "list":
-        rows = [
-            [
-                info.name,
-                info.fidelity or "-",
-                ",".join(info.aliases) or "-",
-                info.description,
-            ]
-            for info in registry
-        ]
-        print(
-            format_table(
-                ["backend", "fidelity", "aliases", "description"],
-                rows,
-                title=f"Registered simulation backends ({len(rows)})",
-            )
-        )
-        return 0
-    # action == "show"
-    if not args.name:
-        print("error: show requires a backend name", file=sys.stderr)
-        return 2
-    try:
-        info = registry.get(args.name)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(f"{info.name} (fidelity={info.fidelity or '-'})")
-    print(f"  {info.description}")
-    if info.aliases:
-        print(f"  aliases: {', '.join(info.aliases)}")
-    options = info.option_fields()
-    if options:
-        print("  options (spec-file 'backend_options' keys):")
-        for field_name, default in options:
-            print(f"    {field_name} = {default!r}")
-    else:
-        print("  options: none")
-    return 0
+    return _cmd_catalog(
+        args,
+        get_backend_registry(),
+        "backend",
+        "simulation backends",
+        "fidelity",
+        "backend_options",
+    )
 
 
 def _scenario_cli_params(args: argparse.Namespace) -> dict:

@@ -3,8 +3,9 @@
 One harness simulates every fidelity: :class:`~repro.sim.harness.SimHarness`
 owns the control loop, and :class:`~repro.sim.simulation.HybridSimulation`
 supplies the dynamics, running each job either request-level or
-analytically.  The registry (:mod:`repro.sim.backends`), mirroring the
-policy registry on the control plane, names three presets of it:
+analytically.  The backend registry (:mod:`repro.sim.backends`), a
+:class:`repro.registry.Registry` like the policy registry, names three
+presets of it:
 
 - ``request`` (:class:`~repro.sim.simulation.Simulation`) -- every job
   request-level, the "cluster deployment" stand-in: Poisson arrivals from

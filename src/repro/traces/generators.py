@@ -25,14 +25,13 @@ Plugins register more with :func:`register_trace_source`.
 from __future__ import annotations
 
 import contextlib
-import inspect
-from dataclasses import dataclass
-from functools import lru_cache
+import dataclasses
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, ClassVar, Iterator, Mapping
 
 import numpy as np
 
+from repro.registry import ParamEntry, Registry
 from repro.traces.azure import AzureTraceConfig, generate_azure_trace
 from repro.traces.twitter import TwitterTraceConfig, generate_twitter_trace
 
@@ -41,8 +40,6 @@ __all__ = [
     "TraceSourceRegistry",
     "register_trace_source",
     "get_trace_source_registry",
-    "check_unknown_params",
-    "signature_params",
     "resolve_trace_path",
     "trace_search_path",
 ]
@@ -92,164 +89,33 @@ def resolve_trace_path(path: str | Path) -> Path:
             return candidate
     return path
 
+
 SourceFn = Callable[..., np.ndarray]
 
 
-@lru_cache(maxsize=256)
-def signature_params(fn: Callable[..., Any]) -> tuple[tuple[str, ...], dict[str, Any], bool]:
-    """(names, defaults, accepts_kwargs) of a factory's keyword surface.
-
-    Shared by the source/transform registries (and mirrored by the
-    scenario registry): ``accepts_kwargs`` is True when the callable takes
-    ``**kwargs``, in which case *any* parameter name must be accepted --
-    name validation falls to the callable itself.  Cached: signature
-    introspection is slow enough to dominate spec validation when a
-    composed scenario carries hundreds of job pipelines.
-    """
-    sig = inspect.signature(fn)
-    names = []
-    defaults: dict[str, Any] = {}
-    accepts_kwargs = False
-    for param in sig.parameters.values():
-        if param.kind is inspect.Parameter.VAR_KEYWORD:
-            accepts_kwargs = True
-            continue
-        if param.kind in (
-            inspect.Parameter.POSITIONAL_OR_KEYWORD,
-            inspect.Parameter.KEYWORD_ONLY,
-        ):
-            names.append(param.name)
-            if param.default is not inspect.Parameter.empty:
-                defaults[param.name] = param.default
-    return tuple(names), defaults, accepts_kwargs
-
-
-def check_unknown_params(
-    params: Mapping[str, Any], names: tuple[str, ...], what: str
-) -> None:
-    """Reject parameter names outside ``names`` -- one wording everywhere.
-
-    Shared by the trace-source, trace-transform, and scenario registries
-    (and the lowering layer), so the unknown-parameter contract and error
-    text cannot drift between catalogs.
-    """
-    unknown = set(params) - set(names)
-    if unknown:
-        raise ValueError(
-            f"unknown parameter(s) {sorted(unknown)} for {what}; "
-            f"accepted: {sorted(names)}"
-        )
-
-
-@dataclass(frozen=True)
-class TraceSourceInfo:
+@dataclasses.dataclass(frozen=True, kw_only=True)
+class TraceSourceInfo(ParamEntry):
     """One registered trace source."""
 
-    name: str
-    description: str
-    fn: SourceFn
+    noun: ClassVar[str] = "trace source"
+
     #: Optional dataclass whose fields define the parameter surface (used
     #: when ``fn`` takes ``**params`` and forwards them to a config type).
     params_from: type | None = None
-    #: Optional ``validate(params)`` hook run at spec-load time (cheap
-    #: checks only -- no trace generation).
-    validate_fn: Callable[[dict[str, Any]], None] | None = None
 
     def param_names(self) -> tuple[str, ...]:
         if self.params_from is not None:
-            import dataclasses
-
             return tuple(f.name for f in dataclasses.fields(self.params_from))
-        names, _, _ = signature_params(self.fn)
-        return names
-
-    def param_defaults(self) -> dict[str, Any]:
-        if self.params_from is not None:
-            import dataclasses
-
-            return {
-                f.name: f.default
-                for f in dataclasses.fields(self.params_from)
-                if f.default is not dataclasses.MISSING
-            }
-        _, defaults, _ = signature_params(self.fn)
-        return defaults
+        return super().param_names()
 
     def accepts_any_params(self) -> bool:
-        if self.params_from is not None:
-            return False
-        _, _, accepts_kwargs = signature_params(self.fn)
-        return accepts_kwargs
-
-    def check_params(self, params: Mapping[str, Any]) -> None:
-        """Reject unknown parameter names; run the cheap validate hook."""
-        if not self.accepts_any_params():
-            check_unknown_params(
-                params, self.param_names(), f"trace source {self.name!r}"
-            )
-        if self.validate_fn is not None:
-            try:
-                self.validate_fn(dict(params))
-            except TypeError as exc:
-                # A wrong-typed JSON value (e.g. "days": "2") must surface
-                # as the contextual load-time error this hook exists for,
-                # not a bare TypeError traceback.
-                raise ValueError(
-                    f"invalid parameters for trace source {self.name!r}: {exc}"
-                ) from exc
+        return self.params_from is None and super().accepts_any_params()
 
 
-class TraceSourceRegistry:
+class TraceSourceRegistry(Registry[TraceSourceInfo]):
     """Name -> :class:`TraceSourceInfo`, case-insensitive, registration order."""
 
-    def __init__(self) -> None:
-        self._entries: dict[str, TraceSourceInfo] = {}
-
-    def register(
-        self,
-        name: str,
-        *,
-        description: str = "",
-        params_from: type | None = None,
-        validate: Callable[[dict[str, Any]], None] | None = None,
-    ) -> Callable[[SourceFn], SourceFn]:
-        def decorator(fn: SourceFn) -> SourceFn:
-            key = name.lower()
-            if key in self._entries:
-                raise ValueError(f"trace source {name!r} is already registered")
-            self._entries[key] = TraceSourceInfo(
-                name=name,
-                description=description,
-                fn=fn,
-                params_from=params_from,
-                validate_fn=validate,
-            )
-            return fn
-
-        return decorator
-
-    def unregister(self, name: str) -> None:
-        self.get(name)
-        del self._entries[name.lower()]
-
-    def get(self, name: str) -> TraceSourceInfo:
-        info = self._entries.get(str(name).lower())
-        if info is None:
-            known = ", ".join(sorted(self._entries))
-            raise ValueError(f"unknown trace source {name!r}; registered: {known}")
-        return info
-
-    def __contains__(self, name: object) -> bool:
-        return str(name).lower() in self._entries
-
-    def __iter__(self) -> Iterator[TraceSourceInfo]:
-        return iter(self._entries.values())
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(info.name for info in self)
+    entry_type = TraceSourceInfo
 
     def build(self, name: str, params: Mapping[str, Any] | None = None) -> np.ndarray:
         """Generate a source's series; unknown parameters raise ValueError."""

@@ -31,11 +31,11 @@ validated.  Plugins register more with :func:`register_trace_transform`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, ClassVar, Mapping
 
 import numpy as np
 
-from repro.traces.generators import check_unknown_params, signature_params
+from repro.registry import ParamEntry, Registry
 from repro.traces.scaling import compress_windows, rescale_trace
 
 __all__ = [
@@ -48,87 +48,25 @@ __all__ = [
 TransformFn = Callable[..., np.ndarray]
 
 
-@dataclass(frozen=True)
-class TraceTransformInfo:
+@dataclass(frozen=True, kw_only=True)
+class TraceTransformInfo(ParamEntry):
     """One registered trace transform: ``fn(series, **params) -> series``."""
 
-    name: str
-    description: str
-    fn: TransformFn
+    noun: ClassVar[str] = "trace transform"
+
     #: Parameter names whose values are *nested trace pipelines* (mappings
     #: with source/params/transforms keys).  The composition layer uses
     #: this to validate and build nested traces recursively.
     nested_params: tuple[str, ...] = ()
 
     def param_names(self) -> tuple[str, ...]:
-        names, _, _ = signature_params(self.fn)
-        return tuple(n for n in names if n != "series")
-
-    def param_defaults(self) -> dict[str, Any]:
-        _, defaults, _ = signature_params(self.fn)
-        return defaults
-
-    def accepts_any_params(self) -> bool:
-        _, _, accepts_kwargs = signature_params(self.fn)
-        return accepts_kwargs
-
-    def check_params(self, params: Mapping[str, Any]) -> None:
-        if self.accepts_any_params():
-            return
-        check_unknown_params(
-            params, self.param_names(), f"trace transform {self.name!r}"
-        )
+        return tuple(n for n in super().param_names() if n != "series")
 
 
-class TraceTransformRegistry:
+class TraceTransformRegistry(Registry[TraceTransformInfo]):
     """Name -> :class:`TraceTransformInfo`, case-insensitive, registration order."""
 
-    def __init__(self) -> None:
-        self._entries: dict[str, TraceTransformInfo] = {}
-
-    def register(
-        self,
-        name: str,
-        *,
-        description: str = "",
-        nested_params: tuple[str, ...] = (),
-    ) -> Callable[[TransformFn], TransformFn]:
-        def decorator(fn: TransformFn) -> TransformFn:
-            key = name.lower()
-            if key in self._entries:
-                raise ValueError(f"trace transform {name!r} is already registered")
-            self._entries[key] = TraceTransformInfo(
-                name=name,
-                description=description,
-                fn=fn,
-                nested_params=tuple(nested_params),
-            )
-            return fn
-
-        return decorator
-
-    def unregister(self, name: str) -> None:
-        self.get(name)
-        del self._entries[name.lower()]
-
-    def get(self, name: str) -> TraceTransformInfo:
-        info = self._entries.get(str(name).lower())
-        if info is None:
-            known = ", ".join(sorted(self._entries))
-            raise ValueError(f"unknown trace transform {name!r}; registered: {known}")
-        return info
-
-    def __contains__(self, name: object) -> bool:
-        return str(name).lower() in self._entries
-
-    def __iter__(self) -> Iterator[TraceTransformInfo]:
-        return iter(self._entries.values())
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(info.name for info in self)
+    entry_type = TraceTransformInfo
 
     def apply(
         self, name: str, series: np.ndarray, params: Mapping[str, Any] | None = None
@@ -164,7 +102,7 @@ def register_trace_transform(
 ) -> Callable[[TransformFn], TransformFn]:
     """Register a trace transform on the default registry (decorator)."""
     return _DEFAULT_TRANSFORMS.register(
-        name, description=description, nested_params=nested_params
+        name, description=description, nested_params=tuple(nested_params)
     )
 
 

@@ -180,22 +180,3 @@ class TestPlugins:
         finally:
             registry.unregister("test-noop")
         assert "test-noop" not in registry
-
-    def test_duplicate_name_rejected(self):
-        registry = api.get_registry()
-        with pytest.raises(ValueError, match="already registered"):
-            registry.register("fairshare")(lambda s, seed, o: None)
-
-    def test_duplicate_alias_rejected(self):
-        registry = api.get_registry()
-        with pytest.raises(ValueError, match="already registered"):
-            registry.register("brand-new", aliases=("faro",))(
-                lambda s, seed, o: None
-            )
-
-    def test_non_dataclass_config_rejected(self):
-        registry = api.get_registry()
-        with pytest.raises(TypeError, match="dataclass"):
-            registry.register("bad-config", config_type=dict)(
-                lambda s, seed, o: None
-            )

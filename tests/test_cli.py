@@ -125,35 +125,81 @@ class TestPolicies:
     def test_list(self, capsys):
         code = main(["policies", "list"])
         assert code == 0
-        out = capsys.readouterr().out
-        for name in ("faro-fairsum", "fairshare", "cilantro", "faro-decentralized"):
-            assert name in out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "Registered policies (14)"
+        assert lines[1].rstrip() == (
+            "policy                 kind        aliases             description"
+        )
+        assert lines[2].split() == ["-" * 21, "-" * 10, "-" * 18, "-" * 128]
+        assert [line.split(None, 3)[:3] for line in lines[3:]] == [
+            ["faro-sum", "faro", "-"],
+            ["faro-fair", "faro", "-"],
+            ["faro-fairsum", "faro", "faro"],
+            ["faro-penaltysum", "faro", "-"],
+            ["faro-penaltyfairsum", "faro", "-"],
+            ["faro-decentralized", "controller", "-"],
+            ["fairshare", "baseline", "-"],
+            ["oneshot", "baseline", "-"],
+            ["aiad", "baseline", "-"],
+            ["mark", "baseline", "-"],
+            ["cilantro", "baseline", "-"],
+            ["hetero-max-throughput", "hetero", "max-sum-throughput"],
+            ["hetero-las", "hetero", "las"],
+            ["ilp-placement", "hetero", "hetero-ilp"],
+        ]
 
     def test_list_kind_filter(self, capsys):
         code = main(["policies", "list", "--kind", "baseline"])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "fairshare" in out and "faro-fairsum" not in out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "Registered policies (5)"
+        assert lines[1].rstrip() == "policy     kind      aliases  description"
+        assert [line.split()[0] for line in lines[3:]] == [
+            "fairshare", "oneshot", "aiad", "mark", "cilantro",
+        ]
 
     def test_list_unknown_kind(self, capsys):
         code = main(["policies", "list", "--kind", "quantum"])
         assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "no policies registered for kind 'quantum'\n"
 
     def test_show(self, capsys):
         code = main(["policies", "show", "faro-fairsum"])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "kind=faro" in out
-        assert "use_trained_predictor" in out
+        assert capsys.readouterr().out == (
+            "faro-fairsum (kind=faro)\n"
+            "  Faro's headline objective: fairness-regularized sum (FairSum).\n"
+            "  aliases: faro\n"
+            "  options (spec-file 'options' keys):\n"
+            "    hybrid = True\n"
+            "    use_trained_predictor = True\n"
+            "    predictor_profile = None\n"
+            "    faro = {}\n"
+        )
+
+    def test_show_without_aliases(self, capsys):
+        code = main(["policies", "show", "FairShare"])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "fairshare (kind=baseline)\n"
+            "  Static equal split, no autoscaling (Clipper/TF-Serving).\n"
+            "  options (spec-file 'options' keys):\n"
+            "    min_replicas = 1\n"
+        )
 
     def test_show_unknown(self, capsys):
         code = main(["policies", "show", "ghost"])
         assert code == 2
-        assert "unknown policy" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            "error: unknown policy 'ghost'; registered: aiad, cilantro, "
+        )
 
     def test_show_requires_name(self, capsys):
         code = main(["policies", "show"])
         assert code == 2
+        assert capsys.readouterr().err == "error: show requires a policy name\n"
 
 
 class TestScenarios:
@@ -214,37 +260,60 @@ class TestBackends:
     def test_list(self, capsys):
         code = main(["backends", "list"])
         assert code == 0
-        out = capsys.readouterr().out
-        for name in ("request", "flow", "hybrid"):
-            assert name in out
-        assert "analytic-flow" in out  # aliases column
+        lines = [line.rstrip() for line in capsys.readouterr().out.splitlines()]
+        assert lines[:3] == [
+            "Registered simulation backends (3)",
+            "backend  fidelity       aliases                 description",
+            "-------  -------------  ----------------------  " + "-" * 125,
+        ]
+        assert [line.split(None, 3)[:3] for line in lines[3:]] == [
+            ["request", "request-level", "request-level"],
+            ["flow", "analytic", "analytic,analytic-flow"],
+            ["hybrid", "hybrid", "-"],
+        ]
 
     def test_show(self, capsys):
         code = main(["backends", "show", "hybrid"])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "fidelity=hybrid" in out
-        assert "request_jobs" in out and "auto_request_jobs" in out
-        assert "backend_options" in out
+        assert capsys.readouterr().out == (
+            "hybrid (fidelity=hybrid)\n"
+            "  Flagged jobs at request level, the rest analytic, one shared "
+            "quota and policy loop (see HybridBackendOptions).\n"
+            "  options (spec-file 'backend_options' keys):\n"
+            "    request_jobs = ()\n"
+            "    auto_request_jobs = 0\n"
+            "    promote_headroom = None\n"
+            "    demote_headroom = None\n"
+            "    min_dwell_ticks = 3\n"
+        )
 
     def test_show_no_options_backend(self, capsys):
         code = main(["backends", "show", "flow"])
         assert code == 0
-        assert "options: none" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            "flow (fidelity=analytic)\n"
+            "  Analytic fluid/flow model (no job flagged): per-tick queue "
+            "dynamics plus M/D/c waiting tails; 100-1000x faster.\n"
+            "  aliases: analytic, analytic-flow\n"
+            "  options: none\n"
+        )
 
     def test_show_resolves_alias(self, capsys):
         code = main(["backends", "show", "analytic"])
         assert code == 0
-        assert "flow" in capsys.readouterr().out
+        assert capsys.readouterr().out.startswith("flow (fidelity=analytic)\n")
 
     def test_show_unknown(self, capsys):
         code = main(["backends", "show", "ghost"])
         assert code == 2
-        assert "unknown simulator" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: unknown simulator 'ghost'; registered: flow, hybrid, request\n"
+        )
 
     def test_show_requires_name(self, capsys):
         code = main(["backends", "show"])
         assert code == 2
+        assert capsys.readouterr().err == "error: show requires a backend name\n"
 
     def test_run_accepts_hybrid_simulator(self, capsys):
         code = main(["run", "--policy", "fairshare", "--jobs", "2", "--size", "6",

@@ -1,19 +1,18 @@
 """Backend-architecture tests: registry, typed options, lifecycle, batching.
 
 Covers the pluggable-simulation seam: the :class:`SimBackendRegistry`
-behaves like the policy registry (case-insensitive names, aliases, loud
-unknown-option failures), the request and flow backends are presets of the
-hybrid harness with no dynamics of their own (both admit a policy's
-decisions through its one ``apply``), batch offers are
-bit-identical to per-request offers, the event-driven replica lifecycle
-reproduces the list-based bookkeeping it replaced, and the flow simulator
-now honours ``SimulationConfig.faults`` (which it previously ignored
-silently).
+resolves its built-in backends and their aliases and parses their typed
+options (``tests/test_registry.py`` checks the contract every catalog
+shares), the request and flow backends are presets of the hybrid harness
+with no dynamics of their own (both admit a policy's decisions through
+its one ``apply``), batch offers are bit-identical to per-request
+offers, the event-driven replica lifecycle reproduces the list-based
+bookkeeping it replaced, and the flow simulator now honours
+``SimulationConfig.faults`` (which it previously ignored silently).
 """
 
 import functools
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -32,8 +31,6 @@ from repro.sim import (
     HybridSimulation,
     PoissonArrivals,
     ReplicaLifecycle,
-    SimBackendInfo,
-    SimBackendRegistry,
     Simulation,
     SimulationConfig,
     get_backend_registry,
@@ -95,25 +92,6 @@ class TestBackendRegistry:
         with pytest.raises(ValueError, match="accepts no options"):
             registry.parse_options("request", {"vectorize": False})
 
-    def test_register_unregister_roundtrip(self):
-        registry = SimBackendRegistry()
-
-        @dataclass(frozen=True)
-        class Options:
-            knob: int = 1
-
-        @registry.register("toy", description="toy", config_type=Options,
-                           fidelity="test", aliases=("plaything",))
-        class ToyBackend(SimHarness):
-            options_type = Options
-
-        assert registry.get("plaything").cls is ToyBackend
-        assert registry.parse_options("toy", {"knob": 3}).knob == 3
-        with pytest.raises(ValueError, match="already registered"):
-            registry.register("TOY")(ToyBackend)
-        registry.unregister("toy")
-        assert "toy" not in registry and "plaything" not in registry
-
     def test_option_fields_for_docs(self):
         info = get_backend_registry().get("hybrid")
         assert dict(info.option_fields()) == {
@@ -123,14 +101,6 @@ class TestBackendRegistry:
             "demote_headroom": None,
             "min_dwell_ticks": 3,
         }
-
-    def test_config_type_must_be_dataclass(self):
-        registry = SimBackendRegistry()
-        with pytest.raises(TypeError, match="dataclass"):
-            registry.add(
-                SimBackendInfo(name="x", description="", cls=SimHarness,
-                               config_type=int)
-            )
 
 
 # ------------------------------------------------------- config validation
