@@ -11,7 +11,6 @@ import numpy as np
 
 from benchmarks.conftest import BENCH_MINUTES, BENCH_PROFILE, write_result
 from repro import api
-from repro.experiments import paper_scenario
 from repro.experiments.report import format_table
 
 SIZES = (16, 24, 32, 36, 48, 64)
@@ -22,7 +21,10 @@ def test_fig15_size_sweep(benchmark):
     def run():
         utilities = {}
         for size in SIZES:
-            scenario = paper_scenario(size, duration_minutes=BENCH_MINUTES, seed=0)
+            scenario = api.ScenarioSpec(
+                kind="paper",
+                params={"size": size, "duration_minutes": BENCH_MINUTES, "seed": 0},
+            ).build()
             for policy in POLICIES:
                 stats = api.run_policy(
                     scenario,

@@ -29,7 +29,6 @@ from repro.core.optimizer import (
 )
 from repro.core.utility import SLO
 from repro.experiments.report import format_table, ratio
-from repro.experiments.scenarios import large_scale_scenario
 
 PAPER_20 = {
     "fairshare": (3.48, 0.14),
@@ -48,12 +47,16 @@ PAPER_100 = {
 
 
 def test_table8_large_scale(benchmark):
-    scenario_20 = large_scale_scenario(
-        num_jobs=20, total_replicas=70, duration_minutes=45, seed=0
-    )
-    scenario_100 = large_scale_scenario(
-        num_jobs=100, total_replicas=320, duration_minutes=45, seed=0
-    )
+    scenario_20 = api.ScenarioSpec(
+        kind="large-scale",
+        params={"num_jobs": 20, "total_replicas": 70, "duration_minutes": 45,
+                "seed": 0},
+    ).build()
+    scenario_100 = api.ScenarioSpec(
+        kind="large-scale",
+        params={"num_jobs": 100, "total_replicas": 320, "duration_minutes": 45,
+                "seed": 0},
+    ).build()
 
     def run():
         stats_20 = {

@@ -1,8 +1,7 @@
 """Declarative scenario composition: typed Trace/Job/Cluster specs.
 
-Scenarios used to be born imperatively: three opaque factories with the
-paper's traces hardwired.  This module makes workload birth declarative
-from named registry entries, as policies and backends are:
+Every scenario is born declaratively here, from named registry entries,
+as policies and backends are:
 
 - :class:`TraceSpec` -- one job's arrival process as a *pipeline*: a
   registered trace source (:mod:`repro.traces.generators`) plus an ordered
@@ -16,12 +15,12 @@ from named registry entries, as policies and backends are:
   alone, so a JSON/YAML file -- no Python -- defines heterogeneous models,
   SLOs, and synthetic+replayed workloads end to end.
 
-The three built-in kinds are sugar over this form:
-:meth:`repro.api.ScenarioSpec.lower` re-expresses ``paper`` / ``mixed`` /
-``large-scale`` parameters as an equivalent ``custom`` spec (via the
-``lower_*`` functions here), and the lowered spec's simulated statistics
-are pinned bit-identical to the legacy factories
-(``tests/test_composition.py``).
+The three built-in kinds are lowerings onto this form: ``lower_paper``,
+``lower_mixed`` and ``lower_large_scale`` turn ``paper`` / ``mixed`` /
+``large-scale`` parameters into ``custom`` parameters, their keyword
+signatures are the kinds' parameter surfaces, and building a kind is
+``custom_scenario(**lower(**params))`` (:mod:`repro.api.scenarios`).
+:meth:`repro.api.ScenarioSpec.lower` returns that ``custom`` spec.
 
 All specs are frozen, validate eagerly, and round-trip losslessly through
 ``to_dict``/``from_dict``, so they embed directly in
@@ -41,15 +40,8 @@ from repro.api.spec import _check_keys, _normalize, _plain
 from repro.cluster.job import InferenceJobSpec
 from repro.cluster.models import RESNET18, RESNET34, ModelProfile
 from repro.core.utility import SLO
-from repro.experiments.scenarios import (
-    CLUSTER_SIZES,
-    Scenario,
-    large_scale_scenario,
-    mixed_model_scenario,
-    paper_scenario,
-)
+from repro.experiments.scenarios import CLUSTER_SIZES, Scenario
 from repro.hetero.types import DeviceClass, DeviceFleet
-from repro.registry import check_unknown_params, signature_params
 from repro.traces.generators import get_trace_source_registry
 from repro.traces.library import standard_mix_source
 from repro.traces.transforms import get_trace_transform_registry
@@ -649,15 +641,15 @@ def custom_scenario(
 ) -> Scenario:
     """Build a :class:`Scenario` from Trace/Job/Cluster specs alone.
 
-    Per job: its ``trace`` pipeline generates the full series, split at
-    ``train_minutes`` into predictor-training and evaluation halves (or
-    the job's ``train_trace`` pipeline supplies training data and the
-    whole ``trace`` evaluates).  ``eval_offset_minutes`` skips into the
-    evaluation series, ``duration_minutes`` trims it, all jobs are cut to
-    the shortest evaluation window, and the ``history_prefix_minutes``
-    immediately preceding the window seed the predictors' rate histories
-    -- exactly the semantics of the legacy paper factories, which lower
-    onto this kind (:func:`lower_paper` and friends).
+    The one scenario builder: every built-in kind is a lowering onto these
+    parameters (:func:`lower_paper` and friends).  Per job: its ``trace``
+    pipeline generates the full series, split at ``train_minutes`` into
+    predictor-training and evaluation halves (or the job's ``train_trace``
+    pipeline supplies training data and the whole ``trace`` evaluates).
+    ``eval_offset_minutes`` skips into the evaluation series,
+    ``duration_minutes`` trims it, all jobs are cut to the shortest
+    evaluation window, and the ``history_prefix_minutes`` immediately
+    preceding the window seed the predictors' rate histories.
     """
     parsed = _parse_custom(
         jobs,
@@ -699,12 +691,13 @@ def custom_scenario(
         train_traces[job.name] = train
         # The minutes immediately preceding the evaluation window seed the
         # predictors' rate histories, spanning the train/eval boundary when
-        # the offset is small (same slice the legacy factories take).
-        combined = np.concatenate([train, eval_full])
-        boundary = train.shape[0] + parsed.eval_offset_minutes
-        history_prefix[job.name] = combined[
-            max(boundary - parsed.history_prefix_minutes, 0) : boundary
-        ]
+        # the offset is small.  Only those minutes are copied: a slice of
+        # the joined trace would keep a second copy of all of it alive.
+        offset = parsed.eval_offset_minutes
+        start = train.shape[0] + offset - parsed.history_prefix_minutes
+        history_prefix[job.name] = np.concatenate(
+            [train[max(start, 0):], eval_full[max(start - train.shape[0], 0) : offset]]
+        )
     minutes = min(series.shape[0] for series in eval_traces.values())
     eval_traces = {name_: series[:minutes] for name_, series in eval_traces.items()}
     return Scenario(
@@ -738,19 +731,6 @@ def validate_custom_params(params: Mapping[str, Any]) -> None:
 # ----------------------------------------------------------------- lowering
 
 
-def _resolved_defaults(
-    factory, params: Mapping[str, Any], kind: str
-) -> dict[str, Any]:
-    """Factory defaults overlaid with the spec's explicit parameters.
-
-    The name check is a backstop for direct ``lower_*`` calls;
-    :meth:`repro.api.ScenarioSpec.lower` has already run it.
-    """
-    names, defaults, _ = signature_params(factory)
-    check_unknown_params(params, names, f"scenario kind {kind!r}")
-    return {**defaults, **params}
-
-
 def _mix_job(
     index: int, days: int, seed: int, rate_hi: float, model: str
 ) -> dict[str, Any]:
@@ -771,40 +751,63 @@ def _mix_job(
 
 def _lower_mix(
     name: str,
-    num_jobs: int,
-    days: int,
-    seed: int,
-    rate_hi: float,
     models: Sequence[str],
     total_replicas: int,
-    duration_minutes: int | None,
-    rate_scale: float,
-    eval_offset_minutes: int,
     metadata: Mapping[str, Any],
+    *,
+    days: Any,
+    seed: Any,
+    rate_hi: Any,
+    duration_minutes: Any,
+    rate_scale: Any,
+    eval_offset_minutes: Any,
 ) -> dict[str, Any]:
+    """``custom`` parameters of one job per model on the paper's trace mix:
+    days 1..days-1 train the predictors, the last day evaluates."""
+    days = _coerce_whole(days, "days", optional=False)
     if days < 2:
         raise ValueError(f"need >= 2 days for a train/eval split, got {days}")
+    seed = _coerce_whole(seed, "seed", optional=False)
+    rate_hi = float(rate_hi)
     return {
         "name": name,
         "jobs": [
-            _mix_job(index, days, seed, rate_hi, models[index])
-            for index in range(num_jobs)
+            _mix_job(index, days, seed, rate_hi, model)
+            for index, model in enumerate(models)
         ],
         "cluster": {"total_replicas": total_replicas},
         "train_minutes": (days - 1) * MINUTES_PER_DAY,
-        "eval_offset_minutes": eval_offset_minutes,
-        # The legacy factories treat any falsy duration (None or 0) as "no
+        "eval_offset_minutes": _coerce_whole(
+            eval_offset_minutes, "eval_offset_minutes", optional=False
+        ),
+        # The built-in kinds treat any falsy duration (None or 0) as "no
         # trim"; the custom kind spells that None and rejects a bare 0.
-        "duration_minutes": duration_minutes if duration_minutes else None,
-        "rate_scale": rate_scale,
+        "duration_minutes": _coerce_whole(duration_minutes, "duration_minutes")
+        or None,
+        "rate_scale": float(rate_scale),
         "metadata": dict(metadata),
     }
 
 
-def lower_paper(params: Mapping[str, Any]) -> dict[str, Any]:
-    """``paper`` kind parameters -> equivalent ``custom`` parameters."""
-    p = _resolved_defaults(paper_scenario, params, "paper")
-    size = p["size"]
+def lower_paper(
+    size: str | int = "SO",
+    num_jobs: int = 10,
+    duration_minutes: int | None = 360,
+    rate_scale: float = 1.0,
+    days: int = 11,
+    rate_hi: float = 1600.0,
+    eval_offset_minutes: int = 480,
+    seed: int = 0,
+) -> dict[str, Any]:
+    """The ``paper`` kind (§6): ``num_jobs`` ResNet34 jobs on the
+    Azure+Twitter mix, as ``custom`` parameters.
+
+    ``size`` picks the cluster ("RS"/"SO"/"HO" or an explicit replica
+    count).  ``duration_minutes`` trims the evaluation day (the paper's
+    cluster runs compress the day into ~6 hours; benches use shorter
+    windows).  ``eval_offset_minutes`` skips into the evaluation day so the
+    window covers rising diurnal load rather than the quiet early morning.
+    """
     if isinstance(size, str):
         if size not in CLUSTER_SIZES:
             raise ValueError(
@@ -812,61 +815,78 @@ def lower_paper(params: Mapping[str, Any]) -> dict[str, Any]:
             )
         total, label = CLUSTER_SIZES[size], size
     else:
-        total, label = int(size), str(size)
-    num_jobs = int(p["num_jobs"])
+        total = _coerce_whole(size, "size", optional=False)
+        label = str(total)
+    num_jobs = _coerce_whole(num_jobs, "num_jobs", minimum=1, optional=False)
     return _lower_mix(
-        name=f"paper-{label}-{num_jobs}jobs",
-        num_jobs=num_jobs,
-        days=int(p["days"]),
-        seed=int(p["seed"]),
-        rate_hi=float(p["rate_hi"]),
-        models=["resnet34"] * num_jobs,
-        total_replicas=total,
-        duration_minutes=p["duration_minutes"],
-        rate_scale=float(p["rate_scale"]),
-        eval_offset_minutes=int(p["eval_offset_minutes"]),
-        metadata={"size": label},
+        f"paper-{label}-{num_jobs}jobs",
+        ["resnet34"] * num_jobs,
+        total,
+        {"size": label},
+        days=days,
+        seed=seed,
+        rate_hi=rate_hi,
+        duration_minutes=duration_minutes,
+        rate_scale=rate_scale,
+        eval_offset_minutes=eval_offset_minutes,
     )
 
 
-def lower_mixed(params: Mapping[str, Any]) -> dict[str, Any]:
-    """``mixed`` kind parameters -> equivalent ``custom`` parameters."""
-    p = _resolved_defaults(mixed_model_scenario, params, "mixed")
-    num_jobs = int(p["num_jobs"])
-    total = int(p["total_replicas"])
-    models = ["resnet18" if index % 2 == 0 else "resnet34" for index in range(num_jobs)]
+def lower_mixed(
+    total_replicas: int = 36,
+    num_jobs: int = 10,
+    duration_minutes: int | None = 360,
+    rate_scale: float = 1.0,
+    days: int = 11,
+    eval_offset_minutes: int = 480,
+    seed: int = 0,
+) -> dict[str, Any]:
+    """The ``mixed`` kind (§6.3): alternating ResNet18 (400 ms SLO) and
+    ResNet34 jobs, as ``custom`` parameters."""
+    total = _coerce_whole(total_replicas, "total_replicas", optional=False)
+    num_jobs = _coerce_whole(num_jobs, "num_jobs", minimum=1, optional=False)
     return _lower_mix(
-        name=f"mixed-{total}r-{num_jobs}jobs",
-        num_jobs=num_jobs,
-        days=int(p["days"]),
-        seed=int(p["seed"]),
+        f"mixed-{total}r-{num_jobs}jobs",
+        ["resnet18" if index % 2 == 0 else "resnet34" for index in range(num_jobs)],
+        total,
+        {"size": "mixed"},
+        days=days,
+        seed=seed,
         rate_hi=1600.0,
-        models=models,
-        total_replicas=total,
-        duration_minutes=p["duration_minutes"],
-        rate_scale=float(p["rate_scale"]),
-        eval_offset_minutes=int(p["eval_offset_minutes"]),
-        metadata={"size": "mixed"},
+        duration_minutes=duration_minutes,
+        rate_scale=rate_scale,
+        eval_offset_minutes=eval_offset_minutes,
     )
 
 
-def lower_large_scale(params: Mapping[str, Any]) -> dict[str, Any]:
-    """``large-scale`` kind parameters -> equivalent ``custom`` parameters."""
-    p = _resolved_defaults(large_scale_scenario, params, "large-scale")
-    num_jobs = int(p["num_jobs"])
-    total = int(p["total_replicas"])
+def lower_large_scale(
+    num_jobs: int = 20,
+    total_replicas: int = 70,
+    duration_minutes: int | None = 240,
+    rate_scale: float = 1.0,
+    days: int = 11,
+    eval_offset_minutes: int = 480,
+    seed: int = 0,
+) -> dict[str, Any]:
+    """The ``large-scale`` kind (§6.5): the paper mix duplicated to
+    ``num_jobs`` ResNet34 jobs, as ``custom`` parameters.
+
+    Paper configurations: 20 jobs / 70 replicas (cluster) and
+    100 jobs / 320 replicas (simulation).
+    """
+    num_jobs = _coerce_whole(num_jobs, "num_jobs", minimum=1, optional=False)
+    total = _coerce_whole(total_replicas, "total_replicas", optional=False)
     return _lower_mix(
-        name=f"scale-{num_jobs}jobs-{total}r",
-        num_jobs=num_jobs,
-        days=int(p["days"]),
-        seed=int(p["seed"]),
+        f"scale-{num_jobs}jobs-{total}r",
+        ["resnet34"] * num_jobs,
+        total,
+        {"size": f"{num_jobs}jobs"},
+        days=days,
+        seed=seed,
         rate_hi=1600.0,
-        models=["resnet34"] * num_jobs,
-        total_replicas=total,
-        duration_minutes=p["duration_minutes"],
-        rate_scale=float(p["rate_scale"]),
-        eval_offset_minutes=int(p["eval_offset_minutes"]),
-        metadata={"size": f"{num_jobs}jobs"},
+        duration_minutes=duration_minutes,
+        rate_scale=rate_scale,
+        eval_offset_minutes=eval_offset_minutes,
     )
 
 

@@ -2,33 +2,30 @@
 
 A :class:`~repro.api.spec.ScenarioSpec` names a registered scenario *kind*
 plus keyword parameters; :func:`build_scenario` resolves the kind here and
-calls the factory.  The built-in kinds wrap the paper's setups
-(:mod:`repro.experiments.scenarios`) plus the fully-declarative ``custom``
-kind (:mod:`repro.api.composition`); plugins may register new kinds with
-:func:`register_scenario` -- any callable returning a
+calls its factory.  Every built-in kind builds through the fully
+declarative ``custom`` kind (:func:`repro.api.composition.custom_scenario`):
+``paper``, ``mixed`` and ``large-scale`` are lowerings onto it, whose
+keyword signatures are their parameter surfaces.  Plugins may register new
+kinds with :func:`register_scenario` -- any callable returning a
 :class:`~repro.experiments.scenarios.Scenario` qualifies.
 
 Kinds may also carry two optional hooks:
 
 - ``validate(params)`` runs at spec load/validation time for deep,
   cheap checks beyond parameter *names* (the ``custom`` kind resolves its
-  whole job/trace pipeline graph here, before anything simulates);
+  whole job/trace pipeline graph here, and a built-in kind validates the
+  ``custom`` parameters it lowers to, before anything simulates);
 - ``lower(params)`` re-expresses the kind's parameters as equivalent
   ``custom``-kind parameters (see :meth:`repro.api.ScenarioSpec.lower`).
-  Every built-in kind lowers; the lowered spec's simulated statistics are
-  bit-identical to the factory's.
+  Every built-in kind lowers.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, ClassVar, Mapping
 
-from repro.experiments.scenarios import (
-    large_scale_scenario,
-    mixed_model_scenario,
-    paper_scenario,
-)
 from repro.registry import ParamEntry, Registry, signature_params
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -120,30 +117,49 @@ def build_scenario(spec: "ScenarioSpec") -> "Scenario":
 # ------------------------------------------------------- built-in kinds
 
 # The composition module is a leaf (it does not import this one); the
-# ``custom`` kind and the built-ins' lowering hooks both register here so
-# the whole catalog assembles in one place.
+# ``custom`` kind and the lowerings onto it all register here so the whole
+# catalog assembles in one place.
 from repro.api import composition as _composition  # noqa: E402
 
-register_scenario(
+
+def _register_lowering(
+    name: str, description: str, lower: Callable[..., dict[str, Any]]
+) -> None:
+    """Register kind ``name`` as the lowering ``lower`` onto ``custom``.
+
+    ``lower``'s keyword signature is the kind's parameter surface; building
+    the kind is ``custom_scenario(**lower(**params))``, and its ``validate``
+    hook checks the lowered parameters without generating any trace.
+    """
+
+    @functools.wraps(lower)
+    def build(**params: Any) -> "Scenario":
+        return _composition.custom_scenario(**lower(**params))
+
+    register_scenario(
+        name,
+        description=description,
+        validate=lambda params: _composition.validate_custom_params(lower(**params)),
+        lower=lambda params: lower(**params),
+    )(build)
+
+
+_register_lowering(
     "paper",
-    description=(
-        "The paper's main setup (§6): N ResNet34 jobs on Azure+Twitter "
-        "traces; size RS(36)/SO(32)/HO(16) or an explicit replica count."
-    ),
-    lower=_composition.lower_paper,
-)(paper_scenario)
-
-register_scenario(
+    "The paper's main setup (§6): N ResNet34 jobs on Azure+Twitter "
+    "traces; size RS(36)/SO(32)/HO(16) or an explicit replica count.",
+    _composition.lower_paper,
+)
+_register_lowering(
     "mixed",
-    description="Mixed workload (§6.3): alternating ResNet18/ResNet34 jobs.",
-    lower=_composition.lower_mixed,
-)(mixed_model_scenario)
-
-register_scenario(
+    "Mixed workload (§6.3): alternating ResNet18/ResNet34 jobs.",
+    _composition.lower_mixed,
+)
+_register_lowering(
     "large-scale",
-    description="Large-scale workloads (§6.5): duplicated job mixes.",
-    lower=_composition.lower_large_scale,
-)(large_scale_scenario)
+    "Large-scale workloads (§6.5): duplicated job mixes.",
+    _composition.lower_large_scale,
+)
 
 register_scenario(
     "custom",

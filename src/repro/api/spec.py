@@ -97,7 +97,7 @@ def _check_keys(data: Mapping[str, Any], allowed: set[str], what: str) -> None:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """A scenario as a value: registered kind + factory parameters.
+    """A scenario as a value: registered kind + its parameters.
 
     ``name`` optionally overrides the built scenario's display name (useful
     when the same kind appears twice with different parameters).
@@ -121,10 +121,10 @@ class ScenarioSpec:
     def lower(self) -> "ScenarioSpec":
         """Re-express this spec as the fully-composed ``custom`` kind.
 
-        The built-in kinds are sugar: ``paper``/``mixed``/``large-scale``
-        lower to explicit job/trace-pipeline/cluster parameters whose
-        simulated statistics are bit-identical to the legacy factory
-        (pinned by ``tests/test_composition.py``); ``custom`` lowers to
+        The built-in kinds ``paper``/``mixed``/``large-scale`` are
+        lowerings onto ``custom``: this returns the very ``custom`` spec
+        they build through, with every job, trace pipeline and cluster
+        spelled out, so both build the same scenario; ``custom`` lowers to
         itself.  Kinds registered without a lowering hook raise
         ``ValueError``.
         """
@@ -302,7 +302,7 @@ class ExperimentSpec:
 
         Useful for freezing an experiment: the lowered spec file spells
         out every job, trace pipeline, and cluster explicitly instead of
-        referencing factory sugar, yet simulates bit-identically.
+        naming a built-in kind, and simulates bit-identically.
         ``spec_dir`` provenance rides along as a declared field.
         """
         return replace(self, scenarios=tuple(s.lower() for s in self.scenarios))
@@ -398,28 +398,40 @@ class ExperimentSpec:
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentSpec":
         """Load a spec from a JSON or YAML file (decided by suffix)."""
-        path = Path(path)
-        text = path.read_text()
-        if path.suffix.lower() in (".yaml", ".yml"):
-            yaml = _yaml()
-            try:
-                data = yaml.safe_load(text)
-            except yaml.YAMLError as exc:
-                raise ValueError(f"invalid YAML in {path}: {exc}") from exc
-        else:
-            try:
-                data = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"invalid JSON in {path}: {exc}") from exc
-        if not isinstance(data, Mapping):
-            raise ValueError(f"spec file {path} must contain a mapping")
+        data, spec_dir = _read_spec_file(path)
         # Remember where the spec came from so relative replay-file paths
         # can resolve against the spec's own directory -- including in
         # sweep workers, which receive this object pickled.  ``spec_dir``
         # is a declared (non-compared, non-serialized) field, so the
         # derived instance is built with ``replace`` instead of mutating a
         # frozen value after the fact.
-        return replace(cls.from_dict(data), spec_dir=str(path.parent.resolve()))
+        return replace(cls.from_dict(data), spec_dir=spec_dir)
+
+
+def _read_spec_file(path: str | Path) -> tuple[Mapping[str, Any], str]:
+    """The mapping a JSON or YAML (by suffix) spec file holds, and its
+    resolved directory.
+
+    Malformed JSON or YAML, or a document that is not a mapping, raises
+    ``ValueError`` naming the file; a YAML file without PyYAML installed
+    raises ``RuntimeError``.
+    """
+    path = Path(path)
+    text = path.read_text()
+    if path.suffix.lower() in (".yaml", ".yml"):
+        yaml = _yaml()
+        try:
+            data = yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            raise ValueError(f"invalid YAML in {path}: {exc}") from exc
+    else:
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(data, Mapping):
+        raise ValueError(f"spec file {path} must contain a mapping")
+    return data, str(path.parent.resolve())
 
 
 def _yaml():

@@ -5,9 +5,11 @@ Trials run through :mod:`repro.api` (``api.run`` for a spec,
 ``api.execute_trials`` for a hand-written policy factory); this package
 holds the pieces those runs are made of and reported with.
 
-- :mod:`repro.experiments.scenarios` -- the paper's workload/cluster setups
-  (right-sized 36, slightly oversubscribed 32, heavily oversubscribed 16
-  replicas; 10-job Azure+Twitter mix; mixed ResNet18/34; large-scale).
+- :mod:`repro.experiments.scenarios` -- the built :class:`Scenario` and the
+  paper's cluster sizes (right-sized 36, slightly oversubscribed 32,
+  heavily oversubscribed 16 replicas).  The paper's setups (10-job
+  Azure+Twitter mix, mixed ResNet18/34, large-scale) are the ``paper``,
+  ``mixed`` and ``large-scale`` scenario kinds of :mod:`repro.api`.
 - :mod:`repro.experiments.policies` -- the predictor-training budget and
   the shared trained-predictor cache the registered policies use.
 - :mod:`repro.experiments.metrics` -- Kendall-tau ranking distance and
@@ -19,13 +21,7 @@ holds the pieces those runs are made of and reported with.
 - :mod:`repro.experiments.plotting` -- ASCII charts for terminal reports.
 """
 
-from repro.experiments.scenarios import (
-    CLUSTER_SIZES,
-    Scenario,
-    large_scale_scenario,
-    mixed_model_scenario,
-    paper_scenario,
-)
+from repro.experiments.scenarios import CLUSTER_SIZES, Scenario
 from repro.experiments.metrics import kendall_tau_distance, rank_policies
 from repro.experiments.report import format_table, paper_comparison_table
 from repro.experiments.sweeps import (
@@ -39,9 +35,6 @@ from repro.experiments.plotting import ascii_bars, ascii_boxplot, ascii_timeline
 __all__ = [
     "Scenario",
     "CLUSTER_SIZES",
-    "paper_scenario",
-    "mixed_model_scenario",
-    "large_scale_scenario",
     "kendall_tau_distance",
     "rank_policies",
     "format_table",

@@ -1,10 +1,13 @@
-"""Experiment scenarios matching the paper's setups (§6).
+"""The built scenario: what every scenario kind produces (§6).
 
 A :class:`Scenario` bundles the job specs, their evaluation-day traces, the
-predictor training series, and the cluster size.  The paper's cluster sizes
-(total replicas): right-sized RS = 36, slightly oversubscribed SO = 32,
-heavily oversubscribed HO = 16, for the 10-job mix at 1-1600 req/min with
-ResNet34 (180 ms, SLO 720 ms p99).
+predictor training series, and the cluster size.  Scenarios are built from
+specs (:class:`repro.api.ScenarioSpec`); the ``paper``, ``mixed`` and
+``large-scale`` kinds lower onto the declarative ``custom`` kind
+(:mod:`repro.api.composition`).  The paper's cluster sizes (total
+replicas): right-sized RS = 36, slightly oversubscribed SO = 32, heavily
+oversubscribed HO = 16, for the 10-job mix at 1-1600 req/min with ResNet34
+(180 ms, SLO 720 ms p99).
 """
 
 from __future__ import annotations
@@ -14,16 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cluster.job import InferenceJobSpec
-from repro.cluster.models import RESNET18, RESNET34, ModelProfile
-from repro.traces.library import JobTrace, standard_job_mix
 
-__all__ = [
-    "CLUSTER_SIZES",
-    "Scenario",
-    "paper_scenario",
-    "mixed_model_scenario",
-    "large_scale_scenario",
-]
+__all__ = ["CLUSTER_SIZES", "Scenario"]
 
 #: Paper cluster sizes (total replicas) for the 10-job mix.
 CLUSTER_SIZES: dict[str, int] = {"RS": 36, "SO": 32, "HO": 16}
@@ -43,7 +38,7 @@ class Scenario:
     history_prefix: dict[str, np.ndarray] = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
     #: Optional heterogeneous fleet (:class:`repro.hetero.types.DeviceFleet`).
-    #: None -- the default, and the only case for factory-built scenarios --
+    #: None -- the default, and the only case for the built-in kinds --
     #: means the homogeneous replica pool of the paper.
     devices: object | None = None
 
@@ -73,140 +68,3 @@ class Scenario:
     @property
     def proc_times(self) -> dict[str, float]:
         return {job.name: job.model.proc_time for job in self.jobs}
-
-
-def _build_scenario(
-    name: str,
-    mix: list[JobTrace],
-    models: list[ModelProfile],
-    total_replicas: int,
-    duration_minutes: int | None,
-    rate_scale: float,
-    eval_offset_minutes: int,
-) -> Scenario:
-    jobs = [
-        InferenceJobSpec.with_default_slo(trace.name, model)
-        for trace, model in zip(mix, models)
-    ]
-    eval_traces = {}
-    history_prefix = {}
-    prefix_minutes = 16
-    for trace in mix:
-        series = trace.eval
-        if eval_offset_minutes:
-            series = series[eval_offset_minutes:]
-        if duration_minutes:
-            series = series[:duration_minutes]
-        eval_traces[trace.name] = series
-        # The minutes immediately preceding the evaluation window seed the
-        # predictors' rate histories (a real deployment has been running).
-        full = trace.rates_per_min
-        cut = trace.train.shape[0] + eval_offset_minutes
-        history_prefix[trace.name] = full[max(cut - prefix_minutes, 0) : cut]
-    minutes = min(len(series) for series in eval_traces.values())
-    eval_traces = {name_: series[:minutes] for name_, series in eval_traces.items()}
-    return Scenario(
-        name=name,
-        jobs=jobs,
-        eval_traces=eval_traces,
-        train_traces={trace.name: trace.train for trace in mix},
-        total_replicas=total_replicas,
-        duration_minutes=minutes,
-        rate_scale=rate_scale,
-        history_prefix=history_prefix,
-    )
-
-
-def paper_scenario(
-    size: str = "SO",
-    num_jobs: int = 10,
-    duration_minutes: int | None = 360,
-    rate_scale: float = 1.0,
-    days: int = 11,
-    rate_hi: float = 1600.0,
-    eval_offset_minutes: int = 480,
-    seed: int = 0,
-) -> Scenario:
-    """The paper's main setup: 10 ResNet34 jobs, Azure+Twitter traces.
-
-    ``size`` picks the cluster ("RS"/"SO"/"HO" or an explicit replica
-    count).  ``duration_minutes`` trims the evaluation day (the paper's
-    cluster runs compress the day into ~6 hours; benches use shorter
-    windows).  ``eval_offset_minutes`` skips into the evaluation day so the
-    window covers rising diurnal load rather than the quiet early morning.
-    """
-    if isinstance(size, str):
-        if size not in CLUSTER_SIZES:
-            raise ValueError(f"unknown size {size!r}; expected one of {list(CLUSTER_SIZES)}")
-        total = CLUSTER_SIZES[size]
-        label = size
-    else:
-        total = int(size)
-        label = str(size)
-    mix = standard_job_mix(num_jobs=num_jobs, days=days, rate_hi=rate_hi, seed=seed)
-    models = [RESNET34] * num_jobs
-    scenario = _build_scenario(
-        name=f"paper-{label}-{num_jobs}jobs",
-        mix=mix,
-        models=models,
-        total_replicas=total,
-        duration_minutes=duration_minutes,
-        rate_scale=rate_scale,
-        eval_offset_minutes=eval_offset_minutes,
-    )
-    scenario.metadata["size"] = label
-    return scenario
-
-
-def mixed_model_scenario(
-    total_replicas: int = 36,
-    num_jobs: int = 10,
-    duration_minutes: int | None = 360,
-    rate_scale: float = 1.0,
-    days: int = 11,
-    eval_offset_minutes: int = 480,
-    seed: int = 0,
-) -> Scenario:
-    """Mixed workload (§6.3): half ResNet18 (400 ms SLO), half ResNet34."""
-    mix = standard_job_mix(num_jobs=num_jobs, days=days, seed=seed)
-    models = [RESNET18 if index % 2 == 0 else RESNET34 for index in range(num_jobs)]
-    scenario = _build_scenario(
-        name=f"mixed-{total_replicas}r-{num_jobs}jobs",
-        mix=mix,
-        models=models,
-        total_replicas=total_replicas,
-        duration_minutes=duration_minutes,
-        rate_scale=rate_scale,
-        eval_offset_minutes=eval_offset_minutes,
-    )
-    scenario.metadata["size"] = "mixed"
-    return scenario
-
-
-def large_scale_scenario(
-    num_jobs: int = 20,
-    total_replicas: int = 70,
-    duration_minutes: int | None = 240,
-    rate_scale: float = 1.0,
-    days: int = 11,
-    eval_offset_minutes: int = 480,
-    seed: int = 0,
-) -> Scenario:
-    """Large-scale workloads (§6.5): duplicated job mixes.
-
-    Paper configurations: 20 jobs / 70 replicas (cluster) and
-    100 jobs / 320 replicas (simulation).
-    """
-    mix = standard_job_mix(num_jobs=num_jobs, days=days, seed=seed)
-    models = [RESNET34] * num_jobs
-    scenario = _build_scenario(
-        name=f"scale-{num_jobs}jobs-{total_replicas}r",
-        mix=mix,
-        models=models,
-        total_replicas=total_replicas,
-        duration_minutes=duration_minutes,
-        rate_scale=rate_scale,
-        eval_offset_minutes=eval_offset_minutes,
-    )
-    scenario.metadata["size"] = f"{num_jobs}jobs"
-    return scenario

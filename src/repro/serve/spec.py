@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.api.spec import ExperimentSpec, _check_keys
+from repro.api.spec import ExperimentSpec, _check_keys, _read_spec_file
 
 __all__ = ["ServeOptions", "ServeSpec"]
 
@@ -158,20 +158,8 @@ class ServeSpec:
     @classmethod
     def from_file(cls, path: str | Path) -> "ServeSpec":
         """Load from JSON/YAML; a missing ``serve`` block means defaults."""
-        path = Path(path)
-        text = path.read_text()
-        if path.suffix.lower() in (".yaml", ".yml"):
-            import yaml
-
-            data = yaml.safe_load(text)
-        else:
-            try:
-                data = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"invalid JSON in {path}: {exc}") from exc
-        if not isinstance(data, Mapping):
-            raise ValueError(f"spec file {path} must contain a mapping")
-        return cls.from_dict(data, spec_dir=str(path.parent.resolve()))
+        data, spec_dir = _read_spec_file(path)
+        return cls.from_dict(data, spec_dir=spec_dir)
 
     def to_file(self, path: str | Path) -> Path:
         path = Path(path)

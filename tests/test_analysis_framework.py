@@ -36,62 +36,20 @@ GOOD_SNIPPET = "import random\nrng = random.Random(0)\n"
 
 
 class TestRegistry:
-    def make(self):
-        registry = AnalysisPassRegistry()
-
-        @registry.register("toy-rule", description="Toy.")
-        def check(context, options):
-            return []
-
-        return registry
-
-    def test_register_and_lookup(self):
-        registry = self.make()
-        assert "toy-rule" in registry
-        assert "TOY-RULE" in registry  # case-insensitive, like the others
-        assert registry.get("toy-rule").description == "Toy."
-        assert len(registry) == 1
-
-    def test_duplicate_id_rejected(self):
-        registry = self.make()
-        with pytest.raises(ValueError, match="already registered"):
-            registry.register("toy-rule", description="Again.")(lambda c, o: [])
-
-    def test_unknown_id_lists_known(self):
-        with pytest.raises(ValueError, match="toy-rule"):
-            self.make().get("nope")
+    """The pass catalog's own cases; the shared catalog contract (lookup,
+    duplicates, unknown names, config types, unregister, option parsing)
+    is ``tests/test_registry.py::test_catalog_contract[analysis pass]``."""
 
     def test_bad_scope_rejected(self):
         registry = AnalysisPassRegistry()
         with pytest.raises(ValueError, match="scope"):
             registry.register("x", scope="galaxy")(lambda c, o: [])
 
-    def test_config_type_must_be_dataclass(self):
-        registry = AnalysisPassRegistry()
-        with pytest.raises(TypeError, match="dataclass"):
-            registry.register("x", config_type=dict)(lambda c, o: [])
-
-    def test_unregister(self):
-        registry = self.make()
-        registry.unregister("toy-rule")
-        assert "toy-rule" not in registry
-
-    def test_typed_options_reject_unknown_keys(self):
-        registry = get_pass_registry()
-        with pytest.raises(ValueError, match="max_widgets"):
-            registry.parse_options("determinism", {"max_widgets": 3})
-
     def test_typed_options_construct_config(self):
         options = get_pass_registry().parse_options(
             "determinism", {"modules": ("only.here",)}
         )
         assert options.modules == ("only.here",)
-
-    def test_optionless_pass_rejects_options(self):
-        registry = AnalysisPassRegistry()
-        registry.register("bare", description="No options.")(lambda c, o: [])
-        with pytest.raises(ValueError, match="accepts no options"):
-            registry.parse_options("bare", {"depth": 1})
 
     def test_option_fields_report_defaults(self):
         info = get_pass_registry().get("ordered-iteration")

@@ -41,7 +41,10 @@ class TestRun:
         "flags,message",
         [
             (["--size", "XL"], "error: unknown size 'XL'"),
-            (["--size", "0", "--jobs", "2"], "error: cluster of 0 replicas"),
+            (
+                ["--size", "0", "--jobs", "2"],
+                "error: total_replicas must be >= 1, got 0",
+            ),
         ],
     )
     def test_bad_scenario_flags_exit_cleanly(self, flags, message, capsys):
@@ -101,6 +104,18 @@ class TestSpecRun:
         code = main(["run", "--spec", str(bad)])
         assert code == 2
         assert "cannot load spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "serve"])
+    def test_malformed_yaml_spec_exits_two(self, command, tmp_path, capsys):
+        """run and serve read spec files through one loader."""
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("name: x\nscenarios: [\n")
+        code = main([command, "--spec", str(bad)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot load spec {bad}: invalid YAML")
+        assert captured.err.count("error:") == 1 and "Traceback" not in captured.err
 
     def test_run_spec_unknown_policy(self, tmp_path, capsys):
         from repro import api

@@ -7,12 +7,15 @@ Four layers of protection around the scenario-composition redesign:
   losslessly through ``to_dict``/``from_dict`` (Hypothesis-tested, the
   ``test_api_spec.py`` style); transform pipelines preserve the trace
   invariant (1-D, non-negative) and apply in declaration order.
-- **Lowering pins**: ``ScenarioSpec.lower()`` for every built-in kind
-  yields a composed spec whose ``api.run`` *stats* are bit-identical to
-  the legacy factory path.  (The serialized spec itself necessarily
-  differs -- that is the point of lowering -- so the digests pin the
-  ``stats`` payload, the simulated numbers.)  Tiny cases run in tier-1
-  with literal digests; the shipped ``specs/`` files run under ``slow``.
+- **Lowering pins**: every built-in kind builds through the ``custom``
+  spec ``ScenarioSpec.lower()`` returns, so the two specs' ``api.run``
+  *stats* are bit-identical, and equal to digests captured on the
+  factories the built-in kinds once had.  (The serialized spec itself
+  necessarily differs -- that is the point of lowering -- so the digests
+  pin the ``stats`` payload, the simulated numbers.)  Tiny cases run in
+  tier-1 with literal digests; the shipped ``specs/`` files run under
+  ``slow``.  Whole-number parameters of the built-in kinds validate at
+  spec load.
 - **Spec-only e2e**: ``specs/custom_burst.json`` -- heterogeneous models,
   SLOs, synthetic+replayed traces, no Python -- runs through
   ``repro-faro run`` (digest-pinned) and the sharded sweep executor with
@@ -39,10 +42,10 @@ from repro.traces.transforms import get_trace_transform_registry
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: sha256 of ``json.dumps(report.to_dict()["stats"], sort_keys=True)`` for
-#: the tiny lowering cases, captured on the legacy factory path at the
-#: composition layer's introduction.  Acceptance contract: the lowered
-#: (``custom``-kind) spec must reproduce these bits, and so must every
-#: future refactor of either path.
+#: the tiny lowering cases, captured on the built-in kinds' own factories
+#: (since deleted) at the composition layer's introduction.  Acceptance
+#: contract: the built-in kinds and their lowered (``custom``-kind) specs
+#: must reproduce these bits, through every future refactor.
 LOWER_STATS_DIGESTS = {
     "paper": "1720326ca2bf887fa52ce1c7d8852c818bae30fbd804c9398ee366b1467bfda7",
     "mixed": "d4feb124bdef9a7c4ca0c2b2e0623e7e5e3c7e4d89354efece335911df9fb304",
@@ -441,6 +444,38 @@ class TestCustomScenario:
             scenario.history_prefix["a"], full[52:60]
         )
 
+    @pytest.mark.parametrize("offset", [0, 5, 480])
+    def test_history_prefix_owns_its_minutes(self, offset):
+        """Each prefix is a copy of its minutes only: a view of the joined
+        train + eval trace would keep a second copy of all of it alive."""
+        diurnal = {"source": "diurnal", "params": {"minutes": 2880}}
+        params = _tiny_custom_params(
+            jobs=[
+                {"name": "a", "trace": diurnal},
+                {
+                    "name": "b",
+                    "trace": diurnal,
+                    "train_trace": {"source": "ramp", "params": {"minutes": 40}},
+                },
+            ],
+            train_minutes=1440,
+            eval_offset_minutes=offset,
+        )
+        scenario = api.ScenarioSpec(kind="custom", params=params).build()
+        sources = get_trace_source_registry()
+        full = sources.build("diurnal", {"minutes": 2880})
+        joined = {
+            "a": full,
+            "b": np.concatenate([sources.build("ramp", {"minutes": 40}), full]),
+        }
+        boundaries = {"a": 1440 + offset, "b": 40 + offset}
+        for name, prefix in scenario.history_prefix.items():
+            assert prefix.base is None
+            boundary = boundaries[name]
+            np.testing.assert_array_equal(
+                prefix, joined[name][max(boundary - 16, 0) : boundary]
+            )
+
     def test_separate_train_trace(self):
         params = _tiny_custom_params()
         params["jobs"][0]["train_trace"] = {
@@ -626,12 +661,12 @@ class TestLoweringTiny:
     @pytest.mark.parametrize("kind", sorted(TINY_LOWER_PARAMS))
     def test_lowered_stats_bit_identical_and_pinned(self, kind):
         scenario_spec = api.ScenarioSpec(kind=kind, params=TINY_LOWER_PARAMS[kind])
-        legacy = api.run(tiny_experiment(scenario_spec, f"lower-{kind}"))
+        direct = api.run(tiny_experiment(scenario_spec, f"lower-{kind}"))
         lowered_spec = scenario_spec.lower()
         assert lowered_spec.kind == "custom"
         lowered = api.run(tiny_experiment(lowered_spec, f"lower-{kind}"))
-        assert legacy.to_dict()["stats"] == lowered.to_dict()["stats"]
-        assert stats_digest(legacy) == LOWER_STATS_DIGESTS[kind]
+        assert direct.to_dict()["stats"] == lowered.to_dict()["stats"]
+        assert stats_digest(direct) == LOWER_STATS_DIGESTS[kind]
         assert stats_digest(lowered) == LOWER_STATS_DIGESTS[kind]
 
     def test_lowered_spec_is_a_serializable_file(self, tmp_path):
@@ -657,6 +692,72 @@ class TestLoweringTiny:
         assert spec.lower() == spec
 
 
+#: Each built-in kind's whole-number parameters.
+WHOLE_NUMBER_PARAMS = {
+    "paper": ("size", "num_jobs", "days", "seed"),
+    "mixed": ("total_replicas", "num_jobs", "days", "seed"),
+    "large-scale": ("num_jobs", "total_replicas", "days", "seed"),
+}
+
+
+class TestWholeNumberParams:
+    """JSON has one number type: a built-in kind takes 2.0 as 2, and
+    rejects 2.5 or "2" at spec validation instead of truncating it."""
+
+    @pytest.mark.parametrize("kind", sorted(WHOLE_NUMBER_PARAMS))
+    def test_integral_floats_build_the_int_scenario(self, kind):
+        params = {**TINY_LOWER_PARAMS[kind], "seed": 1}
+        as_floats = {
+            key: float(value) if key in WHOLE_NUMBER_PARAMS[kind] else value
+            for key, value in params.items()
+        }
+        spec = api.ScenarioSpec(kind=kind, params=params)
+        float_spec = api.ScenarioSpec(kind=kind, params=as_floats)
+        assert float_spec.lower() == spec.lower()
+        expected, built = spec.build(), float_spec.build()
+        assert built.name == expected.name and "." not in built.name
+        assert built.total_replicas == expected.total_replicas
+        assert built.job_names == expected.job_names
+        for name in expected.job_names:
+            np.testing.assert_array_equal(
+                built.eval_traces[name], expected.eval_traces[name]
+            )
+
+    @pytest.mark.parametrize("bad", [2.5, "2"])
+    @pytest.mark.parametrize(
+        "kind, param",
+        [(kind, param) for kind, names in WHOLE_NUMBER_PARAMS.items() for param in names],
+    )
+    def test_fractional_and_string_values_fail_at_validation(self, kind, param, bad):
+        params = {**TINY_LOWER_PARAMS[kind], param: bad}
+        spec = api.ExperimentSpec.compare(
+            "bad-whole",
+            api.ScenarioSpec(kind=kind, params=params),
+            ["fairshare"],
+            simulator="flow",
+        )
+        events = []
+        with pytest.raises(ValueError, match=param):
+            api.run(spec, progress=events.append)
+        assert events == []  # failed in pre-run validation, nothing ran
+
+    @pytest.mark.parametrize("kind", sorted(WHOLE_NUMBER_PARAMS))
+    def test_run_spec_with_a_fractional_count_exits_two(self, kind, tmp_path, capsys):
+        from repro.cli import main
+
+        params = {**TINY_LOWER_PARAMS[kind], "num_jobs": 2.5}
+        path = api.ExperimentSpec.compare(
+            "bad-whole",
+            api.ScenarioSpec(kind=kind, params=params),
+            ["fairshare"],
+            simulator="flow",
+        ).to_file(tmp_path / "spec.json")
+        assert main(["run", "--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "num_jobs must be a whole number, got 2.5" in captured.err
+        assert "Traceback" not in captured.err
+
+
 @pytest.mark.slow
 class TestLoweringShippedSpecs:
     """Every shipped spec file lowers to bit-identical statistics."""
@@ -673,9 +774,9 @@ class TestLoweringShippedSpecs:
     )
     def test_shipped_spec_lowered_stats_identical(self, path):
         spec = api.ExperimentSpec.from_file(REPO_ROOT / path)
-        legacy = api.run(spec)
+        direct = api.run(spec)
         lowered = api.run(spec.lower())
-        assert legacy.to_dict()["stats"] == lowered.to_dict()["stats"]
+        assert direct.to_dict()["stats"] == lowered.to_dict()["stats"]
 
 
 # --------------------------------------------------------- spec-only e2e

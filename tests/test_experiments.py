@@ -3,23 +3,27 @@
 import numpy as np
 import pytest
 
-from repro.api import get_registry
+from repro.api import ScenarioSpec, get_registry
 from repro.experiments import (
     CLUSTER_SIZES,
     format_table,
     kendall_tau_distance,
     paper_comparison_table,
-    paper_scenario,
     rank_policies,
 )
 from repro.experiments.ablation import ABLATION_ORDER, ablation_policy_factory
 from repro.experiments.policies import PredictorProfile
-from repro.experiments.scenarios import large_scale_scenario, mixed_model_scenario
+
+
+def build(kind, **params):
+    return ScenarioSpec(kind=kind, params=params).build()
 
 
 @pytest.fixture(scope="module")
 def tiny_scenario():
-    return paper_scenario("HO", num_jobs=4, duration_minutes=10, days=2, rate_hi=300.0)
+    return build(
+        "paper", size="HO", num_jobs=4, duration_minutes=10, days=2, rate_hi=300.0
+    )
 
 
 class TestScenarios:
@@ -34,27 +38,29 @@ class TestScenarios:
             assert tiny_scenario.history_prefix[name].shape[0] > 0
 
     def test_explicit_size(self):
-        scenario = paper_scenario(24, num_jobs=4, duration_minutes=5, days=2)
+        scenario = build("paper", size=24, num_jobs=4, duration_minutes=5, days=2)
         assert scenario.total_replicas == 24
 
     def test_unknown_size(self):
         with pytest.raises(ValueError):
-            paper_scenario("XL")
+            build("paper", size="XL")
 
     def test_mixed_scenario_alternates_models(self):
-        scenario = mixed_model_scenario(num_jobs=4, duration_minutes=5, days=2)
+        scenario = build("mixed", num_jobs=4, duration_minutes=5, days=2)
         procs = [job.model.proc_time for job in scenario.jobs]
         assert procs == [0.1, 0.18, 0.1, 0.18]
         slos = [job.slo.target for job in scenario.jobs]
         assert slos == pytest.approx([0.4, 0.72, 0.4, 0.72])
 
     def test_large_scale_duplicates(self):
-        scenario = large_scale_scenario(num_jobs=12, total_replicas=40, duration_minutes=5, days=2)
+        scenario = build(
+            "large-scale", num_jobs=12, total_replicas=40, duration_minutes=5, days=2
+        )
         assert len(scenario.jobs) == 12
 
     def test_too_small_cluster_rejected(self):
         with pytest.raises(ValueError):
-            paper_scenario(2, num_jobs=4, duration_minutes=5, days=2)
+            build("paper", size=2, num_jobs=4, duration_minutes=5, days=2)
 
 
 class TestKendallTau:

@@ -8,14 +8,13 @@ the *direction* of the paper's results rather than exact numbers.
 import numpy as np
 import pytest
 
-from repro.api import run_policy
+from repro.api import ScenarioSpec, run_policy
 from repro.cluster.job import InferenceJobSpec
 from repro.cluster.kubernetes import ResourceQuota
 from repro.cluster.models import ModelProfile
 from repro.core.autoscaler import FaroAutoscaler, FaroConfig, JobSpec
 from repro.core.hybrid import HybridAutoscaler, ReactiveConfig
 from repro.core.optimizer import ClusterCapacity
-from repro.experiments import paper_scenario
 from repro.sim.simulation import Simulation, SimulationConfig
 
 MODEL = ModelProfile(name="m", proc_time=0.18, proc_jitter=0.0)
@@ -24,7 +23,11 @@ MODEL = ModelProfile(name="m", proc_time=0.18, proc_jitter=0.0)
 @pytest.fixture(scope="module")
 def mini_scenario():
     # 4 jobs, constrained cluster, 20 evaluation minutes.
-    return paper_scenario(12, num_jobs=4, duration_minutes=20, days=2, rate_hi=900.0)
+    return ScenarioSpec(
+        kind="paper",
+        params={"size": 12, "num_jobs": 4, "duration_minutes": 20, "days": 2,
+                "rate_hi": 900.0},
+    ).build()
 
 
 @pytest.fixture(scope="module")

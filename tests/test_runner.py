@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.api import ScenarioSpec
 from repro.api.runner import TrialStats, execute_trials, run_policy
-from repro.experiments import paper_scenario
 from repro.policy import AutoscalePolicy, ScalingDecision
 from repro.sim.recorder import JobSeries, SimulationResult
 
@@ -56,7 +56,11 @@ class FixedSharePolicy(AutoscalePolicy):
 
 @pytest.fixture(scope="module")
 def tiny():
-    return paper_scenario(8, num_jobs=2, duration_minutes=8, days=2, rate_hi=400.0)
+    return ScenarioSpec(
+        kind="paper",
+        params={"size": 8, "num_jobs": 2, "duration_minutes": 8, "days": 2,
+                "rate_hi": 400.0},
+    ).build()
 
 
 class TestRunTrials:

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.api import ScenarioSpec
 from repro.api.runner import TrialStats
-from repro.experiments import paper_scenario, policies
+from repro.experiments import policies
 from repro.experiments.sweeps import (
     SweepResult,
     sweep_cold_start,
@@ -16,7 +17,10 @@ from repro.experiments.sweeps import (
 def tiny_scenario():
     # 4 jobs on 14 replicas, 12 evaluation minutes: enough to exercise the
     # machinery without making the suite slow.
-    return paper_scenario(size=14, num_jobs=4, duration_minutes=12, seed=0)
+    return ScenarioSpec(
+        kind="paper",
+        params={"size": 14, "num_jobs": 4, "duration_minutes": 12, "seed": 0},
+    ).build()
 
 
 def fake_stats(lost: float) -> TrialStats:
