@@ -11,14 +11,16 @@ trace pipelines, and the window cuts.
 Points are measured at 10/100/500 jobs over short 2-day traces so the
 bench finishes in seconds while still scaling the part that matters (the
 number of generator/transform invocations).  Each point is the fastest of
-``BENCH_REPEATS`` builds.  Absolute numbers are machine-dependent; the gate
-compares against the checked-in baseline with a generous tolerance.
+as many builds as fit in one second, and of at least five
+(:func:`benchmarks.conftest.best_over_span`).  Absolute numbers are
+machine-dependent; the gate compares against the checked-in baseline with
+a generous tolerance.
 """
 
 import json
 import time
 
-from benchmarks.conftest import RESULTS_DIR, write_result
+from benchmarks.conftest import RESULTS_DIR, best_over_span, write_result
 from repro import api
 from repro.experiments.report import format_table
 
@@ -27,9 +29,6 @@ BENCH_JOB_COUNTS = (10, 100, 500)
 
 #: Short traces keep the bench fast; scaling happens in the job count.
 BENCH_DAYS = 2
-
-#: Builds per point; each point reports its fastest.
-BENCH_REPEATS = 5
 
 
 def _scenario_spec(num_jobs: int) -> api.ScenarioSpec:
@@ -56,7 +55,7 @@ def run_scenario_bench() -> dict:
     points = []
     for num_jobs in BENCH_JOB_COUNTS:
         spec = _scenario_spec(num_jobs)
-        wall_s = min(_time_build(spec) for _ in range(BENCH_REPEATS))
+        wall_s = best_over_span(lambda: _time_build(spec))
         points.append({"name": f"build-{num_jobs}", "jobs": num_jobs, "wall_s": wall_s})
     return {
         "days": BENCH_DAYS,

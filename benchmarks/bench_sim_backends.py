@@ -26,7 +26,7 @@ import time
 
 import numpy as np
 
-from benchmarks.conftest import RESULTS_DIR, write_result
+from benchmarks.conftest import RESULTS_DIR, best_over_span, write_result
 from repro.baselines.aiad import AIADPolicy
 from repro.cluster import dispatch
 from repro.cluster.job import InferenceJobSpec
@@ -175,22 +175,23 @@ def _time_scalar(build, repeats: int = 1) -> tuple[float, object]:
 
 
 def _time_run(build, repeats: int = 1) -> tuple[float, object]:
-    """Best-of-``repeats`` wall time of a freshly built simulation.
+    """Best wall time of a freshly built simulation over a one-second span
+    (and of at least ``repeats`` runs), and the last run's result.
 
-    The analytic/hybrid runs finish in tens of milliseconds, far inside
-    this machine class's scheduler noise; gating them on a single sample
-    would fail on a busy box, so the cheap points take the best of
-    several runs (the request-level points are long enough to stand on
-    one).
+    Most points finish in tens of milliseconds, far inside this machine
+    class's scheduler noise; gating them on one sample (or on the best of
+    five) would fail on a busy box, so each takes the best of as many runs
+    as fit in a second (:func:`benchmarks.conftest.best_over_span`).
     """
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
+    last = [None]
+
+    def once() -> float:
         sim = build()
         started = time.perf_counter()
-        result = sim.run()
-        best = min(best, time.perf_counter() - started)
-    return best, result
+        last[0] = sim.run()
+        return time.perf_counter() - started
+
+    return best_over_span(once, minimum=repeats), last[0]
 
 
 def run_sim_bench(minutes: int = BENCH_MINUTES) -> dict:

@@ -13,7 +13,9 @@ what factor, where crossovers fall -- is what the assertions pin.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -95,3 +97,26 @@ def write_result(name: str, text: str) -> None:
     RESULTS_DIR.mkdir(exist_ok=True)
     print(f"\n{text}\n")
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+
+
+#: Measured seconds over which a short perf point repeats, and its fewest
+#: runs: the best of 5 runs of a 5-30 ms point still read a busy moment
+#: often enough to cross its gate.
+TIMING_SPAN_S = 1.0
+TIMING_MIN_RUNS = 5
+
+
+def best_over_span(
+    time_once: Callable[[], float],
+    span: float = TIMING_SPAN_S,
+    minimum: int = TIMING_MIN_RUNS,
+) -> float:
+    """The fastest of as many ``time_once()`` durations (seconds) as fit
+    in ``span`` measured seconds, and of at least ``minimum``."""
+    best, spent, runs = math.inf, 0.0, 0
+    while runs < minimum or spent < span:
+        elapsed = time_once()
+        best = min(best, elapsed)
+        spent += elapsed
+        runs += 1
+    return best

@@ -423,7 +423,7 @@ def _read_spec_file(path: str | Path) -> tuple[Mapping[str, Any], str]:
         try:
             data = yaml.safe_load(text)
         except yaml.YAMLError as exc:
-            raise ValueError(f"invalid YAML in {path}: {exc}") from exc
+            raise ValueError(f"invalid YAML in {path}: {_yaml_error(exc)}") from exc
     else:
         try:
             data = json.loads(text)
@@ -432,6 +432,16 @@ def _read_spec_file(path: str | Path) -> tuple[Mapping[str, Any], str]:
     if not isinstance(data, Mapping):
         raise ValueError(f"spec file {path} must contain a mapping")
     return data, str(path.parent.resolve())
+
+
+def _yaml_error(exc: Exception) -> str:
+    """One line for a PyYAML error, in the shape of a JSON decode error:
+    the problem and its 1-based line and column, else the first line."""
+    problem = getattr(exc, "problem", None)
+    mark = getattr(exc, "problem_mark", None)
+    if problem and mark is not None:
+        return f"{problem}: line {mark.line + 1} column {mark.column + 1}"
+    return str(exc).strip().splitlines()[0]
 
 
 def _yaml():

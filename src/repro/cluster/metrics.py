@@ -28,7 +28,10 @@ routes it, with :meth:`record`'s exact steps:
 - ``_fill``: the number of bins opened and of latencies stored.
 
 So outcomes must be recorded in time order: one in a bin before the latest
-recorded bin raises ``ValueError``.
+recorded bin raises ``ValueError``.  The same kernel also reads the
+observations of every job at once (see
+:meth:`repro.cluster.rayserve.RayServeCluster.observations`);
+:meth:`observation_fields` and :meth:`rate_history` are its reference.
 """
 
 from __future__ import annotations
@@ -246,10 +249,16 @@ class MetricsCollector:
         counts = self._minutes[observed:current]
         start = observed - lo
         np.divide(counts, 60.0, out=rates[start : start + counts.shape[0]])
-        for minute, rate in self._rate_backfill.items():
-            if observed <= minute < current and not rates[minute - lo]:
-                rates[minute - lo] = rate
+        self._backfill(rates, current)
         return rates
+
+    def _backfill(self, rates: np.ndarray, current: int) -> None:
+        """Put backfilled rates into ``rates``, the history of the minutes
+        before ``current``, where no arrivals were recorded."""
+        lo = current - rates.shape[0]
+        for minute, rate in self._rate_backfill.items():
+            if max(lo, 0) <= minute < current and not rates[minute - lo]:
+                rates[minute - lo] = rate
 
     def backfill_rate_history(self, minute_rates: dict[int, float]) -> None:
         """Seed per-minute rates (requests/second) for unobserved minutes.

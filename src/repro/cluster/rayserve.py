@@ -3,19 +3,28 @@
 Mirrors the paper's deployment shape (§5): one Ray cluster (router +
 replica pool) per inference job, all sharing a Kubernetes resource quota.
 The request-level simulation (:class:`repro.sim.simulation.HybridSimulation`)
-drives this facade: it offers arrival chunks, reads per-job observations
-and reconciles failed pods here, and it owns the quota, admitting each
-:class:`~repro.policy.ScalingDecision` before scaling the routers.
+drives this facade: it offers arrivals, reads per-job observations and
+reconciles failed pods here, and it owns the quota, admitting each
+:class:`~repro.policy.ScalingDecision` before scaling the routers.  A
+control tick routes every job's arrivals with one call of the compiled
+dispatch kernel (:meth:`RayServeCluster.offer_until`) and reads every
+job's observation with one more (:meth:`RayServeCluster.observations`).
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
+from repro.cluster import dispatch
 from repro.cluster.job import InferenceJobSpec
 from repro.cluster.metrics import MetricsCollector
 from repro.cluster.router import JobRouter
 from repro.policy import JobObservation
+
+if TYPE_CHECKING:
+    from repro.sim.workload import PoissonArrivals
 
 __all__ = ["RayServeCluster"]
 
@@ -133,29 +142,78 @@ class RayServeCluster:
         """
         self.routers[job_name].offer_many(chunk, self.metrics[job_name])
 
+    def offer_until(self, streams: dict[str, PoissonArrivals], until: float) -> None:
+        """Route and record every job's arrivals up to ``until``, taken from
+        its stream in ``streams``.
+
+        One compiled kernel call serves every job, whatever their number:
+        jobs share no state, so each is routed exactly as one
+        :meth:`offer_chunk` of its arrivals would route it.  When the kernel
+        cannot load, each job's chunk goes through :meth:`offer_chunk`.
+        """
+        run = dispatch.kernel()
+        if run is not None:
+            run.route(self, streams, until)
+            return
+        for name in self.routers:
+            chunk = streams[name].take_until_array(until)
+            if chunk.size:
+                self.offer_chunk(name, chunk)
+
     # ------------------------------------------------------------ control
 
     def observations(self, now: float, window: float = 60.0) -> dict[str, JobObservation]:
-        """Build per-job observations over the trailing ``window`` seconds."""
+        """Build per-job observations over the trailing ``window`` seconds.
+
+        One compiled kernel call reads every job's window, rate history,
+        router queue and ready replicas; Python adds backfilled rates and
+        builds the :class:`JobObservation`\\ s.  Every field is the one
+        :meth:`observation` gives, which serves when the kernel cannot load.
+        """
+        run = dispatch.kernel()
+        if run is None:
+            return {name: self.observation(name, now, window) for name in self.routers}
+        reals, wholes, rates = run.observe(self, now, window)
+        current = int(now // 60.0)
         observations = {}
-        for name, job in self.jobs.items():
+        rows = zip(self.routers, reals.tolist(), wholes.tolist(), rates)
+        for name, (rate, latency, violations, proc, drops), (served, ready, queued), history in rows:
             collector = self.metrics[name]
-            fields = collector.observation_fields(max(now - window, 0.0), now)
-            history = collector.rate_history(now, self.history_minutes)
-            router = self.routers[name]
+            if collector._rate_backfill:
+                collector._backfill(history, current)
             observations[name] = JobObservation(
                 job_name=name,
-                arrival_rate=fields["arrival_rate"],
+                arrival_rate=rate,
                 rate_history=tuple(history),
-                mean_proc_time=fields["mean_proc_time"],
-                latency=fields["latency"],
-                slo_violation_rate=fields["slo_violation_rate"],
-                current_replicas=router.ready_replica_count(now),
+                mean_proc_time=proc if served else collector.proc_time,
+                latency=latency,
+                slo_violation_rate=violations,
+                current_replicas=ready,
                 target_replicas=self.targets[name],
-                queue_length=router.queue_length(now),
-                drop_rate=fields["drop_rate"],
+                queue_length=queued,
+                drop_rate=drops,
             )
         return observations
+
+    def observation(self, name: str, now: float, window: float = 60.0) -> JobObservation:
+        """Job ``name``'s observation over the trailing ``window`` seconds,
+        from the Python references."""
+        collector = self.metrics[name]
+        fields = collector.observation_fields(max(now - window, 0.0), now)
+        history = collector.rate_history(now, self.history_minutes)
+        router = self.routers[name]
+        return JobObservation(
+            job_name=name,
+            arrival_rate=fields["arrival_rate"],
+            rate_history=tuple(history),
+            mean_proc_time=fields["mean_proc_time"],
+            latency=fields["latency"],
+            slo_violation_rate=fields["slo_violation_rate"],
+            current_replicas=router.ready_replica_count(now),
+            target_replicas=self.targets[name],
+            queue_length=router.queue_length(now),
+            drop_rate=fields["drop_rate"],
+        )
 
     def reconcile(self, now: float) -> dict[str, int]:
         """Kubernetes-style reconciliation: recreate failed replicas.

@@ -19,10 +19,10 @@ multi-policy sweeps tractable.
 The state is numpy arrays, so that the compiled kernel of
 :mod:`repro.cluster.dispatch` can route a whole chunk in place: the pool is
 four arrays in replica-id order (``free_at``, ``ready_at``, ids and
-requests served), and the start times of accepted requests that have not
-started form a ring with its head and length.  The scalar
-:meth:`JobRouter.offer` reads and writes the same arrays; it is the
-kernel's reference and its fallback.
+requests served), the start times of accepted requests that have not
+started form a ring with its head and length, and the lifetime counters
+are one array of tallies.  The scalar :meth:`JobRouter.offer` reads and
+writes the same arrays; it is the kernel's reference and its fallback.
 """
 
 from __future__ import annotations
@@ -41,10 +41,16 @@ if TYPE_CHECKING:
 
 __all__ = ["RouterTotals", "JobRouter"]
 
+#: The columns of ``JobRouter._tallies`` (``dispatch.c`` uses the same):
+#: requests served, tail-dropped and explicitly dropped, replicas failed,
+#: and requests routed by the compiled kernel.
+SERVED, TAIL_DROPPED, EXPLICIT_DROPPED, FAILURES, ROUTED = range(5)
+
 
 @dataclass
 class RouterTotals:
-    """Lifetime counters for one job's router."""
+    """Lifetime counters for one job's router (a copy: see
+    :attr:`JobRouter.totals`)."""
 
     arrivals: int = 0
     served: int = 0
@@ -84,12 +90,7 @@ class JobRouter:
         #: Effective processing time pushed by heterogeneous device pools;
         #: ``None`` (the homogeneous default) serves at the model's time.
         self.proc_time_override: float | None = None
-        self.totals = RouterTotals()
-        #: Dispatch-regime counters: requests routed by the compiled chunk
-        #: kernel vs the per-request scalar loop (observability only;
-        #: never serialized into report digests).
-        self.vector_requests = 0
-        self.scalar_requests = 0
+        self._tallies = np.zeros(5, dtype=np.int64)
         self._rng = np.random.default_rng(seed)
         self._next_id = 0
         # The pool, in replica-id order.
@@ -107,6 +108,29 @@ class JobRouter:
         self._pending = np.zeros(min(queue_threshold, 64))
         self._queue = np.zeros(2, dtype=np.int64)
         self._add_replicas([0.0] * initial_replicas)
+
+    @property
+    def totals(self) -> RouterTotals:
+        """The lifetime counters, as of now."""
+        served, tail_dropped, explicit_dropped, failures, _ = self._tallies.tolist()
+        return RouterTotals(
+            arrivals=served + tail_dropped + explicit_dropped,
+            served=served,
+            tail_dropped=tail_dropped,
+            explicit_dropped=explicit_dropped,
+            failures=failures,
+        )
+
+    @property
+    def vector_requests(self) -> int:
+        """Requests routed by the compiled kernel (observability only;
+        never serialized into report digests)."""
+        return int(self._tallies[ROUTED])
+
+    @property
+    def scalar_requests(self) -> int:
+        """Requests routed by the per-request scalar loop."""
+        return self.totals.arrivals - self.vector_requests
 
     # ----------------------------------------------------------- replicas
 
@@ -179,7 +203,7 @@ class JobRouter:
         position = int(self._rng.integers(self.replica_count))
         victim = int(self._ids[position])
         self._remove_replicas([position])
-        self.totals.failures += 1
+        self._tallies[FAILURES] += 1
         return victim
 
     def _pick_victims(self, count: int, now: float) -> list[int]:
@@ -251,13 +275,11 @@ class JobRouter:
         drop or explicit drop directive -- both count as failed requests and
         are not retried, per the paper's load generator).
         """
-        self.totals.arrivals += 1
-        self.scalar_requests += 1
         if self.drop_rate > 0.0 and self._rng.random() < self.drop_rate:
-            self.totals.explicit_dropped += 1
+            self._tallies[EXPLICIT_DROPPED] += 1
             return math.inf
         if not self.replica_count or self.queue_length(arrival) >= self.queue_threshold:
-            self.totals.tail_dropped += 1
+            self._tallies[TAIL_DROPPED] += 1
             return math.inf
         free_at = self._free_at
         # argmin takes the first of equal free times: the smallest id.
@@ -271,7 +293,7 @@ class JobRouter:
             head, length = self._queue.tolist()
             self._pending[(head + length) % self._pending.shape[0]] = start
             self._queue[1] = length + 1
-        self.totals.served += 1
+        self._tallies[SERVED] += 1
         return completion - arrival
 
     # ------------------------------------------------------- batch offers
@@ -284,13 +306,14 @@ class JobRouter:
         per arrival in order -- bit for bit, in this router's arrays and
         generator and in the collector's bins and latencies (fuzzed by
         ``tests/test_dispatch_differential.py``).  The chunk runs through
-        the compiled kernel of :mod:`repro.cluster.dispatch`, which performs
-        :meth:`offer`'s and :meth:`MetricsCollector.record`'s steps per
-        request, in place on both objects' arrays, and draws from this
-        router's own generator, so every regime -- backlog, cold starts,
-        jitter, drops -- takes the same path.  When the kernel cannot load,
-        the scalar loop serves the chunk.  Arrivals out of time order raise
-        ``ValueError`` (see :meth:`MetricsCollector.record`).
+        the compiled kernel of :mod:`repro.cluster.dispatch` as a table of
+        one job: it performs :meth:`offer`'s and
+        :meth:`MetricsCollector.record`'s steps per request, in place on
+        both objects' arrays, and draws from this router's own generator,
+        so every regime -- backlog, cold starts, jitter, drops -- takes the
+        same path.  When the kernel cannot load, the scalar loop serves the
+        chunk.  Arrivals out of time order raise ``ValueError`` (see
+        :meth:`MetricsCollector.record`).
         """
         arrivals = np.ascontiguousarray(arrivals, dtype=float)
         run = dispatch.kernel()
@@ -299,15 +322,4 @@ class JobRouter:
             for arrival in arrivals.tolist():
                 record(arrival, offer(arrival))
             return
-        self._offer_compiled(run, collector, arrivals)
-
-    def _offer_compiled(self, run, collector: MetricsCollector, arrivals: np.ndarray) -> None:
-        """Route and record ``arrivals`` with the compiled kernel ``run``."""
-        accepted, tail_dropped, explicit_dropped = run(self, collector, arrivals)
-        n = arrivals.shape[0]
-        totals = self.totals
-        totals.arrivals += n
-        totals.served += accepted
-        totals.tail_dropped += tail_dropped
-        totals.explicit_dropped += explicit_dropped
-        self.vector_requests += n
+        run.offer(self, collector, arrivals)

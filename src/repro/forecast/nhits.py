@@ -41,7 +41,8 @@ Every matrix product in C is the BLAS call numpy's ``@`` makes, through
 Python keeps the epoch loop and each job's ``_rng`` draws either way.
 Inference (:meth:`NHiTSForecaster.predict` and friends) runs the same
 compiled forward pass on one window, with the tape's forward as its
-oracle and fallback.
+oracle and fallback; after each fit a network keeps its parameters in the
+one buffer that pass reads (:meth:`_NHiTSNetwork.flatten`).
 
 :meth:`NHiTSForecaster.fit_many` trains its stacks concurrently, on one
 thread per core up to one per stack: the kernel's calls and numpy's ufuncs
@@ -181,6 +182,20 @@ class _NHiTSNetwork(Module):
     def __init__(self, config: NHiTSConfig, rng: np.random.Generator) -> None:
         self.config = config
         self.blocks = [_Block(config, kernel, rng) for kernel in config.kernels]
+        #: The parameters in one buffer laid out by :func:`_offsets`, as
+        #: :meth:`Kernel.forward` reads them, each parameter a view into it
+        #: (:meth:`flatten`, after each fit); ``None`` until then, when the
+        #: forward pass flattens them on each call.
+        self.flat_parameters: np.ndarray | None = None
+
+    def flatten(self) -> None:
+        """Move the parameters into one buffer, :attr:`flat_parameters`,
+        leaving each a view into it."""
+        params = self.parameters()
+        arrays = [param.data for param in params]
+        self.flat_parameters = _flat(arrays)
+        for param, view in zip(params, _views(self.flat_parameters, arrays, _offsets(arrays))):
+            param.data = view
 
     def forward(self, x: Tensor) -> tuple[Tensor, Tensor | None]:
         """Returns (mu, sigma) in normalized units; sigma None for point mode."""
@@ -249,6 +264,10 @@ class NHiTSForecaster(Forecaster):
         workers = min(len(stacks), _cores() if compiled else 1)
         with ThreadPoolExecutor(workers, thread_name_prefix="nhits-fit") as pool:
             list(pool.map(_fit_stack, *zip(*stacks)))
+        # On this thread, whose heap the parameters' arrays came from: each
+        # network's new buffer takes the place the previous one's frees.
+        for forecaster in forecasters:
+            forecaster.network.flatten()
         _trim_heap()
 
     # ------------------------------------------------------------ predict
@@ -395,6 +414,7 @@ def _stacked_network(stack: Sequence[NHiTSForecaster]) -> _NHiTSNetwork:
     stacked on a leading job axis."""
     own = [job.network.parameters() for job in stack]
     network = copy.deepcopy(stack[0].network)
+    network.flat_parameters = None
     for k, param in enumerate(network.parameters()):
         param.data = np.stack([np.atleast_2d(job_params[k].data) for job_params in own])
     return network
@@ -594,13 +614,16 @@ class Kernel:
         ``None`` in point mode), as :func:`_tape_forward` gives them: the
         compiled pass, then numpy's softplus and the sigma floor."""
         cfg, library = network.config, self._library
+        flat = getattr(network, "flat_parameters", None)
+        if flat is None:
+            flat = _flat([p.data for p in network.parameters()])
         shape, interp = _architecture(cfg, 1)
         shape_c = self.pointer(shape, "int64_t[]")
         mu = np.empty(cfg.horizon)
         sigma_sum = np.empty(cfg.horizon) if cfg.probabilistic else None
         library.nhits_forward(
             self._blas, shape_c, 1,
-            self.pointer(_flat([p.data for p in network.parameters()])),
+            self.pointer(flat),
             self.pointer(interp),
             self.pointer(np.ascontiguousarray(window, dtype=float)),
             self.pointer(_FIRST_ROW, "int64_t[]"), 1, 0,

@@ -5,11 +5,13 @@ One class, :class:`HybridSimulation`, plays every fidelity.  Each job is
 
 - a request-level job gets the full cluster substrate
   (:mod:`repro.cluster`) -- Poisson arrivals from its trace
-  (:mod:`repro.sim.workload`), a virtual-time router fed one compiled
-  dispatch-kernel call per chunk (see
-  :meth:`repro.cluster.router.JobRouter.offer_many`), replica cold starts,
-  metrics bins, and, under ``faults.process == "event"``, chunks cut at the
-  exact failure instants;
+  (:mod:`repro.sim.workload`), a virtual-time router, replica cold
+  starts and metrics bins; one compiled dispatch-kernel call per tick
+  routes every such job's arrivals (see
+  :meth:`repro.cluster.rayserve.RayServeCluster.offer_until`), and one more
+  reads their observations, except under ``faults.process == "event"``,
+  where each job's chunk is cut at the exact failure instants and routed
+  on its own;
 - an analytic job advances its queue per tick with the fluid/M/D/c model
   of :mod:`repro.sim.flow`.
 
@@ -334,8 +336,12 @@ class HybridSimulation(SimHarness):
         dt = min(tick, end_time - now)
         minute = min(int(now // 60.0), self.duration_minutes - 1)
         events = self._event_faults
-        for name, stream in self.arrivals.items():
-            if events is not None:
+        if events is None:
+            if self.arrivals:
+                # Every request-level job in one kernel call.
+                self.cluster.offer_until(self.arrivals, chunk_end)
+        else:
+            for name, stream in self.arrivals.items():
                 # Split the chunk at each exact failure instant: requests
                 # before it see the full pool, requests after it the shrunk
                 # one.  Jobs go in router order, the order the fault
@@ -348,7 +354,7 @@ class HybridSimulation(SimHarness):
                 for instant in cuts:
                     self._offer_until(name, stream, instant)
                     router.fail_replica(instant)
-            self._offer_until(name, stream, chunk_end)
+                self._offer_until(name, stream, chunk_end)
         for name, flow in self.state.items():
             lam = flow.trace[minute] / 60.0
             stats = flow.step(now, dt, lam)

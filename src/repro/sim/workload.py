@@ -7,10 +7,10 @@ placed uniformly in the minute.
 
 Generation is batched per consumption step: one call path
 (:meth:`PoissonArrivals._generate_minutes`) draws every not-yet-generated
-minute a ``take_until`` needs and lands them in a single numpy buffer, so
-the hot request-level loop does one ``searchsorted`` cut per chunk instead
-of per-arrival Python-list bookkeeping, and ``take_until_array`` hands the
-simulator's batch-offer path a slice with no list round-trip.  Day-long
+minute a take needs and lands them in a single numpy buffer.  The
+request-level tick takes every job's arrivals from that buffer in place,
+in the dispatch kernel (:meth:`repro.cluster.rayserve.RayServeCluster.offer_until`);
+``take_until_array`` cuts one chunk with one ``searchsorted``.  Day-long
 multi-job simulations stay memory-bounded: consumed prefixes are compacted
 away.
 
@@ -53,8 +53,11 @@ class PoissonArrivals:
         # Scaled per-minute rates, precomputed once (same float product the
         # per-minute path computed, so the positive-rate test is identical).
         self._scaled = self.rates * rate_scale
+        # Generated arrivals; those from _buffer[_taken[0]] on are not taken
+        # yet.  The dispatch kernel takes them in place and moves _taken, so
+        # it is an array.
         self._buffer = np.empty(0, dtype=float)
-        self._cursor = 0
+        self._taken = np.zeros(1, dtype=np.int64)
         self._next_minute = 0
         self.generated = 0
 
@@ -105,8 +108,8 @@ class PoissonArrivals:
             minute += 1
         self._next_minute = minute
         if chunks:
-            self._buffer = np.concatenate([self._buffer[self._cursor :], *chunks])
-            self._cursor = 0
+            self._buffer = np.concatenate([self._buffer[int(self._taken[0]) :], *chunks])
+            self._taken[0] = 0
 
     def _take_view(self, end_time: float) -> np.ndarray:
         """Buffer view of all arrivals <= end_time not yet taken."""
@@ -115,15 +118,15 @@ class PoissonArrivals:
         buffer = self._buffer
         # The buffer is globally sorted (minutes generated in order, times
         # sorted within each minute), so the cut point is one searchsorted.
-        cursor = int(buffer.searchsorted(end_time, side="right"))
-        cursor = max(cursor, self._cursor)
-        taken = buffer[self._cursor : cursor]
-        self._cursor = cursor
+        start = int(self._taken[0])
+        cursor = max(int(buffer.searchsorted(end_time, side="right")), start)
+        taken = buffer[start:cursor]
+        self._taken[0] = cursor
         if cursor > 4096:
             # Compact the consumed prefix to bound memory (copy, not view:
             # a view would pin the full backing array alive).
             self._buffer = buffer[cursor:].copy()
-            self._cursor = 0
+            self._taken[0] = 0
         return taken
 
     def take_until(self, end_time: float) -> list[float]:

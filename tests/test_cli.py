@@ -105,17 +105,29 @@ class TestSpecRun:
         assert code == 2
         assert "cannot load spec" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["run", "serve"])
+    @pytest.mark.parametrize("command", ["run", "serve", "sweep"])
     def test_malformed_yaml_spec_exits_two(self, command, tmp_path, capsys):
-        """run and serve read spec files through one loader."""
+        """run, serve and sweep read spec files through one loader, which
+        says what is wrong and where in one line."""
         bad = tmp_path / "bad.yaml"
         bad.write_text("name: x\nscenarios: [\n")
         code = main([command, "--spec", str(bad)])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: cannot load spec {bad}: invalid YAML")
-        assert captured.err.count("error:") == 1 and "Traceback" not in captured.err
+        assert captured.err == (
+            f"error: cannot load spec {bad}: invalid YAML in {bad}: expected the node "
+            "content, but found '<stream end>': line 3 column 1\n"
+        )
+
+    def test_yaml_error_without_a_position_is_one_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("name: \x00\n")
+        assert main(["run", "--spec", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot load spec {bad}: invalid YAML in {bad}: unacceptable "
+            "character #x0000: special characters are not allowed\n"
+        )
 
     def test_run_spec_unknown_policy(self, tmp_path, capsys):
         from repro import api

@@ -18,8 +18,14 @@ at event-time failure instants, and across hybrid promotion and demotion.
 The kernel's loader is tested too: it must load wherever it can be built,
 a build that fails must fall back to the scalar loop visibly and
 harmlessly, and routers and collectors must stay picklable.
+
+A control tick routes every job of a cluster with one kernel call and
+reads every job's observation with one more; ``TestTickEntries`` fuzzes
+both against the per-job scalar loop and the Python observation, job by
+job and tick by tick, on clusters of 1 to 12 jobs.
 """
 
+import gc
 import hashlib
 import importlib.util
 import json
@@ -27,6 +33,7 @@ import math
 import pickle
 import shutil
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -36,12 +43,15 @@ from hypothesis import strategies as st
 from repro import api, native
 from repro.cluster import dispatch
 from repro.cluster.dispatch import snapshot
+from repro.cluster.job import InferenceJobSpec
 from repro.cluster.metrics import MetricsCollector
 from repro.cluster.models import ModelProfile
+from repro.cluster.rayserve import RayServeCluster
 from repro.cluster.router import JobRouter
 from repro.core.utility import SLO
 from repro.sim.faults import FaultConfig
 from repro.sim.lifecycle import EventFaultProcess
+from repro.sim.workload import PoissonArrivals
 from tests.test_backend_differential import tiny_spec
 
 
@@ -533,6 +543,60 @@ class TestKernelLoading:
         # request run back to the Python loop.
         assert native.kernels()["dispatch"] == "c"
 
+    def test_generator_without_a_cffi_interface(self, compiled):
+        """The kernel reads a generator's address through ``ctypes``: a bit
+        generator whose ``cffi`` interface fails still routes compiled."""
+
+        class NoCffi(np.random.PCG64):
+            @property
+            def cffi(self):
+                raise RuntimeError("no cffi interface")
+
+        rng = np.random.default_rng(6)
+        chunks = chunked_arrivals(rng, chunks=3, tick=10.0, rate=25.0)
+        scalar = make_pair(0.05, 3, 0.1, 50, seed=1)
+        batch = make_pair(0.05, 3, 0.1, 50, seed=1)
+        for router, _ in (scalar, batch):
+            router._rng = np.random.Generator(NoCffi(8))
+        assert_identical_chunks(scalar, batch, chunks, tick=10.0)
+        assert batch[0].vector_requests == sum(chunk.size for chunk in chunks) > 0
+
+    def test_one_job_tables_are_kept_per_router_and_not_past_it(self, compiled):
+        """Chunks of one router reuse its one-job table, which sees a
+        replaced array by its identity and never keeps the router alive."""
+        kernel = dispatch.kernel()
+        rng = np.random.default_rng(4)
+        chunks = chunked_arrivals(rng, chunks=4, tick=10.0, rate=40.0)
+        scalar = make_pair(0.05, 2, 0.0, 3, seed=1)
+        batch = make_pair(0.05, 2, 0.0, 3, seed=1)
+        router, collector = batch
+
+        def between(index):
+            if index == 1:
+                # Replaced behind the table's back, with no room to spare.
+                for side_router, side_collector in (scalar, batch):
+                    squeeze(side_router, side_collector)
+            if index == 2:
+                for side_router, _ in (scalar, batch):
+                    side_router.scale_to(5, now=20.0)
+
+        tables = []
+        for index, chunk in enumerate(chunks):
+            between(index)
+            for arrival in chunk.tolist():
+                scalar[1].record(arrival, scalar[0].offer(arrival))
+            router.offer_many(chunk, collector)
+            tables.append(kernel._tables[router])
+            assert snapshot(router, collector) == snapshot(*scalar)
+        assert all(table is tables[0] for table in tables)
+
+        router.offer_many(np.array([41.0]), MetricsCollector("other", SLO(0.72), 0.05))
+        assert kernel._tables[router] is not tables[0]
+        owner = weakref.ref(router)
+        del router, batch, tables
+        gc.collect()
+        assert owner() is None
+
     def test_router_pickles_after_compiled_chunks(self):
         # Serve journals pickle live harnesses: the kernel's cffi objects
         # must never end up on a router or a collector, and a restored
@@ -584,3 +648,332 @@ class TestKernelLoading:
 def report_digest(report) -> str:
     text = json.dumps(report.to_dict(), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+# ------------------------------------------------------------ tick entries
+
+
+class GridArrivals(PoissonArrivals):
+    """A stream whose every minute holds ``repeats`` arrivals at each
+    multiple of 1/8 s: with 0.25 s service, latencies land on the SLO."""
+
+    def __init__(self, minutes, repeats):
+        super().__init__(np.ones(minutes))
+        self.repeats = repeats
+
+    def _generate_minutes(self, end_time):
+        minute = self._next_minute
+        chunks = []
+        while minute < self.rates.shape[0] and minute * 60.0 < end_time:
+            chunks.append(np.repeat(np.arange(minute * 60.0, minute * 60.0 + 60.0, 0.125),
+                                    self.repeats))
+            minute += 1
+        self._next_minute = minute
+        if chunks:
+            self._buffer = np.concatenate([self._buffer[int(self._taken[0]):], *chunks])
+            self._taken[0] = 0
+
+
+def build_cluster(jobs, bin_seconds=15.0, cold_start=(0.0, 0.0), seed=0):
+    """A cluster of ``jobs`` (dicts of settings) and its arrival streams."""
+    specs = [
+        InferenceJobSpec(
+            f"j{i}",
+            ModelProfile(f"m{i}", job["proc"], proc_jitter=job["jitter"]),
+            SLO(job.get("slo", 4 * job["proc"]), job["percentile"]),
+        )
+        for i, job in enumerate(jobs)
+    ]
+    prefixes = {
+        f"j{i}": np.linspace(0.5, 3.0, job["prefix"])
+        for i, job in enumerate(jobs) if job["prefix"] is not None
+    }
+    cluster = RayServeCluster(
+        specs, initial_replicas={f"j{i}": job["replicas"] for i, job in enumerate(jobs)},
+        cold_start_range=cold_start, metrics_bin_seconds=bin_seconds,
+        history_prefix=prefixes, history_minutes=4, seed=seed,
+    )
+    streams = {}
+    for i, job in enumerate(jobs):
+        name = f"j{i}"
+        cluster.routers[name].queue_threshold = job["threshold"]
+        cluster.routers[name].drop_rate = job["drop"]
+        if job.get("grid"):
+            streams[name] = GridArrivals(3, job["grid"])
+        else:
+            trace = np.array([job["rate"], 0.0 if job["idle"] else job["rate"] * 1.3,
+                              job["rate"]])
+            streams[name] = PoissonArrivals(trace, seed=seed + 5 * i)
+        if job.get("backfill"):
+            cluster.metrics[name].backfill_rate_history({0: 1.25, 1: 2.5, 2: 0.75})
+    return cluster, streams
+
+
+def exact(observation):
+    """Every field of ``observation`` as its type and exact value."""
+    fields = []
+    for name, value in vars(observation).items():
+        if name == "rate_history":
+            value = ([type(v) for v in value], np.array(value, dtype=float).tobytes())
+        else:
+            value = (type(value), repr(value))
+        fields.append((name, value))
+    return fields
+
+
+def tick_both(compiled, reference, now, window=60.0):
+    """One tick on each ``(cluster, streams)``: ``compiled`` through the
+    tick entries, ``reference`` job by job through the scalar loop and the
+    Python observation.  Returns the compiled observations after checking
+    them and every job's state against the reference."""
+    (cluster, streams), (twin, twin_streams) = compiled, reference
+    cluster.offer_until(streams, now)
+    for name, router in twin.routers.items():
+        collector = twin.metrics[name]
+        for arrival in twin_streams[name].take_until_array(now).tolist():
+            collector.record(arrival, router.offer(arrival))
+    observations = cluster.observations(now, window)
+    expected = {name: twin.observation(name, now, window) for name in twin.routers}
+    assert list(observations) == list(expected)
+    for name, observation in observations.items():
+        assert exact(observation) == exact(expected[name])
+        assert snapshot(cluster.routers[name], cluster.metrics[name]) == snapshot(
+            twin.routers[name], twin.metrics[name]
+        )
+    return observations
+
+
+def squeeze(router=None, collector=None):
+    """Rebuild ``router``'s ring and ``collector``'s buffers with no room
+    to spare, so that the next arrivals need them grown."""
+    if router is not None:
+        router._pending = np.array(router.pending_starts())
+        router._queue[0] = 0
+    if collector is None:
+        return
+    opened, stored = collector._fill.tolist()
+    minutes = -(-opened // collector.bins_per_minute)
+    rows = minutes * collector.bins_per_minute
+    collector._counts = collector._counts[:rows].copy()
+    collector._proc_sums = collector._proc_sums[:rows].copy()
+    collector._minutes = collector._minutes[:minutes].copy()
+    collector._latencies = collector._latencies[:stored].copy()
+
+
+JOB = st.fixed_dictionaries({
+    "proc": st.sampled_from([0.1, 0.18, 0.25]),
+    "jitter": st.sampled_from([0.0, 0.05, 0.3]),
+    "drop": st.sampled_from([0.0, 0.1, 1.0]),
+    "replicas": st.integers(min_value=0, max_value=6),
+    "threshold": st.sampled_from([1, 3, 50]),
+    "rate": st.sampled_from([0.0, 90.0, 600.0, 1500.0]),
+    "idle": st.booleans(),
+    "percentile": st.sampled_from([50.0, 99.0]),
+    "prefix": st.sampled_from([None, 2, 9]),
+    "backfill": st.booleans(),
+})
+
+#: A busy job with jitter, on a pool that keeps up.
+STEADY_JOB = dict(proc=0.18, jitter=0.05, drop=0.0, replicas=3, threshold=50, rate=600.0,
+                  idle=False, percentile=99.0, prefix=None, backfill=False)
+
+#: What may happen to a job between ticks, on both sides alike.
+EVENTS = ("up", "down", "fail", "drop", "undrop", "threshold", "reconcile", "squeeze",
+          "squeeze-ring", "squeeze-bins", "copy-arrivals")
+
+
+def apply_event(side, name, event, now):
+    """``event`` on job ``name`` of ``side``, a ``(cluster, streams)``.
+    The squeezes and the copy replace arrays that the dispatch kernel's
+    tables view, one owner's at a time."""
+    cluster, streams = side
+    router = cluster.routers[name]
+    if event == "up":
+        router.scale_to(router.replica_count + 2, now)
+    elif event == "down":
+        router.scale_to(max(router.replica_count - 2, 0), now)
+    elif event == "fail":
+        router.fail_replica(now)
+    elif event == "drop":
+        router.drop_rate = 0.3
+    elif event == "undrop":
+        router.drop_rate = 0.0
+    elif event == "threshold":
+        router.queue_threshold = 2
+    elif event == "squeeze":
+        squeeze(router, cluster.metrics[name])
+    elif event == "squeeze-ring":
+        squeeze(router)
+    elif event == "squeeze-bins":
+        squeeze(collector=cluster.metrics[name])
+    elif event == "copy-arrivals":
+        stream = streams[name]
+        stream._buffer, stream._taken = stream._buffer.copy(), stream._taken.copy()
+    else:
+        cluster.reconcile(now)
+
+
+@pytest.mark.usefixtures("compiled")
+class TestTickEntries:
+    """``offer_until`` and ``observations`` (two kernel calls per tick) ==
+    the per-job scalar loop and Python observation, bit for bit, after
+    every tick."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        jobs=st.lists(JOB, min_size=1, max_size=12),
+        bin_seconds=st.sampled_from([0.1, 5.0, 15.0, 60.0]),
+        cold_start=st.sampled_from([(0.0, 0.0), (10.0, 10.0), (5.0, 25.0)]),
+        events=st.lists(
+            st.tuples(st.integers(0, 8), st.integers(0, 11), st.sampled_from(EVENTS)),
+            max_size=8,
+        ),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @example(
+        jobs=[STEADY_JOB, dict(STEADY_JOB, threshold=3)],
+        bin_seconds=15.0,
+        cold_start=(0.0, 0.0),
+        events=[(1, 0, "squeeze-bins"), (2, 1, "squeeze-ring"), (3, 0, "copy-arrivals"),
+                (4, 0, "threshold"), (5, 1, "copy-arrivals"), (6, 1, "squeeze-bins")],
+        seed=1,
+    )
+    def test_ticks_match_the_per_job_references(
+        self, jobs, bin_seconds, cold_start, events, seed
+    ):
+        compiled = build_cluster(jobs, bin_seconds, cold_start, seed)
+        reference = build_cluster(jobs, bin_seconds, cold_start, seed)
+        for tick in range(9):
+            now = 10.0 * (tick + 1)
+            tick_both(compiled, reference, now)
+            for when, index, event in events:
+                if when == tick and index < len(jobs):
+                    for side in (compiled, reference):
+                        apply_event(side, f"j{index}", event, now)
+
+    def test_windows_of_every_kind(self):
+        """An all-dropped window reads inf, an empty one 0.0 at a rate of
+        0; latencies equal the SLO target; a history prefix and backfilled
+        rates fill the history; replicas become ready on a tick."""
+        base = dict(jitter=0.0, drop=0.0, replicas=2, threshold=50, rate=600.0,
+                    idle=False, percentile=99.0, prefix=None, backfill=False)
+        jobs = [
+            dict(base, proc=0.18, replicas=0),                         # all tail-dropped
+            dict(base, proc=0.18, drop=1.0),                           # all explicitly dropped
+            dict(base, proc=0.18, rate=0.0, prefix=9),                 # empty, prefix only
+            dict(base, proc=0.25, slo=0.5, replicas=1, threshold=3, grid=2),  # on the SLO
+            dict(base, proc=0.18, idle=True, backfill=True, prefix=2),  # idle minute backfilled
+        ]
+        compiled = build_cluster(jobs, cold_start=(10.0, 10.0))
+        reference = build_cluster(jobs, cold_start=(10.0, 10.0))
+        seen = []
+        for now in np.arange(10.0, 190.0, 10.0).tolist():
+            seen.append(tick_both(compiled, reference, now))
+            if now == 10.0:
+                for side in (compiled, reference):
+                    apply_event(side, "j4", "up", now)
+        assert all(math.isinf(obs["j0"].latency) and math.isinf(obs["j1"].latency)
+                   for obs in seen)
+        assert all(obs["j2"].latency == 0.0 and obs["j2"].arrival_rate == 0.0 for obs in seen)
+        assert seen[0]["j2"].rate_history[-1] == 3.0
+        latencies = np.frombuffer(snapshot(None, compiled[0].metrics["j3"])["latencies"])
+        assert (latencies == 0.5).any()
+        assert seen[-1]["j4"].rate_history[-2] == 2.5  # minute 1: idle, backfilled
+        assert [obs["j4"].current_replicas for obs in seen[:2]] == [2, 4]
+
+    def test_a_job_mid_table_whose_buffers_must_grow(self, monkeypatch):
+        """The first call leaves a job without room alone and routes the
+        others; it is grown and routed by a second call."""
+        job = dict(proc=0.18, jitter=0.05, drop=0.1, replicas=2, threshold=50, rate=900.0,
+                   idle=False, percentile=99.0, prefix=None, backfill=False)
+        compiled, reference = build_cluster([job] * 3), build_cluster([job] * 3)
+        kernel, left = dispatch.kernel(), []
+        route_jobs = kernel.route_jobs
+
+        def counted(*args):
+            left.append(route_jobs(*args))
+            return left[-1]
+
+        monkeypatch.setattr(kernel, "route_jobs", counted)
+        for now in (10.0, 20.0, 30.0):
+            tick_both(compiled, reference, now)
+            squeeze(compiled[0].routers["j1"], compiled[0].metrics["j1"])
+        assert left == [0, 1, 0, 1, 0]
+
+    def test_two_kernel_calls_per_tick_whatever_the_job_count(self, monkeypatch):
+        from repro.cluster.kubernetes import ResourceQuota
+        from repro.cluster.models import RESNET34
+        from repro.sim import Simulation, SimulationConfig
+        from tests.test_simulation import StaticPolicy
+
+        kernel, calls = dispatch.kernel(), {}
+        for name in ("route_jobs", "observe_jobs"):
+            def counted(*args, call=getattr(kernel, name), name=name):
+                calls[name] = calls.get(name, 0) + 1
+                return call(*args)
+
+            monkeypatch.setattr(kernel, name, counted)
+
+        def run(count):
+            calls.clear()
+            jobs = [InferenceJobSpec.with_default_slo(f"j{i}", RESNET34) for i in range(count)]
+            replicas = {job.name: 2 for job in jobs}
+            Simulation(
+                jobs, {job.name: np.full(3, 240.0) for job in jobs}, StaticPolicy(replicas),
+                ResourceQuota.of_replicas(2 * count),
+                config=SimulationConfig(duration_minutes=3, seed=1),
+                initial_replicas=replicas,
+            ).run()
+            return dict(calls)
+
+        assert run(2) == run(12) == {"route_jobs": 18, "observe_jobs": 18}
+
+
+def compensated_sum(values):
+    """``sum`` of floats as CPython 3.12 and later computes it (Neumaier)."""
+    total = compensation = 0.0
+    for x in values:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+@pytest.mark.usefixtures("compiled")
+class TestProcTimeSums:
+    """``mean_proc_time`` divides ``sum`` of the window's per-bin
+    ``proc_time`` sums, which CPython adds left to right before 3.12 and
+    compensated since; the kernel sums as the running interpreter does."""
+
+    def test_plain_and_compensated_sums(self, monkeypatch):
+        cluster, streams = dispatch._check_cluster()
+        collector = cluster.metrics["sums"]
+        kernel = dispatch.kernel()
+        for now in (10.0, 20.0, 30.0, 40.0, 50.0):
+            cluster.offer_until(streams, now)
+        first, last = collector._bin_range(0.0, 50.0)
+        arrivals, drops, _ = collector._totals(first, last)
+        values = collector._proc_sums[first:last].tolist()
+        plain = 0.0
+        for value in values:
+            plain += value
+        # The load-time check's cluster holds this window, so a kernel
+        # summing unlike the interpreter is refused at load.
+        assert plain != compensated_sum(values)
+        assert collector.observation_fields(0.0, 50.0)["mean_proc_time"] == (
+            compensated_sum(values) if kernel.compensated else plain
+        ) / (arrivals - drops)
+        for compensated, total in ((False, plain), (True, compensated_sum(values))):
+            monkeypatch.setattr(kernel, "compensated", compensated)
+            observed = cluster.observations(50.0)["sums"].mean_proc_time
+            assert observed == total / (arrivals - drops)
+
+    def test_a_kernel_summing_unlike_sum_is_refused(self, monkeypatch):
+        kernel = dispatch.kernel()
+        dispatch._self_check(kernel)
+        monkeypatch.setattr(kernel, "compensated", not kernel.compensated)
+        with pytest.raises(native.KernelUnavailable):
+            dispatch._self_check(kernel)

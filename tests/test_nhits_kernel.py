@@ -235,6 +235,45 @@ class TestForwardMatchesTape:
         assert outputs() == compiled_outputs
 
 
+    @pytest.mark.parametrize("loss", ["nll", "mse"])
+    def test_forecasts_after_a_refit(self, compiled, loss):
+        """Training keeps each network's flattened parameters for the
+        compiled forecast, and makes them again on a re-fit: every
+        forecast is the one flattening on each call gives."""
+        forecaster = NHiTSForecaster(test_forecast.small_config(loss))
+        history = sine_series(60, seed=4)
+
+        def outputs():
+            return [
+                forecaster.predict(history, 12).tobytes(),
+                b"".join(a.tobytes() for a in forecaster.predict_distribution(history, 5)),
+                forecaster.sample_paths(history, 6, 8, rng=np.random.default_rng(1)).tobytes(),
+            ]
+
+        def uncached():
+            network = forecaster.network
+            cached, network.flat_parameters = network.flat_parameters, None
+            try:
+                return outputs()
+            finally:
+                network.flat_parameters = cached
+
+        results = []
+        for fit in (
+            lambda: forecaster.fit(sine_series(200, seed=3)),
+            lambda: NHiTSForecaster.fit_many(
+                [forecaster, NHiTSForecaster(test_forecast.small_config(loss, seed=1))],
+                [sine_series(200, period=17, seed=5), sine_series(200, seed=6)],
+            ),
+        ):
+            fit()
+            assert forecaster.network.flat_parameters is not None
+            results.append(outputs())
+            assert results[-1] == uncached()
+        # The re-fit moved every forecast, which a stale buffer would not.
+        assert all(a != b for a, b in zip(*results))
+
+
 def assert_same_forward(compiled, network, window):
     got = compiled.forward(network, window)
     expected = nhits._tape_forward(network, window)
