@@ -239,8 +239,8 @@ def _normalize_slo(slo: Any) -> dict[str, Any] | None:
     if ("target" in slo) == ("multiple" in slo):
         raise ValueError("job SLO needs exactly one of 'target' or 'multiple'")
     percentile = slo.get("percentile", 99.0)
-    if not 0.0 < float(percentile) <= 100.0:
-        raise ValueError(f"SLO percentile must be in (0, 100], got {percentile}")
+    if not 0.0 < float(percentile) < 100.0:
+        raise ValueError(f"SLO percentile must be in (0, 100), got {percentile}")
     if "target" in slo and float(slo["target"]) <= 0:
         raise ValueError(f"SLO target must be positive, got {slo['target']}")
     if "multiple" in slo and float(slo["multiple"]) <= 0:

@@ -55,8 +55,10 @@ def inverse_utility(latency: float, slo: float, alpha: float = 1.0) -> float:
 class SLO:
     """A latency Service Level Objective: ``target`` seconds at ``percentile``.
 
-    ``percentile`` is expressed in (0, 100], e.g. 99 for p99 (the paper's
-    default) or 50 for median.
+    ``percentile`` is expressed in (0, 100), e.g. 99 for p99 (the paper's
+    default) or 50 for median.  A p100 SLO is refused: the M/D/c latency
+    quantile the planners and the analytic simulator read has no finite
+    value at quantile 1.
     """
 
     target: float
@@ -65,14 +67,14 @@ class SLO:
     def __post_init__(self) -> None:
         if self.target <= 0:
             raise ValueError(f"SLO target must be positive, got {self.target}")
-        if not 0 < self.percentile <= 100:
+        if not 0 < self.percentile < 100:
             raise ValueError(
-                f"percentile must be in (0, 100], got {self.percentile}"
+                f"percentile must be in (0, 100), got {self.percentile}"
             )
 
     @property
     def quantile(self) -> float:
-        """The percentile expressed as a quantile in (0, 1]."""
+        """The percentile expressed as a quantile in (0, 1)."""
         return self.percentile / 100.0
 
 

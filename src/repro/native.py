@@ -1,6 +1,6 @@
 """The one loader of the compiled kernels, and the BLAS table they share.
 
-Four hot paths run as C kernels next to their Python reference:
+Five hot paths run as C kernels next to their Python reference:
 
 - ``dispatch`` (:mod:`repro.cluster.dispatch`, ``cluster/dispatch.c``)
   routes request chunks exactly as ``JobRouter.offer`` does;
@@ -12,7 +12,9 @@ Four hot paths run as C kernels next to their Python reference:
   (pyprima's ``cobylb`` driver and its trust-region step ``trstlp``) runs
   it, handing each point back to Python to evaluate;
 - ``nhits`` (:mod:`repro.forecast.nhits`, ``forecast/nhits.c``) runs a
-  stacked N-HiTS training step exactly as the autodiff tape does.
+  stacked N-HiTS training step exactly as the autodiff tape does;
+- ``flow`` (:mod:`repro.sim.flow`, ``sim/flow.c``) steps every analytic
+  job of a run one control tick exactly as ``FlowJob.step`` does.
 
 The last two never sum a product themselves: every ``np.dot``, ``@``,
 ``np.linalg.lstsq`` and ``np.linalg.inv`` of their reference is a call
@@ -173,12 +175,14 @@ def kernels() -> dict[str, str | None]:
     from repro.core import trstlp
     from repro.forecast import nhits
     from repro.queueing import vectorized
+    from repro.sim import flow
 
     return {
         "dispatch": state(dispatch.kernel),
         "erlang": state(vectorized.kernel),
         "trstlp": state(trstlp.kernel),
         "nhits": state(nhits.kernel),
+        "flow": state(flow.kernel),
     }
 
 

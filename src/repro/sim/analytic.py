@@ -3,11 +3,12 @@
 :class:`FlowSimulation` is the one simulation harness
 (:class:`repro.sim.simulation.HybridSimulation`) with no job flagged
 request-level: every job advances its queue analytically per control tick
-through the fluid/M/D/c model of :mod:`repro.sim.flow`.  It is two to three
-orders of magnitude faster than request-level dispatch, which makes the
-large sweeps tractable (Fig. 15's cluster-size sweep, Table 8's 100-job
-run), and plays the role of the paper's "matched simulation" in the Table 7
-ranking comparison against the request-level simulator.
+through the fluid/M/D/c model of :mod:`repro.sim.flow`, all of them in one
+compiled kernel call.  ``results/BENCH_sim.json`` measures it 2.6x faster
+than request-level dispatch on its six-job adaptive workload; it runs the
+large sweeps (Fig. 15's cluster-size sweep, Table 8's 100-job run) and
+plays the role of the paper's "matched simulation" in the Table 7 ranking
+comparison against the request-level simulator.
 
 Policies interact with it through exactly the same observation/decision
 interface, so every autoscaler implementation is reused unchanged --

@@ -135,8 +135,8 @@ def _register_builtins() -> None:
     register_backend(
         "flow",
         description=(
-            "Analytic fluid/flow model (no job flagged): per-tick queue "
-            "dynamics plus M/D/c waiting tails; 100-1000x faster."
+            "Analytic fluid/flow model (no job flagged): fluid queues plus "
+            "M/D/c waiting tails; 2.6x faster than request (BENCH_sim.json)."
         ),
         fidelity="analytic",
         aliases=("analytic", "analytic-flow"),

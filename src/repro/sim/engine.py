@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Callable
 
 __all__ = ["EventLoop"]
@@ -38,6 +39,11 @@ class EventLoop:
     @property
     def pending(self) -> int:
         return len(self._heap)
+
+    @property
+    def next_time(self) -> float:
+        """Time of the earliest pending event, ``inf`` when there is none."""
+        return self._heap[0][0] if self._heap else math.inf
 
     @property
     def processed(self) -> int:

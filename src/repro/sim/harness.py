@@ -56,7 +56,9 @@ class SimulationConfig:
     ``observation_window`` is the trailing window from which observations
     are built (60 s, one metrics minute), widened outward to whole
     metrics bins of ``metrics_bin_seconds``, which must divide a minute
-    into a whole number of bins.  A non-None ``faults`` enables
+    into a whole number of bins.  ``history_minutes`` (at least 1) is how
+    many minutes of rate history each observation carries, at either
+    fidelity.  A non-None ``faults`` enables
     replica fault injection (see :mod:`repro.sim.faults`); a mapping is
     coerced to a :class:`~repro.sim.faults.FaultConfig` so spec files can
     carry fault settings as plain JSON.  Backend-specific options do not
@@ -79,6 +81,10 @@ class SimulationConfig:
             raise ValueError("duration_minutes must be >= 1 when given")
         if self.rate_scale < 0:
             raise ValueError("rate_scale must be >= 0")
+        if self.history_minutes < 1:
+            raise ValueError(
+                f"history_minutes must be >= 1, got {self.history_minutes}"
+            )
         cold = tuple(self.cold_start_range)
         if len(cold) != 2:
             raise ValueError(

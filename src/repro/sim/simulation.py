@@ -13,7 +13,9 @@ One class, :class:`HybridSimulation`, plays every fidelity.  Each job is
   where each job's chunk is cut at the exact failure instants and routed
   on its own;
 - an analytic job advances its queue per tick with the fluid/M/D/c model
-  of :mod:`repro.sim.flow`.
+  of :mod:`repro.sim.flow`: the run's analytic jobs are the rows of one
+  :class:`~repro.sim.flow.FlowTable`, and one compiled flow-kernel call
+  per tick steps them all.
 
 All jobs share one resource quota, one autoscaling policy and the one
 control loop of :class:`~repro.sim.harness.SimHarness`, so the policy sees
@@ -42,13 +44,7 @@ import numpy as np
 from repro.cluster.rayserve import RayServeCluster
 from repro.policy import JobObservation, ScalingDecision
 from repro.sim.faults import make_fault_injector
-from repro.sim.flow import (
-    FlowJob,
-    accumulate_flow_tick,
-    collect_flow_series,
-    flow_observation,
-    new_flow_buckets,
-)
+from repro.sim.flow import FlowJob, FlowTable, collect_flow_series
 from repro.sim.harness import SimHarness, SimulationConfig, admit_decision
 from repro.sim.recorder import JobSeries, SimulationResult
 from repro.sim.workload import PoissonArrivals
@@ -193,7 +189,6 @@ class HybridSimulation(SimHarness):
         flagged = self._select_request_jobs()
         self.request_jobs = [job for job in self.jobs if job.name in flagged]
         self.flow_jobs = [job for job in self.jobs if job.name not in flagged]
-        self._is_request = {job.name: job.name in flagged for job in self.jobs}
         self._promotion_enabled = (
             self.options is not None and self.options.promote_headroom is not None
         )
@@ -201,11 +196,9 @@ class HybridSimulation(SimHarness):
         #: Per-job fidelity spans as ``(start_minute, is_request)`` events;
         #: a single entry means the job never switched mid-run.
         self._fidelity_log: dict[str, list[tuple[int, bool]]] = {
-            job.name: [(0, self._is_request[job.name])] for job in self.jobs
+            job.name: [(0, job.name in flagged)] for job in self.jobs
         }
         self._fidelity_events: list[dict] = []
-        #: Analytic state of currently-promoted jobs, parked for demotion.
-        self._parked_flow: dict[str, FlowJob] = {}
         self._promo_count: dict[str, int] = {}
         self._pressure: dict[str, int] = {}
         self._relief: dict[str, int] = {}
@@ -254,31 +247,37 @@ class HybridSimulation(SimHarness):
                 for job in self.request_jobs
             }
 
-        # --- analytic jobs ---
-        # One child RNG is drawn per job in global order (and simply unused
-        # for request-level jobs), so a job's analytic stream is stable no
+        # --- analytic jobs: one table row per job of the run ---
+        # The table is the one record of which jobs run analytically: a
+        # job's row is listed while it does (see analytic_jobs).  One child
+        # RNG is drawn per job in global order (and simply unused for
+        # request-level jobs), so a job's analytic stream is stable no
         # matter which other jobs are flagged.
         rng = np.random.default_rng(self.config.seed)
-        self._history_rpm = {
-            name: values * self.config.rate_scale
-            for name, values in self.history_prefix.items()
-        }
-        self.state: dict[str, FlowJob] = {}
-        for job in self.jobs:
+        self._flow = None
+        if self.flow_jobs:
+            self._flow = FlowTable(
+                [job.name for job in self.jobs],
+                self.duration_minutes,
+                self.config.history_minutes,
+            )
+        for index, job in enumerate(self.jobs):
             child = np.random.default_rng(rng.integers(2**31))
             if job.name in flagged:
                 continue
-            flow = FlowJob(
-                spec=job,
-                trace=self.traces[job.name] * self.config.rate_scale,
-                queue_threshold=self.config.queue_threshold,
-                cold_start_range=self.config.cold_start_range,
-                rng=child,
+            prefix = self.history_prefix.get(job.name)
+            flow = self._flow.add(
+                index,
+                job,
+                self.traces[job.name] * self.config.rate_scale,
+                None if prefix is None else prefix * self.config.rate_scale,
+                self.config.queue_threshold,
+                self.config.cold_start_range,
+                child,
             )
             count = int(self.initial_replicas.get(job.name, job.min_replicas))
             flow.running = count
             flow.target = count
-            self.state[job.name] = flow
 
         self._push_device_assignment()
         self._fault_injector = (
@@ -302,28 +301,34 @@ class HybridSimulation(SimHarness):
         No-op on homogeneous runs."""
         if self.device_pool is None:
             return
+        analytic = self.analytic_jobs()
         targets: dict[str, int] = {}
         for job in self.jobs:
             name = job.name
-            if self._is_request[name]:
-                targets[name] = self.cluster.targets[name]
+            if name in analytic:
+                targets[name] = analytic[name].target
             else:
-                targets[name] = self.state[name].target
+                targets[name] = self.cluster.targets[name]
         self.device_pool.assign(targets, hints)
         for job in self.jobs:
             name = job.name
             proc_eff = self.device_pool.effective_proc_time(name)
-            if self._is_request[name]:
-                self.cluster.routers[name].proc_time_override = proc_eff
+            if name in analytic:
+                analytic[name].proc_time = proc_eff
             else:
-                self.state[name].proc_time = proc_eff
+                self.cluster.routers[name].proc_time_override = proc_eff
+
+    def analytic_jobs(self) -> dict[str, FlowJob]:
+        """The jobs running analytically now, by name in job order: the
+        flow table's listed rows.  Every other job runs at request level."""
+        return {} if self._flow is None else self._flow.listed_jobs()
 
     def _reset(self) -> None:
         if self._fault_injector is not None:
             self._fault_injector.reset()
         self._fault_chunk_cuts = 0
-        self._acc = new_flow_buckets(self.state, self.duration_minutes)
-        self._last_tick: dict[str, dict] = {}
+        if self._flow is not None:
+            self._flow.reset()
 
     def _extend(self, new: dict[str, np.ndarray]) -> None:
         for name, stream in self.arrivals.items():
@@ -355,18 +360,17 @@ class HybridSimulation(SimHarness):
                     self._offer_until(name, stream, instant)
                     router.fail_replica(instant)
                 self._offer_until(name, stream, chunk_end)
-        for name, flow in self.state.items():
-            lam = flow.trace[minute] / 60.0
-            stats = flow.step(now, dt, lam)
-            self._last_tick[name] = stats
-            accumulate_flow_tick(self._acc[name], minute, stats)
+        if self._flow is not None:
+            # Every analytic job in one kernel call.
+            self._flow.step(now, minute, dt)
         if self._fault_injector is not None:
             # Sampled per job in global job order so the fault stream is
             # independent of the fidelity split.
+            analytic = self.analytic_jobs()
             for job in self.jobs:
                 name = job.name
-                if not self._is_request[name]:
-                    flow = self.state[name]
+                flow = analytic.get(name)
+                if flow is not None:
                     kills = self._fault_injector.sample(name, flow.existing, dt)
                     if kills:
                         flow.fail(kills, chunk_end)
@@ -397,33 +401,34 @@ class HybridSimulation(SimHarness):
             request_obs = self.cluster.observations(
                 now, window=self.config.observation_window
             )
-        minute = min(int(now // 60.0), self.duration_minutes - 1)
-        observations: dict[str, JobObservation] = {}
-        for job in self.jobs:
-            name = job.name
-            if self._is_request[name]:
-                observations[name] = request_obs[name]
-            else:
-                observations[name] = flow_observation(
-                    name, self.state[name], minute, self._history_rpm,
-                    self._last_tick,
-                )
+        if self._flow is None:
+            flow_obs = [None] * len(self.jobs)
+        else:
+            minute = min(int(now // 60.0), self.duration_minutes - 1)
+            flow_obs = self._flow.observations(minute)
+        # A job with no analytic observation runs at request level.
+        observations = {
+            name: request_obs[name] if obs is None else obs
+            for name, obs in zip(self._global_index, flow_obs)
+        }
         self._last_obs = observations
         return observations
 
     def apply(self, decision: ScalingDecision, now: float) -> None:
         # Joint quota admission across both fidelities: the quota sees one
         # cluster.
+        analytic = self.analytic_jobs()
         current = {}
         for job in self.jobs:
             name = job.name
-            if self._is_request[name]:
-                current[name] = self.cluster.targets[name]
+            if name in analytic:
+                current[name] = analytic[name].target
             else:
-                current[name] = self.state[name].target
+                current[name] = self.cluster.targets[name]
         admitted = admit_decision(self.quota, self.jobs, current, decision)
         for name, target in admitted.items():
-            if self._is_request[name]:
+            flow = analytic.get(name)
+            if flow is None:
                 router = self.cluster.routers[name]
                 target = max(target, self.cluster.jobs[name].min_replicas)
                 if target != router.replica_count:
@@ -433,22 +438,20 @@ class HybridSimulation(SimHarness):
                 if log[-1][1] != target:
                     log.append((now, target))
             else:
-                flow = self.state[name]
                 target = max(target, flow.spec.min_replicas)
                 if target != flow.existing:
                     flow.scale_to(target, now)
                 flow.target = target
         self._push_device_assignment(decision.device_replicas)
         for name, rate in decision.drop_rates.items():
-            if self._is_request.get(name):
+            if name in analytic:
+                analytic[name].drop_rate = float(rate)
+            elif name in self._global_index:
                 self.cluster.routers[name].drop_rate = float(rate)
-            elif name in self.state:
-                self.state[name].drop_rate = float(rate)
 
     def end_of_chunk(self, now: float) -> None:
-        minute_after = min(int(now // 60.0), self.duration_minutes - 1)
-        for name, flow in self.state.items():
-            self._acc[name]["replicas"][minute_after] = flow.target
+        if self._flow is not None:
+            self._flow.sample_replicas(min(int(now // 60.0), self.duration_minutes - 1))
         if self._promotion_enabled:
             self._update_fidelity(now)
 
@@ -480,13 +483,14 @@ class HybridSimulation(SimHarness):
         """
         opts = self.options
         boundary = now % 60.0 == 0.0 and now < self.duration_minutes * 60.0
-        for job in self.jobs:
+        analytic = self.analytic_jobs()
+        for index, job in enumerate(self.jobs):
             name = job.name
             obs = self._last_obs.get(name)
             if obs is None:
                 continue
             headroom = self._headroom(job, obs)
-            if not self._is_request[name]:
+            if name in analytic:
                 if headroom < opts.promote_headroom:
                     self._pressure[name] = self._pressure.get(name, 0) + 1
                 else:
@@ -494,9 +498,10 @@ class HybridSimulation(SimHarness):
                 if boundary and self._pressure[name] >= opts.min_dwell_ticks:
                     self._promote(job, now)
                     self._pressure[name] = 0
-            elif name in self._parked_flow:
-                # Only dynamically-promoted jobs can demote; the initial
-                # request_jobs flag is a pin, not a starting point.
+            elif self._flow is not None and self._flow.flows[index] is not None:
+                # Only dynamically-promoted jobs (an unlisted table row) can
+                # demote; the initial request_jobs flag is a pin, not a
+                # starting point.
                 if (
                     opts.demote_headroom is not None
                     and headroom > opts.demote_headroom
@@ -511,20 +516,20 @@ class HybridSimulation(SimHarness):
     def _promote(self, job, now: float) -> None:
         """Switch one job from analytic to request fidelity at ``now``.
 
-        The analytic state is parked for a later demotion.  The new router
-        starts with the flow side's ready replicas and schedules cold
-        starts up to its target; its seed is a pure function of the run
-        seed, the job's *global* index, and the job's promotion count --
-        never of which other jobs are flagged or promoted.  The arrival
-        stream is the job's canonical request-level stream (the same seed
-        derivation as a job flagged from the start) fast-forwarded to
-        ``now``, so post-promotion arrivals are exactly the suffix a pure
-        request-fidelity run would have offered.
+        The job's table row is unlisted, its analytic state kept for a
+        later demotion.  The new router starts with the flow side's ready
+        replicas and schedules cold starts up to its target; its seed is a
+        pure function of the run seed, the job's *global* index, and the
+        job's promotion count -- never of which other jobs are flagged or
+        promoted.  The arrival stream is the job's canonical request-level
+        stream (the same seed derivation as a job flagged from the start)
+        fast-forwarded to ``now``, so post-promotion arrivals are exactly
+        the suffix a pure request-fidelity run would have offered.
         """
         name = job.name
-        flow = self.state.pop(name)
-        self._parked_flow[name] = flow
         index = self._global_index[name]
+        flow = self._flow.flows[index]
+        self._flow.listed[index] = False
         count = self._promo_count.get(name, 0)
         seed = self.config.seed + 1000 * index + 7919 * count + 13
         router = self.cluster.add_job(job, flow.running, seed)
@@ -533,8 +538,9 @@ class HybridSimulation(SimHarness):
             router.scale_to(flow.target, now)
         self.cluster.targets[name] = flow.target
         minute = int(now // 60.0)
+        rates = self._flow.rates[flow.row]
         self.cluster.metrics[name].backfill_rate_history({
-            m: float(flow.trace[m]) / 60.0
+            m: float(rates[m])
             for m in range(max(minute - self.config.history_minutes, 0), minute)
         })
         stream = PoissonArrivals(
@@ -545,7 +551,6 @@ class HybridSimulation(SimHarness):
         stream.take_until_array(now)
         self.arrivals[name] = stream
         self._replica_log.setdefault(name, []).append((now, flow.target))
-        self._is_request[name] = True
         self._promo_count[name] = count + 1
         self._fidelity_log[name].append((minute, True))
         self._fidelity_events.append({"job": name, "time": now, "to": "request"})
@@ -553,16 +558,17 @@ class HybridSimulation(SimHarness):
     def _demote(self, job, now: float) -> None:
         """Switch a previously-promoted job back to analytic fidelity.
 
-        The parked flow state resumes with the router's ready replicas and
-        live queue length; the router's in-flight cold starts are
-        re-scheduled as fresh analytic cold starts (a conservative
-        approximation).  The router is detached -- its metrics collector
-        stays with the cluster so the request-fidelity minutes remain in
-        the evaluation series.
+        The job's table row is listed again: its analytic state resumes
+        with the router's ready replicas and live queue length; the
+        router's in-flight cold starts are re-scheduled as fresh analytic
+        cold starts (a conservative approximation).  The router is
+        detached -- its metrics collector stays with the cluster so the
+        request-fidelity minutes remain in the evaluation series.
         """
         name = job.name
         router = self.cluster.routers[name]
-        flow = self._parked_flow.pop(name)
+        index = self._global_index[name]
+        flow = self._flow.flows[index]
         flow.running = router.ready_replica_count(now)
         flow.queue = float(router.queue_length(now))
         flow.drop_rate = router.drop_rate
@@ -571,8 +577,7 @@ class HybridSimulation(SimHarness):
         self._retired_scalar += router.scalar_requests
         self.cluster.remove_job(name)
         del self.arrivals[name]
-        self.state[name] = flow
-        self._is_request[name] = False
+        self._flow.listed[index] = True
         self._fidelity_log[name].append((int(now // 60.0), False))
         self._fidelity_events.append({"job": name, "time": now, "to": "flow"})
 
@@ -596,12 +601,12 @@ class HybridSimulation(SimHarness):
     def collect(self) -> SimulationResult:
         minutes = self.duration_minutes
         series = {}
-        for job in self.jobs:
+        for index, job in enumerate(self.jobs):
             name = job.name
             log = self._fidelity_log[name]
             if len(log) > 1:
                 series[name] = self._stitch_series(name, log, minutes)
-            elif self._is_request[name]:
+            elif log[0][1]:  # request level throughout
                 series[name] = collect_request_series(
                     name,
                     self.cluster.metrics[name],
@@ -610,7 +615,7 @@ class HybridSimulation(SimHarness):
                 )
             else:
                 series[name] = collect_flow_series(
-                    name, self.state[name], self._acc[name], minutes
+                    name, job, self._flow.bucket(index), minutes
                 )
         metadata = self.base_metadata()
         metadata["request_jobs"] = [job.name for job in self.request_jobs]
@@ -646,8 +651,10 @@ class HybridSimulation(SimHarness):
             minutes,
             replicas_per_minute(self._replica_log[name], minutes),
         )
-        flow_obj = self.state.get(name) or self._parked_flow[name]
-        flow = collect_flow_series(name, flow_obj, self._acc[name], minutes)
+        row = self._global_index[name]
+        flow = collect_flow_series(
+            name, self._flow.flows[row].spec, self._flow.bucket(row), minutes
+        )
         return JobSeries(
             name=name,
             arrivals=np.where(mask, request.arrivals, flow.arrivals),

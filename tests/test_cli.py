@@ -147,6 +147,30 @@ class TestSpecRun:
         assert code == 2
         assert "invalid spec" in capsys.readouterr().err
 
+    def test_run_spec_p100_slo_fails_at_load(self, tmp_path, capsys):
+        """A p100 SLO has no finite M/D/c latency quantile: the spec is
+        refused as it loads, in one line, before any scenario is built."""
+        import json
+        from pathlib import Path
+
+        shipped = Path(__file__).parents[1] / "specs" / "custom_burst.json"
+        data = json.loads(shipped.read_text())
+        job = next(
+            job for job in data["scenarios"][0]["params"]["jobs"]
+            if job["name"] == "embed-resnet18"
+        )
+        job["slo"]["percentile"] = 100.0
+        bad = tmp_path / "p100.json"
+        bad.write_text(json.dumps(data))
+        code = main(["run", "--spec", str(bad)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: invalid spec {bad}: SLO percentile must be in (0, 100), "
+            "got 100.0\n"
+        )
+
 
 class TestPolicies:
     def test_list(self, capsys):
@@ -319,8 +343,8 @@ class TestBackends:
         assert code == 0
         assert capsys.readouterr().out == (
             "flow (fidelity=analytic)\n"
-            "  Analytic fluid/flow model (no job flagged): per-tick queue "
-            "dynamics plus M/D/c waiting tails; 100-1000x faster.\n"
+            "  Analytic fluid/flow model (no job flagged): fluid queues plus "
+            "M/D/c waiting tails; 2.6x faster than request (BENCH_sim.json).\n"
             "  aliases: analytic, analytic-flow\n"
             "  options: none\n"
         )

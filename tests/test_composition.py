@@ -317,7 +317,7 @@ _slos = st.one_of(
     st.builds(
         lambda m, p: {"multiple": m, "percentile": p},
         m=st.floats(min_value=0.5, max_value=20.0, allow_nan=False),
-        p=st.floats(min_value=50.0, max_value=100.0, allow_nan=False),
+        p=st.floats(min_value=50.0, max_value=100.0, exclude_max=True, allow_nan=False),
     ),
     st.builds(
         lambda t: {"target": t},

@@ -160,7 +160,7 @@ def _applied(sim, name):
     if sim.cluster is not None:
         router = sim.cluster.routers[name]
         return sim.cluster.targets[name], router.replica_count, router.drop_rate
-    flow = sim.state[name]
+    flow = sim.analytic_jobs()[name]
     return flow.target, flow.existing, flow.drop_rate
 
 
@@ -788,7 +788,9 @@ class TestHybridBackend:
         assert hybrid.metadata["dispatch"]["fault_chunk_cuts"] > 0  # hybrid cuts too
         assert flow.metadata["dispatch"]["vector_requests"] == 0
         for result in (request, flow, hybrid):
-            assert set(result.metadata["kernels"]) == {"dispatch", "erlang", "trstlp", "nhits"}
+            assert set(result.metadata["kernels"]) == {
+                "dispatch", "erlang", "trstlp", "nhits", "flow",
+            }
         assert request.metadata["kernels"]["dispatch"] is not None  # loaded
 
     def test_flow_run_never_loads_the_dispatch_kernel(self, monkeypatch):

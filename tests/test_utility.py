@@ -88,7 +88,9 @@ class TestSLO:
     def test_default_percentile(self):
         assert SLO(0.5).percentile == 99.0
 
-    @pytest.mark.parametrize("target,percentile", [(0, 99), (-1, 99), (1, 0), (1, 101)])
+    @pytest.mark.parametrize(
+        "target,percentile", [(0, 99), (-1, 99), (1, 0), (1, 100), (1, 101)]
+    )
     def test_validation(self, target, percentile):
         with pytest.raises(ValueError):
             SLO(target, percentile)
