@@ -65,7 +65,7 @@ from typing import Sequence
 import numpy as np
 from scipy import optimize as sciopt
 
-from repro.core import interp, trstlp
+from repro.core import interp, objective, trstlp
 from repro.core.objectives import ClusterObjective
 from repro.core.penalty import (
     penalty_multiplier,
@@ -1086,19 +1086,29 @@ def _solve_scipy(
 
     COBYLA runs on the compiled driver of :mod:`repro.core.trstlp` when it
     loads (it ports scipy 1.17's COBYLA and loads under no other release):
-    the same solve as scipy's ``minimize(method="COBYLA")``, bit for bit,
-    with Python left only to evaluate ``fun`` and the slacks at each point
-    the driver hands back.  Otherwise, and for SLSQP, scipy's ``minimize``
-    runs.
+    the same solve as scipy's ``minimize(method="COBYLA")``, bit for bit.
+    The driver hands each point it needs back to a short Python loop, which
+    answers with one call of the compiled objective of
+    :mod:`repro.core.objective` (``f`` and every slack, the numpy
+    reference's bits; its view of the problem is built once per solve,
+    here), or, when that kernel cannot load, with ``fun`` and the slacks
+    below.  Without the driver, and for SLSQP, scipy's ``minimize`` runs on
+    ``fun`` and the slacks.
     """
     fun, counter = _negative_objective(problem)
     slacks, size = _constraint_functions(problem)
     options = {"maxiter": maxiter}
     if method == "cobyla":
-        compiled = trstlp.kernel()
-        if compiled is not None:
-            z, f = compiled.minimize(fun, slacks, x0, size, rhobeg=2.0, maxiter=maxiter)
-            return z, float(-f), counter["nfev"]
+        driver = trstlp.kernel()
+        if driver is not None:
+            compiled = objective.kernel()
+            if compiled is None:
+                evaluate = trstlp.callbacks(fun, slacks)
+                z, f = driver.minimize(evaluate, x0, size, rhobeg=2.0, maxiter=maxiter)
+                return z, float(-f), counter["nfev"]
+            evaluator = compiled.evaluator(problem)
+            z, f = driver.minimize(evaluator, x0, size, rhobeg=2.0, maxiter=maxiter)
+            return z, float(-f), evaluator.nfev
         options["rhobeg"] = 2.0
     result = sciopt.minimize(
         fun,
@@ -1231,6 +1241,24 @@ def _solve_greedy(problem: AllocationProblem) -> tuple[np.ndarray, float, int]:
     return ints.astype(float), problem.evaluate(ints, drops), nfev
 
 
+def _checked_start(problem: AllocationProblem, method: str, x0) -> np.ndarray:
+    """A raw start vector of ``method``'s length: ``n`` entries, ``2 n``
+    for a penalty objective (replicas, then drop rates), where ``"pgd"``
+    also takes ``n``."""
+    start = np.asarray(x0, dtype=float)
+    n = problem.num_jobs
+    lengths = (2 * n,) if problem.objective.uses_drops else (n,)
+    if method == "pgd" and problem.objective.uses_drops:
+        lengths = (n, 2 * n)
+    if start.ndim != 1 or start.shape[0] not in lengths:
+        got = f"{start.shape[0]}" if start.ndim == 1 else f"an array of shape {start.shape}"
+        raise ValueError(
+            f"x0 for method={method!r} must be a vector of "
+            f"{' or '.join(map(str, lengths))} entries, got {got}"
+        )
+    return start
+
+
 def solve_allocation(
     problem: AllocationProblem,
     method: str = "cobyla",
@@ -1250,7 +1278,10 @@ def solve_allocation(
 
     ``x0`` warm-starts the local solvers: pass a previous cycle's
     :class:`Allocation` (projected feasible via :func:`warm_start_vector`)
-    or a raw variable vector.  ``"de"`` and ``"greedy"`` ignore it.
+    or a raw variable vector: one entry per job, then one drop rate per
+    job for a penalty objective (``"pgd"`` also takes the replicas alone
+    there).  A raw vector of any other shape raises ``ValueError`` before
+    any solver runs.  ``"de"`` and ``"greedy"`` ignore it.
 
     ``solver_options`` holds method-specific knobs -- currently only
     ``"pgd"`` accepts any (the :class:`~repro.core.batched_solver.PGDOptions`
@@ -1267,6 +1298,8 @@ def solve_allocation(
         )
     if isinstance(x0, Allocation):
         x0 = warm_start_vector(problem, x0)
+    elif x0 is not None and method in ("cobyla", "slsqp", "pgd"):
+        x0 = _checked_start(problem, method, x0)
     if x0 is None:
         x0 = _default_start(problem)
     if method in ("cobyla", "slsqp"):

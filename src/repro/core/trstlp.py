@@ -17,9 +17,13 @@ scipy's bits.
   method="COBYLA", constraints=[{"type": "ineq", "fun": slacks}],
   options={"maxiter": ..., "rhobeg": ...})`` for that one call shape.  The
   C driver never calls back into Python: it hands each point it needs
-  back to a short Python loop, which evaluates ``fun`` (unless scipy's
-  last-point cache would skip it) and ``slacks`` there and resumes the
-  driver.  :func:`repro.core.optimizer.solve_allocation` solves every
+  back to a short Python loop, which answers the request with one call
+  (``f`` unless scipy's last-point cache would skip it, and the
+  constraint values) and resumes the driver.  What answers is the
+  ``evaluate`` the caller passes: Faro's compiled objective
+  (:meth:`repro.core.objective.Kernel.evaluator`, one cffi call per
+  request), or :func:`callbacks` of Python's ``fun`` and ``slacks``.
+  :func:`repro.core.optimizer.solve_allocation` solves every
   ``method="cobyla"`` problem through it; no other caller of
   ``scipy.optimize.minimize`` sees it.
 - :meth:`Kernel.trstlp` is pyprima's ``trstlp(A, b, delta, g)`` alone,
@@ -46,7 +50,7 @@ import numpy as np
 
 from repro import native
 
-__all__ = ["PORTED_SCIPY", "Kernel", "kernel"]
+__all__ = ["PORTED_SCIPY", "Kernel", "callbacks", "kernel"]
 
 SOURCE = Path(__file__).with_name("trstlp.c")
 
@@ -81,6 +85,26 @@ _NEED_F, _NEED_C = 1, 2
 _RHOEND = 1e-4
 
 
+def callbacks(fun: Callable, slacks: Callable) -> Callable:
+    """:meth:`Kernel.minimize`'s ``evaluate`` for Python callables.
+
+    ``fun`` returns the objective and ``slacks`` the ``m`` constraint
+    values; each sees the point in its own copy, in scipy's order, and
+    ``fun`` is skipped where scipy's last-point cache skips it.
+    """
+
+    def bind(point: np.ndarray, f: np.ndarray, c: np.ndarray) -> Callable[[int], None]:
+        def answer(code: int) -> None:
+            if code & _NEED_F:
+                f[0] = fun(point.copy())
+            if code & _NEED_C:
+                c[:] = slacks(point.copy())
+
+        return answer
+
+    return bind
+
+
 def _failure(code: int) -> Exception:
     """The exception pyprima raises where the driver returned ``code``."""
     if code == -2:
@@ -108,7 +132,7 @@ _STEP_FAILURES = {1: -2, 2: -1, 3: -3}
 class Kernel:
     """The loaded kernel's entry points (see the module docstring)."""
 
-    #: ``minimize(fun, slacks, x0, m, rhobeg=..., maxiter=...) -> (x, f)``
+    #: ``minimize(evaluate, x0, m, rhobeg=..., maxiter=...) -> (x, f)``
     minimize: Callable
     #: ``trstlp(A, b, delta, g) -> d``
     trstlp: Callable
@@ -182,11 +206,15 @@ def _bind(ffi, library) -> Kernel:
     doubles = ffi.typeof("double[]")
     from_buffer = ffi.from_buffer
 
-    def minimize(fun, slacks, x0, m, *, rhobeg, maxiter):
-        """scipy's COBYLA on ``fun`` subject to ``slacks(x) >= 0``: ``(x, f)``.
+    def minimize(evaluate, x0, m, *, rhobeg, maxiter):
+        """scipy's COBYLA from ``x0`` subject to ``m`` constraints ``>= 0``: ``(x, f)``.
 
-        ``slacks`` returns ``m`` values.  ``fun`` and ``slacks`` see each
-        point in their own copy, in scipy's order.
+        ``evaluate(point, f, c)`` is called once with the driver's buffers
+        and returns the function that answers its requests: called with a
+        request code, it writes ``f[0]`` (when ``code & 1``) and the ``m``
+        constraint values ``c`` (when ``code & 2``) at ``point``.
+        :func:`callbacks` makes it from Python callables;
+        :meth:`repro.core.objective.Kernel.evaluator` is the compiled one.
         """
         start = np.ascontiguousarray(np.atleast_1d(np.asarray(x0, dtype=float)))
         if start.ndim != 1:
@@ -194,6 +222,7 @@ def _bind(ffi, library) -> Kernel:
         n = start.size
         settings, maxfun, maxfilt = _options(n, m, rhobeg, maxiter)
         point, f, c, x = np.empty(n), np.empty(1), np.empty(m), np.empty(n)
+        answer = evaluate(point, f, c)
         state = lib.cobyla_new(
             table, n, m, from_buffer(doubles, start), from_buffer(doubles, settings),
             maxfun, maxfilt, from_buffer(doubles, point), from_buffer(doubles, f),
@@ -204,10 +233,7 @@ def _bind(ffi, library) -> Kernel:
         resume = lib.cobyla_resume
         try:
             while (code := resume(state)) > 0:
-                if code & _NEED_F:
-                    f[0] = fun(point.copy())
-                if code & _NEED_C:
-                    c[:] = slacks(point.copy())
+                answer(code)
         finally:
             lib.cobyla_free(state)
         if code < 0:
@@ -401,5 +427,5 @@ def _solve_matches(compiled: Kernel) -> bool:
         return result.x, result.fun
 
     return run(lambda fun: compiled.minimize(
-        fun, slacks, np.ones(2), 5, rhobeg=2.0, maxiter=12,
+        callbacks(fun, slacks), np.ones(2), 5, rhobeg=2.0, maxiter=12,
     )) == run(reference)

@@ -1,6 +1,6 @@
 """The one loader of the compiled kernels, and the BLAS table they share.
 
-Five hot paths run as C kernels next to their Python reference:
+Six hot paths run as C kernels next to their Python reference:
 
 - ``dispatch`` (:mod:`repro.cluster.dispatch`, ``cluster/dispatch.c``)
   routes request chunks exactly as ``JobRouter.offer`` does;
@@ -10,16 +10,20 @@ Five hot paths run as C kernels next to their Python reference:
 - ``trstlp`` (:mod:`repro.core.trstlp`, ``core/trstlp.c``) runs a whole
   COBYLA solve exactly as scipy 1.17's ``minimize(method="COBYLA")``
   (pyprima's ``cobylb`` driver and its trust-region step ``trstlp``) runs
-  it, handing each point back to Python to evaluate;
+  it, handing each point back to a short Python loop;
+- ``objective`` (:mod:`repro.core.objective`, ``core/objective.c``)
+  answers each of those points with one call: Faro's objective and
+  constraint slacks exactly as their numpy reference computes them;
 - ``nhits`` (:mod:`repro.forecast.nhits`, ``forecast/nhits.c``) runs a
   stacked N-HiTS training step exactly as the autodiff tape does;
 - ``flow`` (:mod:`repro.sim.flow`, ``sim/flow.c``) steps every analytic
   job of a run one control tick exactly as ``FlowJob.step`` does.
 
-The last two never sum a product themselves: every ``np.dot``, ``@``,
-``np.linalg.lstsq`` and ``np.linalg.inv`` of their reference is a call
-through :func:`blas`, one table of the BLAS and LAPACK routines numpy
-itself calls, so their bits follow numpy's on any host.
+``trstlp``, ``objective`` and ``nhits`` never sum a product themselves:
+every ``np.dot``, ``@``, ``np.linalg.lstsq`` and ``np.linalg.inv`` of
+their reference is a call through :func:`blas`, one table of the BLAS and
+LAPACK routines numpy itself calls, so their bits follow numpy's on any
+host.
 
 Each client module wraps :func:`load` in its own ``kernel()`` under
 ``functools.cache``, so a kernel loads once per process, on first use.
@@ -172,7 +176,7 @@ def state(kernel: Callable[[], object]) -> str | None:
 def kernels() -> dict[str, str | None]:
     """Run metadata ``metadata["kernels"]``: the :func:`state` of every kernel."""
     from repro.cluster import dispatch
-    from repro.core import trstlp
+    from repro.core import objective, trstlp
     from repro.forecast import nhits
     from repro.queueing import vectorized
     from repro.sim import flow
@@ -181,6 +185,7 @@ def kernels() -> dict[str, str | None]:
         "dispatch": state(dispatch.kernel),
         "erlang": state(vectorized.kernel),
         "trstlp": state(trstlp.kernel),
+        "objective": state(objective.kernel),
         "nhits": state(nhits.kernel),
         "flow": state(flow.kernel),
     }

@@ -196,6 +196,7 @@ class SimHarness:
             for name, values in (history_prefix or {}).items()
         }
         self.initial_replicas = dict(initial_replicas or {})
+        self._ran = False
         self._setup()
 
     # ------------------------------------------------------ backend hooks
@@ -329,7 +330,17 @@ class SimHarness:
         return now, observations
 
     def run(self) -> SimulationResult:
-        """Drive the whole experiment and return its result."""
+        """Drive the whole experiment and return its result.
+
+        A harness runs once: its routers, queues, replica lifecycles and
+        random streams stay where the run left them, so a second call raises
+        ``RuntimeError``.
+        """
+        if self._ran:
+            raise RuntimeError(
+                "this simulation has already run; build a new one to run it again"
+            )
+        self._ran = True
         self.policy.reset()
         self._reset()
         tick = self.tick_seconds()

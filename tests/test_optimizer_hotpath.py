@@ -507,6 +507,48 @@ class TestWarmStart:
         assert problem.is_feasible(warm.replicas)
 
 
+class TestRawStartLength:
+    """A raw ``x0`` is checked once, before any solver runs: 1-D, ``n``
+    entries or ``2 n`` for a penalty objective, where pgd also takes ``n``;
+    de and greedy ignore it."""
+
+    ACCEPTED = {
+        ("cobyla", "fairsum"): {3}, ("cobyla", "penaltyfairsum"): {6},
+        ("slsqp", "fairsum"): {3}, ("slsqp", "penaltyfairsum"): {6},
+        ("pgd", "fairsum"): {3}, ("pgd", "penaltyfairsum"): {3, 6},
+    }
+
+    @pytest.mark.parametrize("method", ["cobyla", "slsqp", "pgd", "de", "greedy"])
+    @pytest.mark.parametrize("objective", ["fairsum", "penaltyfairsum"])
+    @pytest.mark.parametrize("length", [2, 3, 4, 6, 7])
+    def test_every_method_objective_and_length(self, method, objective, length):
+        jobs = [job(name, (10.0,)) for name in "abc"]
+        problem = AllocationProblem(
+            jobs, ClusterCapacity.of_replicas(10), make_objective(objective),
+            table_cache=UtilityTableCache(),
+        )
+        x0 = np.full(length, 2.0)
+        accepted = self.ACCEPTED.get((method, objective))
+        if accepted is None or length in accepted:
+            allocation = solve_allocation(problem, method=method, x0=x0, maxiter=60, seed=0)
+            assert allocation.replicas.shape == (3,)
+            return
+        expected = " or ".join(map(str, sorted(accepted)))
+        with pytest.raises(ValueError) as raised:
+            solve_allocation(problem, method=method, x0=x0, maxiter=60)
+        message = str(raised.value)
+        assert "\n" not in message
+        assert f"method={method!r}" in message
+        assert f"{expected} entries, got {length}" in message
+
+    def test_a_start_that_is_not_a_vector_is_refused(self):
+        problem = build_problem("sum")
+        with pytest.raises(ValueError, match=r"got an array of shape \(1, 4\)"):
+            solve_allocation(problem, x0=np.ones((1, 4)))
+        with pytest.raises(ValueError, match=r"got an array of shape \(\)"):
+            solve_allocation(problem, method="pgd", x0=2.0)
+
+
 class TestDefaultStartRegression:
     def test_tight_capacity_heterogeneous_cpu(self):
         # Historical bug: scaling into capacity then re-flooring at

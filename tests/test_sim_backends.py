@@ -789,7 +789,7 @@ class TestHybridBackend:
         assert flow.metadata["dispatch"]["vector_requests"] == 0
         for result in (request, flow, hybrid):
             assert set(result.metadata["kernels"]) == {
-                "dispatch", "erlang", "trstlp", "nhits", "flow",
+                "dispatch", "erlang", "trstlp", "objective", "nhits", "flow",
             }
         assert request.metadata["kernels"]["dispatch"] is not None  # loaded
 
@@ -839,3 +839,26 @@ class TestHybridBackend:
         injected = result.metadata["failures_injected"]
         assert injected.get("a", 0) > 0  # request half
         assert injected.get("b", 0) > 0  # flow half
+
+
+class TestOneRunPerHarness:
+    """A harness ends where its run left it (routers, queues, lifecycles,
+    random streams), so a second ``run()`` raises instead of silently
+    starting from the first run's end state."""
+
+    @pytest.mark.parametrize("simulator", ["request", "flow", "hybrid"])
+    def test_a_second_run_raises(self, simulator):
+        from repro import api
+        from repro.api.runner import build_trial_simulation, make_policy_factory
+
+        scenario = api.ScenarioSpec(
+            kind="paper", params={"size": "SO", "duration_minutes": 3}
+        ).build()
+        _, factory = make_policy_factory("fairshare")
+        harness = build_trial_simulation(
+            scenario, factory(scenario, 0), simulator=simulator, trial_seed=0
+        )
+        first = harness.run()
+        assert first.metadata["duration_minutes"] == 3
+        with pytest.raises(RuntimeError, match="already run; build a new one"):
+            harness.run()

@@ -27,6 +27,7 @@ from scipy._lib.pyprima.cobyla import cobylb, trustregion, update
 from scipy._lib.pyprima.common import linalg
 
 from repro import api, native
+from repro.core import objective as compiled_objective
 from repro.core import optimizer, trstlp
 from repro.core.objectives import make_objective
 from repro.core.optimizer import (
@@ -195,8 +196,12 @@ class TestWholeSolve:
     def test_same_points_and_allocation(
         self, compiled, monkeypatch, jobs, objective, binding, warm, maxiter
     ):
+        """On the Python objective, so ``fun`` sees every point; the
+        compiled objective's points are ``TestWholeSolves``' in
+        ``tests/test_objective_kernel.py``."""
         problem = faro_problem(jobs, objective, binding)
         x0 = solve_allocation(problem, maxiter=40) if warm else None
+        monkeypatch.setattr(compiled_objective, "kernel", lambda: None)
         points: list[bytes] = []
         negative_objective = optimizer._negative_objective
 
@@ -276,7 +281,9 @@ def solve_both(compiled, problem, x0, maxiter):
         return result.x, result.fun
 
     return (
-        run(lambda f, c: compiled.minimize(f, c, x0, size, rhobeg=2.0, maxiter=maxiter)),
+        run(lambda f, c: compiled.minimize(
+            trstlp.callbacks(f, c), x0, size, rhobeg=2.0, maxiter=maxiter
+        )),
         run(reference),
     )
 
@@ -316,10 +323,23 @@ class TestWholeSolveCorpus:
 
     @pytest.mark.parametrize("policy", ["faro-fairsum", "faro-penaltyfairsum"])
     def test_every_solve_of_a_paper_so_run(self, compiled, monkeypatch, policy):
-        """Every solve of a five-minute SO run, each on both sides."""
+        """Every solve of a five-minute SO run, each on both sides with the
+        Python objective, and then as the run solves it, on the compiled
+        objective where it loads."""
         checked = []
+        latest = {}
+        negative_objective = optimizer._negative_objective
 
-        def both(fun, slacks, x0, m, *, rhobeg, maxiter):
+        def capture(problem):
+            fun, counter = negative_objective(problem)
+            latest["fun"], latest["slacks"] = fun, optimizer._constraint_functions(problem)[0]
+            return fun, counter
+
+        monkeypatch.setattr(optimizer, "_negative_objective", capture)
+
+        def both(evaluate, x0, m, *, rhobeg, maxiter):
+            fun, slacks = latest["fun"], latest["slacks"]
+
             def run(solve):
                 calls = []
 
@@ -338,13 +358,15 @@ class TestWholeSolveCorpus:
                 return result.x, result.fun
 
             ours = run(lambda f: compiled.minimize(
-                f, slacks, x0, m, rhobeg=rhobeg, maxiter=maxiter
+                trstlp.callbacks(f, slacks), x0, m, rhobeg=rhobeg, maxiter=maxiter
             ))
             theirs = run(reference)
             assert ours[0] == theirs[0] and ours[2] == theirs[2]
             assert ours[1].tobytes() == theirs[1].tobytes()
             checked.append(len(ours[0]))
-            return ours[1], ours[2]
+            x, f = compiled.minimize(evaluate, x0, m, rhobeg=rhobeg, maxiter=maxiter)
+            assert np.asarray(x).tobytes() == ours[1].tobytes() and f == ours[2]
+            return x, f
 
         monkeypatch.setattr(
             trstlp, "kernel", lambda: dataclasses.replace(compiled, minimize=both)
@@ -361,7 +383,9 @@ class TestWholeSolveCorpus:
         api.run(spec)
         assert checked and min(checked) > 10
 
-    def test_an_objective_that_raises_propagates(self, compiled, small_problem):
+    def test_an_objective_that_raises_propagates(self, compiled, small_problem, monkeypatch):
+        """On the Python objective, which the driver calls back."""
+        monkeypatch.setattr(compiled_objective, "kernel", lambda: None)
         calls = []
 
         def failing(replicas, drops):

@@ -58,13 +58,16 @@ Eight benches run in-process and compare against checked-in baselines:
   taken within one process;
 - the COBYLA bench (``benchmarks/bench_cobyla_trstlp.py`` vs
   ``results/BENCH_trstlp.json``), at each e2e workload's shape.  The
-  compiled driver (``core/trstlp.c``) must make the same calls as
-  ``scipy.optimize.minimize(method="COBYLA")`` on a whole Faro solve --
-  the same points in the same order, the same ``x``, ``fun`` and number of
-  ``fun`` calls (unconditional: a diverged solve fails however fast it
-  is) -- and keep the gated whole-solve speedup over it, a ratio taken
-  within one process; a kernel that silently fell back to scipy reads
-  about 1x and fails.  Its trust-region step must also return steps
+  production solve -- the compiled driver (``core/trstlp.c``) answered by
+  the compiled objective (``core/objective.c``) -- must return the same
+  ``x``, ``fun`` and number of ``fun`` calls as
+  ``scipy.optimize.minimize(method="COBYLA")`` on Faro's numpy objective,
+  and the compiled objective must give the numpy objective's bytes at
+  every point scipy evaluated (unconditional: a diverged solve fails
+  however fast it is); it must keep the gated whole-solve speedup over
+  scipy's, a ratio taken within one process; a driver that silently fell
+  back to scipy reads about 1x and fails, and an objective that fell back
+  to numpy fails the identity.  Its trust-region step must also return steps
   byte-identical to scipy's pyprima ``trstlp`` on every input a Faro
   solve hands it (unconditional); the step's speed is gated only through
   the whole solve's.
